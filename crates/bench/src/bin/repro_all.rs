@@ -1,6 +1,6 @@
 //! Runs every reproduction experiment and prints all tables/figures,
-//! sharing the six characterization runs across Tables 1–3 and
-//! Figures 3–5.
+//! simulating each distinct AutoNUMA run once for the whole suite
+//! (DESIGN.md §13, run sharing).
 //!
 //! Experiments are isolated: a failing (or panicking) experiment is
 //! recorded and the rest still run. A failure summary is printed at the

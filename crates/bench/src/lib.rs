@@ -48,7 +48,10 @@ pub mod tune_cli;
 pub use tune_cli::{run_tune_cli, TuneCli, TUNE_USAGE};
 
 use std::path::{Path, PathBuf};
-use tiersim_core::experiments::{AutonumaTrace, Characterization, Comparison, ObjectAnalysis};
+use std::sync::Arc;
+use tiersim_core::experiments::{
+    AutonumaRuns, AutonumaTrace, Characterization, Comparison, ObjectAnalysis,
+};
 use tiersim_core::journal::{
     atomic_write, run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalError,
     JournalStats, KillMode, KillSpec, RunnerOptions,
@@ -415,8 +418,8 @@ type Sections = Vec<(String, String)>;
 
 /// Runs the characterization experiment and renders Tables 1–3 and
 /// Figures 3–5.
-fn characterization_sections(experiment: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let c = Characterization::run(experiment)?;
+fn characterization_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
+    let c = Characterization::run_with(runs)?;
     Ok(vec![
         ("Figure 3: sample distribution across levels".to_string(), c.render_fig3()),
         ("Figure 4: page touch-count histogram".to_string(), c.render_fig4()),
@@ -428,8 +431,8 @@ fn characterization_sections(experiment: &ExperimentConfig) -> Result<Sections, 
 }
 
 /// Runs the object-level analysis and renders Figures 6–8.
-fn object_analysis_sections(experiment: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let a = ObjectAnalysis::run(experiment)?;
+fn object_analysis_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
+    let a = ObjectAnalysis::run_with(runs)?;
     let mut out = vec![(
         "Figure 6: top objects by external samples (bc_kron)".to_string(),
         a.render_fig6(10),
@@ -455,10 +458,8 @@ fn object_analysis_sections(experiment: &ExperimentConfig) -> Result<Sections, C
 
 /// Runs the traced AutoNUMA experiment and renders Figures 9–10, plus the
 /// recorded event log when tracing was enabled.
-fn autonuma_trace_sections(
-    experiment: &ExperimentConfig,
-) -> Result<(Sections, Option<TraceLog>), CoreError> {
-    let tr = AutonumaTrace::run(experiment)?;
+fn autonuma_trace_sections(runs: &AutonumaRuns) -> Result<(Sections, Option<TraceLog>), CoreError> {
+    let tr = AutonumaTrace::run_with(runs)?;
     let sections = vec![
         ("Figure 9: memory usage and counters over time (bc_kron)".to_string(), tr.render_fig9()),
         ("Figure 10: DRAM loads vs promotions (bc_kron)".to_string(), tr.render_fig10()),
@@ -470,14 +471,15 @@ fn autonuma_trace_sections(
 }
 
 /// Runs the Figure 11 comparison.
-fn comparison_sections(experiment: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let cmp = Comparison::run(experiment)?;
+fn comparison_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
+    let cmp = Comparison::run_with(runs)?;
     Ok(vec![("Figure 11: object-level static mapping vs AutoNUMA".to_string(), cmp.render())])
 }
 
-/// Runs the full `repro_all` experiment suite: every reproduction
-/// experiment, sharing the six characterization runs across Tables 1–3
-/// and Figures 3–5, isolated so one failure never kills the rest.
+/// Runs the full `repro_all` experiment suite: the four reproduction
+/// experiments on one shared [`AutonumaRuns`] store, so each distinct
+/// AutoNUMA run is simulated once for the whole suite, each experiment
+/// isolated so one failure never kills the rest.
 ///
 /// Sections print to stdout as they complete and accumulate in the
 /// returned suite ([`ExperimentSuite::output`]). The recorded bytes are
@@ -485,6 +487,7 @@ fn comparison_sections(experiment: &ExperimentConfig) -> Result<Sections, CoreEr
 /// in `tests/parallel_sweep.rs` holds this function to that contract.
 pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> ExperimentSuite {
     let mut suite = ExperimentSuite::new().with_jobs(experiment.jobs);
+    let runs = AutonumaRuns::new(experiment);
 
     if inject_failure {
         // Deliberate failure to exercise the continue-on-failure path:
@@ -492,24 +495,20 @@ pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> E
         suite.attempt("injected failure", || Err::<(), _>(injected_failure()));
     }
 
-    if let Some(sections) =
-        suite.attempt("characterization", || characterization_sections(experiment))
-    {
+    if let Some(sections) = suite.attempt("characterization", || characterization_sections(&runs)) {
         for (title, body) in &sections {
             println!("{}", suite.section(title, body));
         }
     }
 
-    if let Some(sections) =
-        suite.attempt("object analysis", || object_analysis_sections(experiment))
-    {
+    if let Some(sections) = suite.attempt("object analysis", || object_analysis_sections(&runs)) {
         for (title, body) in &sections {
             println!("{}", suite.section(title, body));
         }
     }
 
     if let Some((sections, log)) =
-        suite.attempt("autonuma trace", || autonuma_trace_sections(experiment))
+        suite.attempt("autonuma trace", || autonuma_trace_sections(&runs))
     {
         for (title, body) in &sections {
             println!("{}", suite.section(title, body));
@@ -519,7 +518,7 @@ pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> E
         }
     }
 
-    if let Some(sections) = suite.attempt("comparison", || comparison_sections(experiment)) {
+    if let Some(sections) = suite.attempt("comparison", || comparison_sections(&runs)) {
         for (title, body) in &sections {
             println!("{}", suite.section(title, body));
         }
@@ -580,6 +579,11 @@ fn cell_error(e: CoreError) -> CellError {
 /// The assembled output, summary, and trace exports are byte-identical
 /// between an uninterrupted run and any kill+resume split of it.
 ///
+/// The cells share one [`AutonumaRuns`] store, so each distinct AutoNUMA
+/// run is simulated once per call. A resumed cell that finds a run
+/// missing (its producer was replayed from the journal) simulates it
+/// itself; determinism makes its payload the same bytes.
+///
 /// # Errors
 ///
 /// [`JournalError`] on I/O failure, a journal recorded under a different
@@ -596,7 +600,7 @@ pub fn run_suite_journaled(
     opts: RunnerOptions,
     inject_failure: bool,
 ) -> Result<ExperimentSuite, JournalError> {
-    let exp = *experiment;
+    let runs = Arc::new(AutonumaRuns::new(experiment));
     let mut cells: Vec<JournalCell> = Vec::new();
     if inject_failure {
         cells.push(JournalCell {
@@ -604,22 +608,25 @@ pub fn run_suite_journaled(
             run: Box::new(move || Err(cell_error(injected_failure()))),
         });
     }
+    let shared = Arc::clone(&runs);
     cells.push(JournalCell {
         name: "characterization".to_string(),
         run: Box::new(move || {
-            characterization_sections(&exp).map(|s| encode_payload(&s)).map_err(cell_error)
+            characterization_sections(&shared).map(|s| encode_payload(&s)).map_err(cell_error)
         }),
     });
+    let shared = Arc::clone(&runs);
     cells.push(JournalCell {
         name: "object analysis".to_string(),
         run: Box::new(move || {
-            object_analysis_sections(&exp).map(|s| encode_payload(&s)).map_err(cell_error)
+            object_analysis_sections(&shared).map(|s| encode_payload(&s)).map_err(cell_error)
         }),
     });
+    let shared = Arc::clone(&runs);
     cells.push(JournalCell {
         name: "autonuma trace".to_string(),
         run: Box::new(move || {
-            let (mut sections, log) = autonuma_trace_sections(&exp).map_err(cell_error)?;
+            let (mut sections, log) = autonuma_trace_sections(&shared).map_err(cell_error)?;
             if let Some(log) = log {
                 let exports = TraceExports::from_log(&log);
                 sections.push((TRACE_JSONL_SECTION.to_string(), exports.jsonl));
@@ -631,7 +638,7 @@ pub fn run_suite_journaled(
     cells.push(JournalCell {
         name: "comparison".to_string(),
         run: Box::new(move || {
-            comparison_sections(&exp).map(|s| encode_payload(&s)).map_err(cell_error)
+            comparison_sections(&runs).map(|s| encode_payload(&s)).map_err(cell_error)
         }),
     });
 

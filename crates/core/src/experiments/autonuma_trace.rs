@@ -1,11 +1,12 @@
 //! AutoNUMA behavior over time (paper §6.5–6.7: Figures 9 and 10).
 
-use super::ExperimentConfig;
+use super::{AutonumaRuns, ExperimentConfig};
 use crate::error::CoreError;
 use crate::render::TextTable;
 use crate::report::RunReport;
 use crate::timeline::TimelineOps;
 use crate::workload::{Dataset, Kernel};
+use std::sync::Arc;
 use tiersim_mem::{MemLevel, Tier};
 use tiersim_policy::TieringMode;
 use tiersim_profile::binned_counts;
@@ -52,7 +53,7 @@ pub struct Fig10Row {
 #[derive(Debug)]
 pub struct AutonumaTrace {
     /// The underlying run.
-    pub report: RunReport,
+    pub report: Arc<RunReport>,
     freq_hz: u64,
 }
 
@@ -63,10 +64,18 @@ impl AutonumaTrace {
     ///
     /// Propagates run errors.
     pub fn run(cfg: &ExperimentConfig) -> Result<AutonumaTrace, CoreError> {
-        let w = cfg.workload(Kernel::Bc, Dataset::Kron);
-        let mc = cfg.machine_for(&w, TieringMode::AutoNuma);
-        let freq_hz = mc.mem.freq_hz;
-        Ok(AutonumaTrace { report: crate::runner::run_workload(mc, w)?, freq_hz })
+        Self::run_with(&AutonumaRuns::new(cfg))
+    }
+
+    /// Takes `bc_kron`'s AutoNUMA run from `runs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates run errors.
+    pub fn run_with(runs: &AutonumaRuns) -> Result<AutonumaTrace, CoreError> {
+        let cfg = runs.config();
+        let freq_hz = cfg.machine(TieringMode::AutoNuma).mem.freq_hz;
+        Ok(AutonumaTrace { report: runs.get(cfg.workload(Kernel::Bc, Dataset::Kron))?, freq_hz })
     }
 
     /// Figure 9 rows, one per timeline snapshot.

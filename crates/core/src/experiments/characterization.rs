@@ -1,10 +1,11 @@
 //! The six-workload characterization bundle: Figure 3, Figure 4,
 //! Figure 5, and Tables 1–3.
 
-use super::ExperimentConfig;
+use super::{AutonumaRuns, ExperimentConfig};
 use crate::error::CoreError;
 use crate::render::{pct, TextTable};
 use crate::report::RunReport;
+use std::sync::Arc;
 use tiersim_mem::Tier;
 use tiersim_policy::TieringMode;
 use tiersim_profile::{two_touch_reuse, LevelDistribution, Summary, TouchHistogram};
@@ -95,7 +96,7 @@ pub struct Table3Row {
 #[derive(Debug)]
 pub struct Characterization {
     /// One report per paper workload, in grid order.
-    pub reports: Vec<RunReport>,
+    pub reports: Vec<Arc<RunReport>>,
     freq_hz: u64,
 }
 
@@ -106,27 +107,19 @@ impl Characterization {
     ///
     /// Propagates the first run error.
     pub fn run(cfg: &ExperimentConfig) -> Result<Characterization, CoreError> {
-        let freq_hz = cfg.machine(TieringMode::AutoNuma).mem.freq_hz;
-        // Each workload is an independent deterministic cell; run them on
-        // the sweep executor. Results come back in grid order, so error
-        // propagation picks the same (first) failure a serial loop would.
-        let cells: Vec<_> = cfg
-            .workloads()
-            .into_iter()
-            .map(|w| {
-                let mc = cfg.machine_for(&w, TieringMode::AutoNuma);
-                move || crate::runner::run_workload(mc, w)
-            })
-            .collect();
-        let reports =
-            crate::sweep::run_cells(cfg.jobs, cells).into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(Characterization { reports, freq_hz })
+        Self::run_with(&AutonumaRuns::new(cfg))
     }
 
-    /// Builds from pre-computed reports (used by the `all` harness to
-    /// share runs across experiments).
-    pub fn from_reports(reports: Vec<RunReport>, freq_hz: u64) -> Characterization {
-        Characterization { reports, freq_hz }
+    /// Takes the six paper workloads' AutoNUMA runs from `runs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first run error in grid order.
+    pub fn run_with(runs: &AutonumaRuns) -> Result<Characterization, CoreError> {
+        let cfg = runs.config();
+        let freq_hz = cfg.machine(TieringMode::AutoNuma).mem.freq_hz;
+        let reports = runs.get_all(&cfg.workloads()).into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(Characterization { reports, freq_hz })
     }
 
     /// Figure 3 rows.

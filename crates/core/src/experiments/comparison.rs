@@ -1,8 +1,10 @@
 //! Object-level static mapping vs AutoNUMA (paper §7: Figure 11).
 
-use super::ExperimentConfig;
+use super::{AutonumaRuns, ExperimentConfig};
+use crate::config::MachineConfig;
 use crate::error::CoreError;
 use crate::render::{pct, secs, TextTable};
+use crate::report::RunReport;
 use crate::runner::{plan_from_report, run_workload};
 use crate::workload::{Kernel, WorkloadConfig};
 use tiersim_policy::TieringMode;
@@ -64,22 +66,36 @@ impl Comparison {
     ///
     /// Propagates the first run error.
     pub fn run(cfg: &ExperimentConfig) -> Result<Comparison, CoreError> {
-        // Expand the workload grid into (workload, spill) cells up front
-        // so the sweep executor can run each AutoNUMA/static pair
-        // concurrently; row order (and first-error choice) matches the
-        // old serial loop exactly.
+        Self::run_with(&AutonumaRuns::new(cfg))
+    }
+
+    /// Runs the comparison on the AutoNUMA runs in `runs`: each workload's
+    /// AutoNUMA run is both its Figure 11 baseline and the profile its
+    /// static plans (whole-object and, for CC, spill) are built from, so
+    /// only the static halves are simulated here.
+    ///
+    /// # Errors
+    ///
+    /// The first failing row's error in row order: its AutoNUMA run's,
+    /// else its static run's.
+    pub fn run_with(runs: &AutonumaRuns) -> Result<Comparison, CoreError> {
+        let cfg = runs.config();
+        let workloads = cfg.workloads();
+        let autos = runs.get_all(&workloads);
+        // One (workload, spill) row per bar; the static halves of the rows
+        // whose AutoNUMA run succeeded go to the sweep executor together.
         let mut specs = Vec::new();
-        for w in cfg.workloads() {
-            specs.push((w, false));
+        for (w, auto) in workloads.into_iter().zip(autos) {
+            specs.push((w, false, auto.clone()));
             if w.kernel == Kernel::Cc {
-                specs.push((w, true));
+                specs.push((w, true, auto));
             }
         }
         let cells: Vec<_> = specs
             .into_iter()
-            .map(|(w, spill)| {
-                let cfg = *cfg;
-                move || Self::compare(&cfg, w, spill)
+            .map(|(w, spill, auto)| {
+                let base = cfg.machine_for(&w, TieringMode::AutoNuma);
+                move || Self::static_row(base, w, spill, &*auto?)
             })
             .collect();
         let rows =
@@ -99,7 +115,18 @@ impl Comparison {
     ) -> Result<Fig11Row, CoreError> {
         let base = cfg.machine_for(&workload, TieringMode::AutoNuma);
         let auto = run_workload(base.clone(), workload)?;
-        let plan = plan_from_report(&auto, &base, spill);
+        Self::static_row(base, workload, spill, &auto)
+    }
+
+    /// Runs `workload` under the static plan profiled from its AutoNUMA
+    /// run `auto` on testbed `base`, and builds the row.
+    fn static_row(
+        base: MachineConfig,
+        workload: WorkloadConfig,
+        spill: bool,
+        auto: &RunReport,
+    ) -> Result<Fig11Row, CoreError> {
+        let plan = plan_from_report(auto, &base, spill);
         let mut static_cfg = base;
         static_cfg.mode = TieringMode::StaticObject(plan);
         let stat = run_workload(static_cfg, workload)?;

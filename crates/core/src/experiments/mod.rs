@@ -3,11 +3,17 @@
 //! Each experiment runs scaled-down versions of the paper's six workloads
 //! (BC/BFS/CC × kron/urand) and derives the corresponding table or figure
 //! series. The `tiersim-bench` crate exposes one binary per experiment.
+//!
+//! Every experiment takes its AutoNUMA runs from an [`AutonumaRuns`]
+//! store: `Foo::run(cfg)` uses a fresh one, `Foo::run_with(&runs)` shares
+//! `runs` with the other experiments, so a suite simulates each distinct
+//! workload once.
 
 mod autonuma_trace;
 mod characterization;
 mod comparison;
 mod objects;
+mod runs;
 
 pub use autonuma_trace::{AutonumaTrace, Fig10Row, Fig9Row};
 pub use characterization::{
@@ -15,6 +21,7 @@ pub use characterization::{
 };
 pub use comparison::{Comparison, Fig11Row};
 pub use objects::{Fig6Row, ObjectAnalysis};
+pub use runs::{AutonumaRuns, SharedRun};
 
 use crate::config::MachineConfig;
 use crate::error::CoreError;

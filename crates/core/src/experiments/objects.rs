@@ -1,10 +1,11 @@
 //! Object-level analysis of one workload (paper §6.2–6.4: Figures 6–8).
 
-use super::ExperimentConfig;
+use super::{AutonumaRuns, ExperimentConfig};
 use crate::error::CoreError;
 use crate::render::{pct, TextTable};
 use crate::report::RunReport;
 use crate::workload::{Dataset, Kernel};
+use std::sync::Arc;
 use tiersim_mem::Tier;
 use tiersim_policy::TieringMode;
 use tiersim_profile::{top_objects, AccessPattern, AllocTimeline};
@@ -30,7 +31,7 @@ pub struct Fig6Row {
 #[derive(Debug)]
 pub struct ObjectAnalysis {
     /// The underlying run.
-    pub report: RunReport,
+    pub report: Arc<RunReport>,
     freq_hz: u64,
 }
 
@@ -41,7 +42,16 @@ impl ObjectAnalysis {
     ///
     /// Propagates run errors.
     pub fn run(cfg: &ExperimentConfig) -> Result<ObjectAnalysis, CoreError> {
-        Self::run_workload(cfg, Kernel::Bc, Dataset::Kron)
+        Self::run_with(&AutonumaRuns::new(cfg))
+    }
+
+    /// Takes `bc_kron`'s AutoNUMA run from `runs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates run errors.
+    pub fn run_with(runs: &AutonumaRuns) -> Result<ObjectAnalysis, CoreError> {
+        Self::run_workload_with(runs, Kernel::Bc, Dataset::Kron)
     }
 
     /// Runs any kernel × dataset under AutoNUMA.
@@ -54,10 +64,22 @@ impl ObjectAnalysis {
         kernel: Kernel,
         dataset: Dataset,
     ) -> Result<ObjectAnalysis, CoreError> {
-        let w = cfg.workload(kernel, dataset);
-        let mc = cfg.machine_for(&w, TieringMode::AutoNuma);
-        let freq_hz = mc.mem.freq_hz;
-        Ok(ObjectAnalysis { report: crate::runner::run_workload(mc, w)?, freq_hz })
+        Self::run_workload_with(&AutonumaRuns::new(cfg), kernel, dataset)
+    }
+
+    /// Takes any kernel × dataset's AutoNUMA run from `runs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates run errors.
+    pub fn run_workload_with(
+        runs: &AutonumaRuns,
+        kernel: Kernel,
+        dataset: Dataset,
+    ) -> Result<ObjectAnalysis, CoreError> {
+        let cfg = runs.config();
+        let freq_hz = cfg.machine(TieringMode::AutoNuma).mem.freq_hz;
+        Ok(ObjectAnalysis { report: runs.get(cfg.workload(kernel, dataset))?, freq_hz })
     }
 
     /// Figure 6 rows: top `n` objects by samples on `tier`.

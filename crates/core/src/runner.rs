@@ -5,6 +5,7 @@ use crate::error::CoreError;
 use crate::machine::Machine;
 use crate::report::RunReport;
 use crate::workload::{Dataset, Kernel, WorkloadConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tiersim_graph::{
     bc, bfs, build_sim_csr, build_sim_weights, cc_afforest, cc_sv, load_sim_csr_streamed, pr,
     sg_file_bytes, sssp, tc, BfsParams, EdgeList, KroneckerGenerator, PrParams, SimCsrGraph,
@@ -110,6 +111,15 @@ fn run_trials(
     trial_secs
 }
 
+static RUNS_STARTED: AtomicU64 = AtomicU64::new(0);
+
+/// How many workload simulations ([`run_workload`] calls) this process
+/// has started: a deterministic work count, so a speedup from doing less
+/// work can be told apart from doing the same work faster.
+pub fn runs_started() -> u64 {
+    RUNS_STARTED.load(Ordering::Relaxed)
+}
+
 /// Runs one workload on one machine configuration, producing a full
 /// [`RunReport`].
 ///
@@ -131,6 +141,7 @@ pub fn run_workload(
     workload: WorkloadConfig,
 ) -> Result<RunReport, CoreError> {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    RUNS_STARTED.fetch_add(1, Ordering::Relaxed);
     match catch_unwind(AssertUnwindSafe(|| run_workload_inner(machine_cfg, workload))) {
         Ok(result) => result,
         Err(payload) => match payload.downcast::<crate::error::RunError>() {

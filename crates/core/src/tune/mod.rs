@@ -229,6 +229,11 @@ pub fn run_tune(
     let mut rung: u64 = 0;
     let mut rungs: Vec<RungSummary> = Vec::new();
     let mut default_score: Option<(u64, u64)> = None;
+    // Points that finished the previous rung. Only the watchdog reads the
+    // tick budget, so a larger budget cannot change a finished score (see
+    // `CellScore::Finished`): those cells carry the score over instead of
+    // simulating again, and still journal it under their own name.
+    let mut carried: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
     let final_active: Vec<usize>;
     let final_scores: BTreeMap<usize, (u64, u64)>;
 
@@ -245,9 +250,15 @@ pub fn run_tune(
             let Some(point) = points.get(idx).copied() else { continue };
             let machine = point.apply(&base).with_tick_budget(budget);
             let w = workload;
+            let finished = carried
+                .get(&idx)
+                .map(|&(ticks, promo_bytes)| CellScore::Finished { ticks, promo_bytes }.encode());
             cells.push(JournalCell {
                 name: format!("r{rung}:b{budget}:{}", point.key()),
-                run: Box::new(move || score::run_score_cell(&machine, &w)),
+                run: Box::new(move || match &finished {
+                    Some(payload) => Ok(payload.clone()),
+                    None => score::run_score_cell(&machine, &w),
+                }),
             });
             cell_points.push(idx);
         }
@@ -324,6 +335,7 @@ pub fn run_tune(
         let mut survivors: Vec<usize> = ranked.iter().take(keep).map(|r| r.4).collect();
         survivors.sort_unstable();
         active = survivors;
+        carried = finished;
         budget = budget.saturating_mul(2);
         rung += 1;
     }
@@ -421,4 +433,36 @@ pub fn run_tune(
         finalists: rows,
     };
     Ok(TuneOutcome { report, trace: trace.log(), executed, replayed })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_finished_point_is_simulated_once_across_rungs() {
+        let experiment =
+            ExperimentConfig { scale: 10, degree: 8, trials: 1, jobs: 1, ..Default::default() };
+        let cfg =
+            TuneConfig { finalists: 2, ..TuneConfig::new(experiment, Kernel::Bc, Dataset::Kron) };
+        let path =
+            std::env::temp_dir().join(format!("tiersim-tune-carry-{}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        // Jobs 1 runs every cell on this thread, where the counter lives.
+        score::SCORE_RUNS.with(|n| n.set(0));
+        let out = run_tune(&cfg, &path, RunnerOptions::default()).unwrap();
+        let simulated = score::SCORE_RUNS.with(std::cell::Cell::get);
+        std::fs::remove_file(&path).unwrap();
+
+        let rungs = &out.report.rungs;
+        let cells: u64 = rungs.iter().map(|r| r.cells).sum();
+        // Survivors rank finished-first, so a later rung re-simulates only
+        // the survivors that were stuck in the rung before it.
+        let stuck_survivors: u64 =
+            rungs.windows(2).map(|p| p[1].cells - p[0].finished.min(p[1].cells)).sum();
+        assert_eq!(simulated, rungs[0].cells + stuck_survivors);
+        assert!(simulated < cells, "{simulated} simulations for {cells} score cells");
+        // Every cell still goes through the journal.
+        assert_eq!(out.executed, cells + out.report.finalists.len() as u64);
+    }
 }

@@ -133,6 +133,12 @@ fn cell_error(e: &CoreError) -> CellError {
     CellError { class: FailureClass::Error, message: e.to_string() }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Throughput-cell simulations started on this thread.
+    pub(super) static SCORE_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Runs one throughput cell: the workload under `cfg`, scored on
 /// completion ticks and promotion traffic.
 ///
@@ -141,6 +147,8 @@ fn cell_error(e: &CoreError) -> CellError {
 /// [`CellError`] on configuration or run errors; a stuck run is an
 /// `Ok` payload (see the module docs).
 pub fn run_score_cell(cfg: &MachineConfig, w: &WorkloadConfig) -> Result<String, CellError> {
+    #[cfg(test)]
+    SCORE_RUNS.with(|n| n.set(n.get() + 1));
     match run_workload(cfg.clone(), *w) {
         Ok(r) => Ok(CellScore::Finished {
             ticks: r.os_ticks,

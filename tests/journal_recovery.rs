@@ -177,9 +177,12 @@ fn killed_and_resumed_repro_suite_is_byte_identical() {
     let clean_stats = *clean.cell_stats().expect("journaled suite has cell stats");
     assert_eq!(clean_stats.completed, 4);
 
-    // Kill before any cell completes (append 2 = the first cell's start)
-    // and mid-suite after two cells completed (append 6).
-    for (kill_at, expect_replayed) in [(2u64, 0u64), (6, 2)] {
+    // Kill before any cell completes (append 2 = the first cell's start),
+    // mid-suite after two cells completed (append 6), and at the last
+    // cell's start (append 8): that resume re-runs only the comparison,
+    // which finds the shared AutoNUMA runs store empty and simulates all
+    // six runs itself.
+    for (kill_at, expect_replayed) in [(2u64, 0u64), (6, 2), (8, 3)] {
         let path = scratch("suite-killed");
         let kill = KillSpec { at_append: kill_at, torn: false, mode: KillMode::Panic };
         let opts = RunnerOptions { kill: Some(kill), ..Default::default() };

@@ -1,0 +1,187 @@
+//! Run sharing (DESIGN.md §13): the suite's four experiments take their
+//! AutoNUMA runs from one compute-once store, so each distinct simulation
+//! runs once, and the output is byte-identical to the four experiments
+//! each built on a store of its own.
+//!
+//! The simulation counts come from the process-wide
+//! [`tiersim::core::runs_started`] counter, so the tests in this file take
+//! turns.
+
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, PoisonError};
+use tiersim::core::experiments::{
+    AutonumaRuns, AutonumaTrace, Characterization, Comparison, ObjectAnalysis,
+};
+use tiersim::core::{runs_started, CoreError, ExperimentConfig};
+use tiersim_bench::{run_suite_journaled, ExperimentSuite};
+use tiersim_core::journal::{JournalStats, RunnerOptions};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// The CI smoke configuration (`--scale 11 --degree 8 --trials 1`).
+fn tiny(tick_budget: u64) -> ExperimentConfig {
+    ExperimentConfig { scale: 11, degree: 8, trials: 1, jobs: 1, tick_budget, ..Default::default() }
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let p =
+        std::env::temp_dir().join(format!("tiersim-sharing-{}-{tag}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&p);
+    p
+}
+
+/// Simulations `f` starts, with its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = runs_started();
+    let value = f();
+    (value, runs_started() - before)
+}
+
+type Sections = Vec<(String, String)>;
+type Experiment = fn(&ExperimentConfig) -> Result<Sections, CoreError>;
+
+fn characterization(cfg: &ExperimentConfig) -> Result<Sections, CoreError> {
+    let c = Characterization::run(cfg)?;
+    Ok(vec![
+        ("Figure 3: sample distribution across levels".to_string(), c.render_fig3()),
+        ("Figure 4: page touch-count histogram".to_string(), c.render_fig4()),
+        ("Figure 5: 2-touch reuse intervals (hottest NVM object)".to_string(), c.render_fig5()),
+        ("Table 1: external access location".to_string(), c.render_table1()),
+        ("Table 2: external latency cost split".to_string(), c.render_table2()),
+        ("Table 3: external access cost by TLB outcome".to_string(), c.render_table3()),
+    ])
+}
+
+fn object_analysis(cfg: &ExperimentConfig) -> Result<Sections, CoreError> {
+    let a = ObjectAnalysis::run(cfg)?;
+    let mut out = vec![(
+        "Figure 6: top objects by external samples (bc_kron)".to_string(),
+        a.render_fig6(10),
+    )];
+    if let Some(secs) = a.hottest_nvm_alloc_secs() {
+        let body = format!(
+            "peak live {:.2} MB over {} events; hottest NVM object allocated at t={secs:.4}s\n",
+            a.fig7().peak_bytes() as f64 / (1 << 20) as f64,
+            a.fig7().points.len(),
+        );
+        out.push(("Figure 7: allocation timeline (bc_kron)".to_string(), body));
+    }
+    if let Some(p) = a.fig8() {
+        let body = format!(
+            "{} samples, randomness metric {:.3}\n",
+            p.points.len(),
+            p.randomness().unwrap_or(0.0)
+        );
+        out.push(("Figure 8: hottest NVM object access pattern (bc_kron)".to_string(), body));
+    }
+    Ok(out)
+}
+
+fn autonuma_trace(cfg: &ExperimentConfig) -> Result<Sections, CoreError> {
+    let tr = AutonumaTrace::run(cfg)?;
+    Ok(vec![
+        ("Figure 9: memory usage and counters over time (bc_kron)".to_string(), tr.render_fig9()),
+        ("Figure 10: DRAM loads vs promotions (bc_kron)".to_string(), tr.render_fig10()),
+    ])
+}
+
+fn comparison(cfg: &ExperimentConfig) -> Result<Sections, CoreError> {
+    let cmp = Comparison::run(cfg)?;
+    Ok(vec![("Figure 11: object-level static mapping vs AutoNUMA".to_string(), cmp.render())])
+}
+
+/// The unshared reference: the four experiments, each on a fresh store,
+/// assembled the way the journaled suite assembles its cells (a failing
+/// experiment fails every attempt the same way, so it quarantines).
+fn unshared_reference(cfg: &ExperimentConfig) -> (ExperimentSuite, u64) {
+    counted(|| {
+        let mut suite = ExperimentSuite::new();
+        let mut stats = JournalStats::default();
+        let experiments: [(&str, Experiment); 4] = [
+            ("characterization", characterization),
+            ("object analysis", object_analysis),
+            ("autonuma trace", autonuma_trace),
+            ("comparison", comparison),
+        ];
+        for (name, run) in experiments {
+            match run(cfg) {
+                Ok(sections) => {
+                    stats.completed += 1;
+                    suite.note_completed();
+                    for (title, body) in &sections {
+                        suite.section(title, body);
+                    }
+                }
+                Err(e) => {
+                    stats.quarantined += 1;
+                    suite.note_quarantined(name, format!("quarantined: {e}"));
+                }
+            }
+        }
+        suite.set_cell_stats(stats);
+        suite
+    })
+}
+
+fn shared_suite(cfg: &ExperimentConfig, tag: &str) -> (ExperimentSuite, u64) {
+    let path = scratch(tag);
+    let out = counted(|| {
+        run_suite_journaled(cfg, &path, RunnerOptions::default(), false).expect("journaled suite")
+    });
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+#[test]
+fn shared_suite_is_byte_identical_to_the_unshared_reference_in_fewer_runs() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let cfg = tiny(0);
+    let (suite, shared_runs) = shared_suite(&cfg, "clean");
+    let (reference, unshared_runs) = unshared_reference(&cfg);
+    assert_eq!(suite.exit_code(), 0, "{}", suite.summary());
+    assert_eq!(suite.output(), reference.output());
+    assert_eq!(suite.summary(), reference.summary());
+
+    // Six AutoNUMA runs plus eight static halves (six whole-object rows,
+    // two CC spill rows). Unshared, the suite ran 24: characterization 6,
+    // object analysis 1, AutoNUMA trace 1, comparison 16.
+    assert_eq!(shared_runs, 14);
+    // The reference still repeats bc_kron across experiments, but its
+    // comparison already profiles each workload once.
+    assert_eq!(unshared_runs, 6 + 1 + 1 + 14);
+    let (standalone, comparison_runs) = counted(|| Comparison::run(&cfg).expect("comparison"));
+    assert_eq!(comparison_runs, 14, "was 16: one AutoNUMA run per CC spill row too");
+    assert_eq!(standalone.rows.len(), 8);
+}
+
+#[test]
+fn one_workloads_failure_does_not_poison_the_others() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // One OS tick: bc_kron finishes inside it, the larger urand runs do
+    // not. The summary bytes are the ones the unshared suite printed.
+    let cfg = tiny(1);
+    let (suite, _) = shared_suite(&cfg, "budget");
+    assert_eq!(
+        suite.summary(),
+        "== 2/4 experiments completed ==\n\
+         cells: 2 completed, 0 retried, 2 quarantined\n\
+         FAILED characterization: quarantined: run aborted: cell stuck: 2 OS ticks exceed the \
+         budget of 1\n\
+         FAILED comparison: quarantined: run aborted: cell stuck: 2 OS ticks exceed the budget \
+         of 1\n"
+    );
+    let (reference, _) = unshared_reference(&cfg);
+    assert_eq!(suite.output(), reference.output());
+    assert_eq!(suite.summary(), reference.summary());
+
+    // On one store: the failed runs are not cached, the finished ones are
+    // shared by every experiment that reads them.
+    let runs = AutonumaRuns::new(&cfg);
+    let characterization = Characterization::run_with(&runs).expect_err("urand exceeds 1 tick");
+    let objects = ObjectAnalysis::run_with(&runs).expect("bc_kron finishes");
+    let trace = AutonumaTrace::run_with(&runs).expect("bc_kron finishes");
+    assert!(Arc::ptr_eq(&objects.report, &trace.report), "one bc_kron run serves both");
+    let err = Comparison::run_with(&runs).expect_err("urand exceeds 1 tick");
+    assert_eq!(err, Comparison::run(&cfg).expect_err("unshared comparison fails too"));
+    assert_eq!(err, characterization);
+}
