@@ -116,10 +116,11 @@ fn bench_components(c: &mut Criterion) {
     // Set-associative two-level TLB vs a minimal direct-mapped table
     // (`idx = vpn % SIZE`, as tiny educational MMUs use). The direct map
     // drops associativity, the STLB, and stats — it bounds how much the
-    // model's fidelity costs per lookup. Measured: the modeled TLB's
-    // MRU-touch early-exit keeps the hot hit within ~2x of the bare
-    // array, so the direct map is not worth the fidelity loss (Skylake's
-    // DTLB is 4-way; see DESIGN.md §12).
+    // model's fidelity costs per lookup. Measured: an MRU hit on the
+    // recency-ordered sets rewrites one slot and moves nothing, keeping
+    // the hot hit within ~2.5x of the bare array, so the direct map is
+    // not worth the fidelity loss (Skylake's DTLB is 4-way; see
+    // DESIGN.md §12).
     let mut tlb =
         Tlb::new(TlbGeometry { entries: 64, ways: 4 }, TlbGeometry { entries: 1536, ways: 12 });
     for p in 0..16u64 {

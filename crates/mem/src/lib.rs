@@ -55,6 +55,7 @@ mod memory_mode;
 mod nvm;
 mod page;
 mod page_table;
+mod recency;
 mod simvec;
 mod stats;
 mod system;

@@ -2,6 +2,7 @@
 
 use crate::config::NvmTimings;
 use crate::dram::DeviceStats;
+use crate::recency::shift_in;
 
 /// NVM latency model: a small fully-associative buffer of 256-byte media
 /// blocks (the Optane "XPBuffer") in front of slow media.
@@ -29,11 +30,15 @@ use crate::dram::DeviceStats;
 pub struct NvmModel {
     timings: NvmTimings,
     block_shift: u32,
-    /// Fully-associative LRU buffer of block numbers; front = MRU.
+    /// Fully-associative LRU buffer: `buffer_entries` block numbers in
+    /// recency order, MRU first, empty slots at the tail (see `recency`).
     buffer: Vec<u64>,
     stats: DeviceStats,
     media_blocks_written: u64,
 }
+
+/// An empty buffer slot: no address reaches block `u64::MAX`.
+const EMPTY: u64 = u64::MAX;
 
 impl NvmModel {
     /// Creates an NVM model with the given timings.
@@ -48,7 +53,7 @@ impl NvmModel {
         NvmModel {
             timings,
             block_shift: timings.block_bytes.trailing_zeros(),
-            buffer: Vec::with_capacity(timings.buffer_entries),
+            buffer: vec![EMPTY; timings.buffer_entries],
             stats: DeviceStats::default(),
             media_blocks_written: 0,
         }
@@ -70,19 +75,13 @@ impl NvmModel {
         (self.media_blocks_written * self.timings.block_bytes) as f64 / requested as f64
     }
 
-    /// `true` if the block was buffered; updates LRU order, inserting on miss.
+    /// `true` if the block was buffered; moves it to the front, inserting
+    /// it there on a miss (the tail falls out).
     fn touch_buffer(&mut self, block: u64) -> bool {
-        if let Some(pos) = self.buffer.iter().position(|&b| b == block) {
-            let b = self.buffer.remove(pos);
-            self.buffer.insert(0, b);
-            true
-        } else {
-            if self.buffer.len() == self.timings.buffer_entries {
-                self.buffer.pop();
-            }
-            self.buffer.insert(0, block);
-            false
-        }
+        let hit = self.buffer.iter().position(|&b| b == block);
+        let tail = self.buffer.len() - 1;
+        shift_in(&mut self.buffer, hit.unwrap_or(tail), block);
+        hit.is_some()
     }
 
     /// Serves a 64-byte read at byte address `addr`; returns the latency in
@@ -227,6 +226,37 @@ mod tests {
             assert_eq!(run.read_run(start, lines), want, "run at {start}+{lines}");
             assert_eq!(run.stats(), looped.stats());
             assert_eq!(run.buffer, looped.buffer);
+        }
+    }
+
+    proptest::proptest! {
+        /// The fixed-size recency array hits and misses exactly like the
+        /// `Vec` it replaced (remove + insert at the front, pop the tail
+        /// when full), and holds the same blocks in the same order.
+        #[test]
+        fn buffer_matches_the_vec_model(
+            blocks in proptest::collection::vec(0u64..12, 1..200),
+        ) {
+            let mut n = model();
+            let mut list: Vec<u64> = Vec::new();
+            for block in blocks {
+                let want = match list.iter().position(|&b| b == block) {
+                    Some(pos) => {
+                        list.remove(pos);
+                        true
+                    }
+                    None => {
+                        if list.len() == n.timings.buffer_entries {
+                            list.pop();
+                        }
+                        false
+                    }
+                };
+                list.insert(0, block);
+                proptest::prop_assert_eq!(n.touch_buffer(block), want);
+                let held: Vec<u64> = n.buffer.iter().copied().filter(|&b| b != EMPTY).collect();
+                proptest::prop_assert_eq!(&held, &list);
+            }
         }
     }
 

@@ -2,6 +2,7 @@
 
 use crate::addr::PageNum;
 use crate::config::TlbGeometry;
+use crate::recency::shift_in;
 
 /// Where a TLB lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,12 +52,14 @@ impl TlbStats {
     }
 }
 
+/// One TLB level, true LRU per set.
 #[derive(Debug, Clone)]
 struct TlbLevel {
     ways: usize,
     set_mask: u64,
+    /// Per set, `ways` page numbers in recency order: MRU first, invalid
+    /// slots at the tail (see `recency`).
     tags: Vec<u64>,
-    ages: Vec<u8>,
 }
 
 const INVALID: u64 = u64::MAX;
@@ -65,12 +68,11 @@ impl TlbLevel {
     fn new(geometry: TlbGeometry) -> Self {
         let sets = geometry.sets();
         assert!(sets.is_power_of_two(), "TLB set count must be a power of two");
-        assert!(geometry.ways >= 1 && geometry.ways <= 255);
+        assert!(geometry.ways >= 1, "TLB associativity must be at least 1");
         TlbLevel {
             ways: geometry.ways,
             set_mask: sets as u64 - 1,
             tags: vec![INVALID; sets * geometry.ways],
-            ages: vec![0; sets * geometry.ways],
         }
     }
 
@@ -79,69 +81,46 @@ impl TlbLevel {
         (pn & self.set_mask) as usize * self.ways
     }
 
+    /// Looks `pn` up, moving it to the front of its set on a hit.
     #[inline]
     fn lookup(&mut self, pn: u64) -> bool {
         let base = self.base(pn);
-        if let Some(w) = self.tags[base..base + self.ways].iter().position(|&t| t == pn) {
-            self.touch(base, w);
-            true
-        } else {
-            false
+        let set = &mut self.tags[base..base + self.ways];
+        match set.iter().position(|&t| t == pn) {
+            Some(pos) => {
+                shift_in(set, pos, pn);
+                true
+            }
+            None => false,
         }
     }
 
+    /// Installs `pn`, which the caller has just seen miss, at the front of
+    /// its set. The tail falls out: an invalid slot while any remain, the
+    /// least recently used entry afterwards.
+    #[inline]
     fn insert(&mut self, pn: u64) {
         let base = self.base(pn);
-        if let Some(w) = self.tags[base..base + self.ways].iter().position(|&t| t == pn) {
-            self.touch(base, w);
-            return;
-        }
-        let victim = (0..self.ways)
-            .find(|&w| self.tags[base + w] == INVALID)
-            .or_else(|| (0..self.ways).max_by_key(|&w| self.ages[base + w]))
-            .unwrap_or(0);
-        self.tags[base + victim] = pn;
-        self.fill_touch(base, victim);
+        let set = &mut self.tags[base..base + self.ways];
+        debug_assert!(!set.contains(&pn), "TLB insert of a present entry");
+        shift_in(set, self.ways - 1, pn);
     }
 
+    /// Drops `pn` if present, closing the gap so invalid slots stay at the
+    /// tail.
     fn invalidate(&mut self, pn: u64) {
         let base = self.base(pn);
-        for w in 0..self.ways {
-            if self.tags[base + w] == pn {
-                self.tags[base + w] = INVALID;
+        let set = &mut self.tags[base..base + self.ways];
+        if let Some(pos) = set.iter().position(|&t| t == pn) {
+            set.copy_within(pos + 1.., pos);
+            if let Some(last) = set.last_mut() {
+                *last = INVALID;
             }
         }
     }
 
     fn flush(&mut self) {
         self.tags.fill(INVALID);
-        self.ages.fill(0);
-    }
-
-    #[inline]
-    fn touch(&mut self, base: usize, w: usize) {
-        let cur = self.ages[base + w];
-        // Already MRU: the aging loop below would be a no-op (bavy's
-        // zero-bookkeeping hit path, SNIPPETS.md §2); streaming lookups
-        // re-translate the MRU page almost every time.
-        if cur == 0 {
-            return;
-        }
-        for age in &mut self.ages[base..base + self.ways] {
-            if *age < cur {
-                *age += 1;
-            }
-        }
-        self.ages[base + w] = 0;
-    }
-
-    /// MRU update for a freshly filled way: every other way ages.
-    #[inline]
-    fn fill_touch(&mut self, base: usize, w: usize) {
-        for age in &mut self.ages[base..base + self.ways] {
-            *age = age.saturating_add(1);
-        }
-        self.ages[base + w] = 0;
     }
 }
 
@@ -200,6 +179,7 @@ impl Tlb {
             TlbOutcome::L1Hit
         } else if self.l2.lookup(pn) {
             self.stats.l2_hits += 1;
+            // The DTLB just missed, so the promotion is a plain fill.
             self.l1.insert(pn);
             TlbOutcome::L2Hit
         } else {
@@ -208,10 +188,15 @@ impl Tlb {
         }
     }
 
-    /// Installs a translation in both levels (after a page walk).
+    /// Installs a translation in both levels (after a page walk). A level
+    /// that already holds it only moves it to the front of its set.
     pub fn insert(&mut self, pn: PageNum) {
-        self.l1.insert(pn.index());
-        self.l2.insert(pn.index());
+        let pn = pn.index();
+        for level in [&mut self.l1, &mut self.l2] {
+            if !level.lookup(pn) {
+                level.insert(pn);
+            }
+        }
     }
 
     /// Invalidates a single page (e.g. on unmap or migration).
@@ -249,10 +234,9 @@ impl Tlb {
     /// state.
     ///
     /// Used by the sequential fast lane for repeat lookups of the page
-    /// just translated: re-looking-up the MRU entry of a set only
-    /// re-touches it (a no-op on the LRU ages) and bumps `l1_hits`, so
-    /// the bulk credit is exactly equivalent to `n` repeat
-    /// [`Tlb::lookup`] calls.
+    /// just translated: re-looking-up the MRU entry of a set leaves it at
+    /// the front (the set is unchanged) and bumps `l1_hits`, so the bulk
+    /// credit is exactly equivalent to `n` repeat [`Tlb::lookup`] calls.
     #[inline]
     pub fn record_l1_hit_run(&mut self, n: u64) {
         self.stats.l1_hits += n;
@@ -272,6 +256,264 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Each set's valid page numbers per level, MRU first.
+    type Recency = [Vec<Vec<u64>>; 2];
+
+    impl Tlb {
+        fn recency(&self) -> Recency {
+            [&self.l1, &self.l2].map(|level| {
+                level
+                    .tags
+                    .chunks(level.ways)
+                    .map(|set| set.iter().copied().filter(|&t| t != INVALID).collect())
+                    .collect()
+            })
+        }
+    }
+
+    /// The replacement model the recency-ordered sets replaced, kept as
+    /// the differential oracle: per-way tags plus per-way age counters
+    /// (0 = MRU), victim = first invalid way, else the oldest.
+    ///
+    /// Its ages saturate at 255, after which two entries can tie and
+    /// `max_by_key` picks the later way rather than the least recently
+    /// used one. Reaching that takes 255 fills into one set that all land
+    /// in invalidated slots while the tied entries stay untouched; the
+    /// operation sequences below are too short for it.
+    #[derive(Debug, Clone)]
+    struct AgeLevel {
+        ways: usize,
+        set_mask: u64,
+        tags: Vec<u64>,
+        ages: Vec<u8>,
+    }
+
+    impl AgeLevel {
+        fn new(geometry: TlbGeometry) -> Self {
+            let n = geometry.entries;
+            AgeLevel {
+                ways: geometry.ways,
+                set_mask: geometry.sets() as u64 - 1,
+                tags: vec![INVALID; n],
+                ages: vec![0; n],
+            }
+        }
+
+        fn base(&self, pn: u64) -> usize {
+            (pn & self.set_mask) as usize * self.ways
+        }
+
+        fn lookup(&mut self, pn: u64) -> bool {
+            let base = self.base(pn);
+            match self.tags[base..base + self.ways].iter().position(|&t| t == pn) {
+                Some(w) => {
+                    self.touch(base, w);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn insert(&mut self, pn: u64) {
+            if self.lookup(pn) {
+                return;
+            }
+            let base = self.base(pn);
+            let victim = (0..self.ways)
+                .find(|&w| self.tags[base + w] == INVALID)
+                .or_else(|| (0..self.ways).max_by_key(|&w| self.ages[base + w]))
+                .unwrap_or(0);
+            self.tags[base + victim] = pn;
+            for age in &mut self.ages[base..base + self.ways] {
+                *age = age.saturating_add(1);
+            }
+            self.ages[base + victim] = 0;
+        }
+
+        fn invalidate(&mut self, pn: u64) {
+            let base = self.base(pn);
+            for w in 0..self.ways {
+                if self.tags[base + w] == pn {
+                    self.tags[base + w] = INVALID;
+                }
+            }
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(INVALID);
+            self.ages.fill(0);
+        }
+
+        fn touch(&mut self, base: usize, w: usize) {
+            let cur = self.ages[base + w];
+            for age in &mut self.ages[base..base + self.ways] {
+                if *age < cur {
+                    *age += 1;
+                }
+            }
+            self.ages[base + w] = 0;
+        }
+
+        fn recency(&self) -> Vec<Vec<u64>> {
+            (0..self.tags.len() / self.ways)
+                .map(|set| {
+                    let base = set * self.ways;
+                    let mut valid: Vec<usize> =
+                        (base..base + self.ways).filter(|&i| self.tags[i] != INVALID).collect();
+                    valid.sort_by_key(|&i| self.ages[i]);
+                    valid.into_iter().map(|i| self.tags[i]).collect()
+                })
+                .collect()
+        }
+    }
+
+    /// The two-level TLB over [`AgeLevel`], as it was.
+    struct AgeTlb {
+        l1: AgeLevel,
+        l2: AgeLevel,
+        stats: TlbStats,
+    }
+
+    impl AgeTlb {
+        fn lookup(&mut self, pn: u64) -> TlbOutcome {
+            if self.l1.lookup(pn) {
+                self.stats.l1_hits += 1;
+                TlbOutcome::L1Hit
+            } else if self.l2.lookup(pn) {
+                self.stats.l2_hits += 1;
+                self.l1.insert(pn);
+                TlbOutcome::L2Hit
+            } else {
+                self.stats.misses += 1;
+                TlbOutcome::Miss
+            }
+        }
+
+        fn cached_pages(&self) -> Vec<PageNum> {
+            let mut pages: Vec<u64> = self
+                .l1
+                .tags
+                .iter()
+                .chain(&self.l2.tags)
+                .copied()
+                .filter(|&t| t != INVALID)
+                .collect();
+            pages.sort_unstable();
+            pages.dedup();
+            pages.into_iter().map(PageNum::new).collect()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum TlbOp {
+        Lookup(u64),
+        Insert(u64),
+        /// The access path's pattern: look up, and walk + insert on a miss.
+        Translate(u64),
+        Invalidate(u64),
+        Flush,
+    }
+
+    /// Small page numbers that collide in every set, plus huge-page block
+    /// heads (the keys of pages inside collapsed 2 MiB mappings).
+    fn tlb_key() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..40,
+            0u64..40,
+            (0u64..6, 0u64..512)
+                .prop_map(|(b, off)| PageNum::new(b * 512 + off).huge_head().index()),
+        ]
+    }
+
+    fn tlb_op() -> impl Strategy<Value = TlbOp> {
+        prop_oneof![
+            tlb_key().prop_map(TlbOp::Lookup),
+            tlb_key().prop_map(TlbOp::Insert),
+            tlb_key().prop_map(TlbOp::Translate),
+            tlb_key().prop_map(TlbOp::Translate),
+            tlb_key().prop_map(TlbOp::Invalidate),
+            (0u64..20).prop_map(|_| TlbOp::Flush),
+        ]
+    }
+
+    proptest! {
+        /// The recency-ordered sets replace exactly what the age-counter
+        /// model replaced: same outcomes, stats, cached pages and per-set
+        /// recency in both levels, op by op.
+        #[test]
+        fn recency_sets_match_the_age_counter_model(
+            geo in 0usize..3,
+            ops in proptest::collection::vec(tlb_op(), 1..300),
+        ) {
+            let [dtlb, stlb] = [
+                [TlbGeometry { entries: 4, ways: 2 }, TlbGeometry { entries: 16, ways: 4 }],
+                [TlbGeometry { entries: 2, ways: 1 }, TlbGeometry { entries: 8, ways: 8 }],
+                [TlbGeometry { entries: 8, ways: 4 }, TlbGeometry { entries: 24, ways: 12 }],
+            ][geo];
+            let mut new = Tlb::new(dtlb, stlb);
+            let mut old = AgeTlb {
+                l1: AgeLevel::new(dtlb),
+                l2: AgeLevel::new(stlb),
+                stats: TlbStats::default(),
+            };
+            for op in ops {
+                match op {
+                    TlbOp::Lookup(pn) => {
+                        prop_assert_eq!(new.lookup(PageNum::new(pn)), old.lookup(pn), "{:?}", op);
+                    }
+                    TlbOp::Insert(pn) => {
+                        new.insert(PageNum::new(pn));
+                        old.l1.insert(pn);
+                        old.l2.insert(pn);
+                    }
+                    TlbOp::Translate(pn) => {
+                        let outcome = new.lookup(PageNum::new(pn));
+                        prop_assert_eq!(outcome, old.lookup(pn), "{:?}", op);
+                        if outcome.is_miss() {
+                            new.insert(PageNum::new(pn));
+                            old.l1.insert(pn);
+                            old.l2.insert(pn);
+                        }
+                    }
+                    TlbOp::Invalidate(pn) => {
+                        new.invalidate(PageNum::new(pn));
+                        old.l1.invalidate(pn);
+                        old.l2.invalidate(pn);
+                    }
+                    TlbOp::Flush => {
+                        new.flush();
+                        old.l1.flush();
+                        old.l2.flush();
+                    }
+                }
+                prop_assert_eq!(new.stats(), old.stats, "{:?}", op);
+                prop_assert_eq!(new.cached_pages(), old.cached_pages(), "{:?}", op);
+                prop_assert_eq!(new.recency(), [old.l1.recency(), old.l2.recency()], "{:?}", op);
+            }
+        }
+    }
+
+    #[test]
+    fn lru_order_survives_long_invalidate_refill_churn() {
+        // One 3-way STLB set: pages 0 then 1 stay untouched while 300
+        // fills land in the slot a fresh page keeps vacating. Page 0 is
+        // still the least recently used, so the next full-set fill evicts
+        // it. (Saturating 8-bit ages tie pages 0 and 1 here and would
+        // evict page 1.)
+        let geo = TlbGeometry { entries: 3, ways: 3 };
+        let mut t = Tlb::new(geo, geo);
+        t.insert(PageNum::new(0));
+        t.insert(PageNum::new(1));
+        for pn in 2..302 {
+            t.insert(PageNum::new(pn));
+            t.invalidate(PageNum::new(pn));
+        }
+        t.insert(PageNum::new(400));
+        t.insert(PageNum::new(401));
+        assert_eq!(t.cached_pages(), [1, 400, 401].map(PageNum::new));
+    }
 
     fn tiny() -> Tlb {
         Tlb::new(TlbGeometry { entries: 4, ways: 2 }, TlbGeometry { entries: 16, ways: 4 })
