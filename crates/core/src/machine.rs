@@ -60,6 +60,10 @@ pub struct Machine {
     clock_rem: u64,
     cur_thread: ThreadId,
     os_next_event: u64,
+    /// `min(os_next_event, next_snapshot, next_replan)`: the clock at
+    /// which housekeeping next has work. Refreshed wherever one of the
+    /// three deadlines moves.
+    next_housekeeping: u64,
     /// OS engine ticks taken so far — the stuck-cell watchdog's meter.
     os_ticks: u64,
     // Timeline machinery.
@@ -104,7 +108,7 @@ impl Machine {
             }
             _ => None,
         };
-        Ok(Machine {
+        let mut m = Machine {
             mem,
             os,
             sampler: Sampler::new(cfg.sample_period),
@@ -113,6 +117,7 @@ impl Machine {
             clock_rem: 0,
             cur_thread: ThreadId(0),
             os_next_event,
+            next_housekeeping: 0,
             os_ticks: 0,
             timeline: Vec::new(),
             next_snapshot,
@@ -125,7 +130,9 @@ impl Machine {
             io_wait_cycles: 0,
             busy_cycles: 0,
             cfg,
-        })
+        };
+        m.refresh_next_housekeeping();
+        Ok(m)
     }
 
     /// The configuration this machine runs with.
@@ -198,13 +205,22 @@ impl Machine {
     }
 
     /// Advances the wall clock by `cost` thread-cycles of parallel work.
+    #[inline]
     fn advance_parallel(&mut self, cost: u64) {
-        self.busy_cycles += cost;
         self.window_busy_cycles += cost;
+        self.charge_parallel(cost);
+        self.housekeeping();
+    }
+
+    /// Charges `cost` thread-cycles of parallel work to the busy total and
+    /// the wall clock, without housekeeping: the one place the clock
+    /// divides by the thread count.
+    #[inline]
+    fn charge_parallel(&mut self, cost: u64) {
+        self.busy_cycles += cost;
         let total = cost + self.clock_rem;
         self.clock_cycles += total / self.cfg.threads as u64;
         self.clock_rem = total % self.cfg.threads as u64;
-        self.housekeeping();
     }
 
     /// Advances the wall clock by `cycles` of single-threaded wall time
@@ -214,7 +230,29 @@ impl Machine {
         self.housekeeping();
     }
 
+    fn refresh_next_housekeeping(&mut self) {
+        self.next_housekeeping = self.os_next_event.min(self.next_snapshot).min(self.next_replan);
+    }
+
+    /// Runs whatever OS, timeline or replan work the clock has reached:
+    /// one compare per access until the earliest deadline.
+    #[inline]
     fn housekeeping(&mut self) {
+        if self.clock_cycles >= self.next_housekeeping {
+            self.housekeeping_due();
+        } else {
+            debug_assert!(
+                self.clock_cycles < self.os_next_event
+                    && self.clock_cycles < self.next_snapshot
+                    && self.clock_cycles < self.next_replan,
+                "a housekeeping deadline passed unseen"
+            );
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn housekeeping_due(&mut self) {
         if self.clock_cycles >= self.os_next_event {
             self.os.tick(&mut self.mem, self.clock_cycles);
             self.os_next_event = self.os.next_event();
@@ -236,6 +274,7 @@ impl Machine {
         if self.clock_cycles >= self.next_replan {
             self.replan_objects();
         }
+        self.refresh_next_housekeeping();
     }
 
     /// One pass of the dynamic object-level tierer (extension): re-rank
@@ -296,13 +335,9 @@ impl Machine {
         }
         self.dynamic_migrated_pages += migrated;
         // move_pages runs on the calling thread: charge it as parallel
-        // work so the replan pass costs simulated time.
-        if bg_cycles > 0 {
-            self.busy_cycles += bg_cycles;
-            let total = bg_cycles + self.clock_rem;
-            self.clock_cycles += total / self.cfg.threads as u64;
-            self.clock_rem = total % self.cfg.threads as u64;
-        }
+        // work so the replan pass costs simulated time. It stays out of the
+        // timeline window's utilization, and housekeeping is not re-entered.
+        self.charge_parallel(bg_cycles);
     }
 
     /// Pages migrated by the dynamic object-level tierer so far.
@@ -339,6 +374,7 @@ impl Machine {
     pub fn snapshot_now(&mut self) {
         self.snapshot();
         self.next_snapshot = self.clock_cycles + self.cfg.timeline_period_cycles;
+        self.refresh_next_housekeeping();
     }
 
     /// Reads `bytes` from the simulated graph file through the OS page
@@ -405,33 +441,45 @@ impl Machine {
         result.expect("fresh mapping accepts policy");
     }
 
+    #[inline]
     fn op(&mut self, addr: VirtAddr, kind: AccessKind) {
         let outcome = loop {
             match self.mem.access(addr, kind, self.clock_cycles) {
                 Ok(o) => break o,
-                Err(AccessError::Fault(pf)) => {
-                    let res = match self.os.handle_fault(&mut self.mem, pf, self.clock_cycles) {
-                        Ok(res) => res,
-                        // The access path sits below the infallible
-                        // `MemBackend` trait, so raise a typed payload that
-                        // `run_workload` converts into `CoreError::Run` —
-                        // the cell fails, the process survives (ISSUE 7).
-                        Err(e) => std::panic::panic_any(RunError::UnrecoverableFault {
-                            addr: addr.to_string(),
-                            mode: self.cfg.mode.to_string(),
-                            source: e,
-                        }),
-                    };
-                    self.advance_parallel(res.cost_cycles);
-                }
-                Err(AccessError::Segfault { addr }) => {
-                    std::panic::panic_any(RunError::Segfault { addr: addr.to_string() })
-                }
+                Err(e) => self.service_fault(addr, e),
             }
         };
         let os_cost = self.os.on_access(&mut self.mem, &outcome, self.clock_cycles);
         self.sampler.observe(kind, &outcome, addr, self.cur_thread, self.clock_cycles);
         self.advance_parallel(self.cfg.cpu_cycles_per_op + outcome.cycles + os_cost);
+    }
+
+    /// Services the fault an access to `addr` raised, so the access can be
+    /// retried. Out of line: the resident path in [`Machine::op`] never
+    /// calls it.
+    #[cold]
+    #[inline(never)]
+    fn service_fault(&mut self, addr: VirtAddr, err: AccessError) {
+        match err {
+            AccessError::Fault(pf) => {
+                let res = match self.os.handle_fault(&mut self.mem, pf, self.clock_cycles) {
+                    Ok(res) => res,
+                    // The access path sits below the infallible
+                    // `MemBackend` trait, so raise a typed payload that
+                    // `run_workload` converts into `CoreError::Run` —
+                    // the cell fails, the process survives.
+                    Err(e) => std::panic::panic_any(RunError::UnrecoverableFault {
+                        addr: addr.to_string(),
+                        mode: self.cfg.mode.to_string(),
+                        source: e,
+                    }),
+                };
+                self.advance_parallel(res.cost_cycles);
+            }
+            AccessError::Segfault { addr } => {
+                std::panic::panic_any(RunError::Segfault { addr: addr.to_string() })
+            }
+        }
     }
 
     /// Batched execution of a sequential run — the engine behind

@@ -594,6 +594,7 @@ impl MemorySystem {
     ///   (the caller services it via [`MemorySystem::map_page`] and
     ///   retries).
     /// - [`AccessError::Segfault`] if no VMA covers `addr`.
+    #[inline]
     pub fn access(
         &mut self,
         addr: VirtAddr,
@@ -602,17 +603,9 @@ impl MemorySystem {
     ) -> Result<AccessOutcome, AccessError> {
         let pn = addr.page();
         self.faults.set_now(now);
-        let (tier, hint_fault, hint_scan_time, huge) = match self.pages.access_touch(pn, now) {
-            Some(t) => t,
-            None => {
-                let vma = self.vmas.find(addr).ok_or(AccessError::Segfault { addr })?;
-                return Err(AccessError::Fault(PageFault {
-                    page: pn,
-                    addr,
-                    policy: vma.policy,
-                    vma: vma.id,
-                }));
-            }
+        let Some((tier, hint_fault, hint_scan_time, huge)) = self.pages.access_touch(pn, now)
+        else {
+            return Err(self.non_resident(addr));
         };
 
         let mut cycles = 0;
@@ -625,6 +618,8 @@ impl MemorySystem {
             TlbOutcome::L1Hit => {}
             TlbOutcome::L2Hit => cycles += self.cfg.stlb_hit_penalty,
             TlbOutcome::Miss => {
+                // The lookup has installed the entry; only the walk's
+                // cost remains.
                 tlb_miss = true;
                 cycles += self.cfg.walk_base_penalty;
                 // Fetch the leaf PTE through the cache hierarchy: 8 PTEs
@@ -634,7 +629,6 @@ impl MemorySystem {
                 let pte_line = (PTE_BASE + tkey.index() * 8) >> LINE_SHIFT;
                 let (_, pte_cycles) = self.cache_path(pte_line, false, Tier::Dram);
                 cycles += pte_cycles;
-                self.tlb.insert(tkey);
             }
         }
 
@@ -645,6 +639,24 @@ impl MemorySystem {
             AccessOutcome { page: pn, level, tier, cycles, tlb_miss, hint_fault, hint_scan_time };
         self.stats.record(kind, &outcome);
         Ok(outcome)
+    }
+
+    /// The error for an access to the non-resident page holding `addr`:
+    /// a page fault inside a VMA, a segfault outside every VMA. Out of
+    /// line, so the resident path [`MemorySystem::access`] inlines into
+    /// its callers without the VMA lookup.
+    #[cold]
+    #[inline(never)]
+    fn non_resident(&self, addr: VirtAddr) -> AccessError {
+        match self.vmas.find(addr) {
+            Some(vma) => AccessError::Fault(PageFault {
+                page: addr.page(),
+                addr,
+                policy: vma.policy,
+                vma: vma.id,
+            }),
+            None => AccessError::Segfault { addr },
+        }
     }
 
     /// Performs `count` sequential accesses of one `stride`-byte element
@@ -873,7 +885,6 @@ impl MemorySystem {
             debug_assert!(matches!(t, TlbOutcome::Miss), "core page unexpectedly TLB-resident");
             let pte_line = (PTE_BASE + pidx * 8) >> LINE_SHIFT;
             let (_, pte_cycles) = self.cache_path(pte_line, false, Tier::Dram);
-            self.tlb.insert(pn);
             // Per-cache bulk fills: each cache sees its ops in the same
             // per-cache order as the reference interleave (caches are
             // independent state machines, so only per-cache order matters).

@@ -148,7 +148,7 @@ impl TlbLevel {
 ///     TlbGeometry { entries: 1536, ways: 12 },
 /// );
 /// assert_eq!(tlb.lookup(PageNum::new(1)), TlbOutcome::Miss);
-/// tlb.insert(PageNum::new(1));
+/// // The miss installed the entry.
 /// assert_eq!(tlb.lookup(PageNum::new(1)), TlbOutcome::L1Hit);
 /// ```
 #[derive(Debug, Clone)]
@@ -169,8 +169,10 @@ impl Tlb {
     }
 
     /// Looks up a translation. On an STLB hit the entry is promoted into
-    /// the DTLB. On a miss the caller must perform a page walk and then
-    /// call [`Tlb::insert`].
+    /// the DTLB. On a miss the caller performs the page walk, and the
+    /// entry is already installed at the front of both levels: the walk
+    /// never reads the TLB, so filling here leaves the same state as a
+    /// fill after it, without scanning both sets a second time.
     #[inline]
     pub fn lookup(&mut self, pn: PageNum) -> TlbOutcome {
         let pn = pn.index();
@@ -184,18 +186,10 @@ impl Tlb {
             TlbOutcome::L2Hit
         } else {
             self.stats.misses += 1;
+            // Both levels just missed, so both fills are plain.
+            self.l1.insert(pn);
+            self.l2.insert(pn);
             TlbOutcome::Miss
-        }
-    }
-
-    /// Installs a translation in both levels (after a page walk). A level
-    /// that already holds it only moves it to the front of its set.
-    pub fn insert(&mut self, pn: PageNum) {
-        let pn = pn.index();
-        for level in [&mut self.l1, &mut self.l2] {
-            if !level.lookup(pn) {
-                level.insert(pn);
-            }
         }
     }
 
@@ -270,6 +264,42 @@ mod tests {
                     .map(|set| set.iter().copied().filter(|&t| t != INVALID).collect())
                     .collect()
             })
+        }
+
+        /// Installs a translation in both levels without counting a lookup.
+        /// A level that already holds it only moves it to the front of its
+        /// set. The post-walk fill of [`Tlb::lookup_then_insert`], and a
+        /// way for tests to place entries without touching the stats.
+        fn insert(&mut self, pn: PageNum) {
+            let pn = pn.index();
+            for level in [&mut self.l1, &mut self.l2] {
+                if !level.lookup(pn) {
+                    level.insert(pn);
+                }
+            }
+        }
+
+        /// The translation sequence fill-on-miss [`Tlb::lookup`] replaced,
+        /// kept as its oracle: a lookup that leaves a miss uninstalled,
+        /// then, after the walk, [`Tlb::insert`], which scans both sets
+        /// again before filling them.
+        fn lookup_then_insert(&mut self, pn: PageNum) -> TlbOutcome {
+            let key = pn.index();
+            let outcome = if self.l1.lookup(key) {
+                self.stats.l1_hits += 1;
+                TlbOutcome::L1Hit
+            } else if self.l2.lookup(key) {
+                self.stats.l2_hits += 1;
+                self.l1.insert(key);
+                TlbOutcome::L2Hit
+            } else {
+                self.stats.misses += 1;
+                TlbOutcome::Miss
+            };
+            if outcome.is_miss() {
+                self.insert(pn);
+            }
+            outcome
         }
     }
 
@@ -377,6 +407,7 @@ mod tests {
     }
 
     impl AgeTlb {
+        /// A lookup plus, on a miss, the fill after the walk.
         fn lookup(&mut self, pn: u64) -> TlbOutcome {
             if self.l1.lookup(pn) {
                 self.stats.l1_hits += 1;
@@ -387,8 +418,14 @@ mod tests {
                 TlbOutcome::L2Hit
             } else {
                 self.stats.misses += 1;
+                self.insert(pn);
                 TlbOutcome::Miss
             }
+        }
+
+        fn insert(&mut self, pn: u64) {
+            self.l1.insert(pn);
+            self.l2.insert(pn);
         }
 
         fn cached_pages(&self) -> Vec<PageNum> {
@@ -410,8 +447,6 @@ mod tests {
     enum TlbOp {
         Lookup(u64),
         Insert(u64),
-        /// The access path's pattern: look up, and walk + insert on a miss.
-        Translate(u64),
         Invalidate(u64),
         Flush,
     }
@@ -430,15 +465,58 @@ mod tests {
     fn tlb_op() -> impl Strategy<Value = TlbOp> {
         prop_oneof![
             tlb_key().prop_map(TlbOp::Lookup),
+            tlb_key().prop_map(TlbOp::Lookup),
             tlb_key().prop_map(TlbOp::Insert),
-            tlb_key().prop_map(TlbOp::Translate),
-            tlb_key().prop_map(TlbOp::Translate),
             tlb_key().prop_map(TlbOp::Invalidate),
             (0u64..20).prop_map(|_| TlbOp::Flush),
         ]
     }
 
+    /// DTLB and STLB geometries the differential tests cycle through.
+    const GEOMETRIES: [[TlbGeometry; 2]; 3] = [
+        [TlbGeometry { entries: 4, ways: 2 }, TlbGeometry { entries: 16, ways: 4 }],
+        [TlbGeometry { entries: 2, ways: 1 }, TlbGeometry { entries: 8, ways: 8 }],
+        [TlbGeometry { entries: 8, ways: 4 }, TlbGeometry { entries: 24, ways: 12 }],
+    ];
+
     proptest! {
+        /// Filling on the miss a lookup detects leaves exactly what the
+        /// separate lookup and post-walk insert left: same outcomes,
+        /// stats, cached pages and per-set recency in both levels, op by
+        /// op.
+        #[test]
+        fn fill_on_miss_matches_lookup_then_insert(
+            geo in 0usize..3,
+            ops in proptest::collection::vec(tlb_op(), 1..300),
+        ) {
+            let [dtlb, stlb] = GEOMETRIES[geo];
+            let mut new = Tlb::new(dtlb, stlb);
+            let mut old = new.clone();
+            for op in ops {
+                match op {
+                    TlbOp::Lookup(pn) => {
+                        let pn = PageNum::new(pn);
+                        prop_assert_eq!(new.lookup(pn), old.lookup_then_insert(pn), "{:?}", op);
+                    }
+                    TlbOp::Insert(pn) => {
+                        new.insert(PageNum::new(pn));
+                        old.insert(PageNum::new(pn));
+                    }
+                    TlbOp::Invalidate(pn) => {
+                        new.invalidate(PageNum::new(pn));
+                        old.invalidate(PageNum::new(pn));
+                    }
+                    TlbOp::Flush => {
+                        new.flush();
+                        old.flush();
+                    }
+                }
+                prop_assert_eq!(new.stats(), old.stats(), "{:?}", op);
+                prop_assert_eq!(new.cached_pages(), old.cached_pages(), "{:?}", op);
+                prop_assert_eq!(new.recency(), old.recency(), "{:?}", op);
+            }
+        }
+
         /// The recency-ordered sets replace exactly what the age-counter
         /// model replaced: same outcomes, stats, cached pages and per-set
         /// recency in both levels, op by op.
@@ -447,11 +525,7 @@ mod tests {
             geo in 0usize..3,
             ops in proptest::collection::vec(tlb_op(), 1..300),
         ) {
-            let [dtlb, stlb] = [
-                [TlbGeometry { entries: 4, ways: 2 }, TlbGeometry { entries: 16, ways: 4 }],
-                [TlbGeometry { entries: 2, ways: 1 }, TlbGeometry { entries: 8, ways: 8 }],
-                [TlbGeometry { entries: 8, ways: 4 }, TlbGeometry { entries: 24, ways: 12 }],
-            ][geo];
+            let [dtlb, stlb] = GEOMETRIES[geo];
             let mut new = Tlb::new(dtlb, stlb);
             let mut old = AgeTlb {
                 l1: AgeLevel::new(dtlb),
@@ -465,17 +539,7 @@ mod tests {
                     }
                     TlbOp::Insert(pn) => {
                         new.insert(PageNum::new(pn));
-                        old.l1.insert(pn);
-                        old.l2.insert(pn);
-                    }
-                    TlbOp::Translate(pn) => {
-                        let outcome = new.lookup(PageNum::new(pn));
-                        prop_assert_eq!(outcome, old.lookup(pn), "{:?}", op);
-                        if outcome.is_miss() {
-                            new.insert(PageNum::new(pn));
-                            old.l1.insert(pn);
-                            old.l2.insert(pn);
-                        }
+                        old.insert(pn);
                     }
                     TlbOp::Invalidate(pn) => {
                         new.invalidate(PageNum::new(pn));
@@ -520,10 +584,10 @@ mod tests {
     }
 
     #[test]
-    fn miss_insert_hit() {
+    fn miss_fills_both_levels() {
         let mut t = tiny();
         assert!(t.lookup(PageNum::new(3)).is_miss());
-        t.insert(PageNum::new(3));
+        assert_eq!(t.cached_pages(), [PageNum::new(3)]);
         assert_eq!(t.lookup(PageNum::new(3)), TlbOutcome::L1Hit);
     }
 
@@ -578,7 +642,6 @@ mod tests {
     fn stats_track_outcomes() {
         let mut t = tiny();
         t.lookup(PageNum::new(1)); // miss
-        t.insert(PageNum::new(1));
         t.lookup(PageNum::new(1)); // l1 hit
         let s = t.stats();
         assert_eq!(s.misses, 1);

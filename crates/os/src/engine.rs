@@ -371,10 +371,20 @@ impl AutoNuma {
     /// Processes the OS-visible side of a completed access. Returns extra
     /// kernel cycles to charge to the accessing thread (hint-fault
     /// servicing and any synchronous promotion it performed).
+    #[inline]
     pub fn on_access(&mut self, mem: &mut MemorySystem, outcome: &AccessOutcome, now: u64) -> u64 {
         if !outcome.hint_fault || !self.cfg.autonuma_enabled {
             return 0;
         }
+        self.on_hint_fault(mem, outcome, now)
+    }
+
+    /// Services a NUMA hint fault: the rare half of
+    /// [`AutoNuma::on_access`], out of line so the common no-fault check
+    /// inlines into every access.
+    #[cold]
+    #[inline(never)]
+    fn on_hint_fault(&mut self, mem: &mut MemorySystem, outcome: &AccessOutcome, now: u64) -> u64 {
         self.counters.numa_hint_faults += 1;
         mem.trace_mut().set_now(now);
         mem.trace_mut().record(TraceEvent::HintFault { page: outcome.page.index() });

@@ -93,6 +93,7 @@ impl Sampler {
 
     /// Observes one completed access; records a sample every `period`-th
     /// observation. Returns `true` if a sample was recorded.
+    #[inline]
     pub fn observe(
         &mut self,
         kind: AccessKind,
