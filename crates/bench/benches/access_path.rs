@@ -10,7 +10,7 @@ use tiersim_core::{run_workload, ExperimentConfig};
 use tiersim_mem::{
     AccessError, AccessKind, CacheGeometry, DramModel, DramTimings, MemConfig, MemPolicy,
     MemorySystem, NvmModel, NvmTimings, PageNum, SetAssocCache, Tier, Tlb, TlbGeometry, VirtAddr,
-    PAGE_SHIFT, PAGE_SIZE,
+    PAGE_SIZE,
 };
 use tiersim_os::{AutoNuma, OsConfig};
 use tiersim_policy::TieringMode;
@@ -169,23 +169,13 @@ fn time_per_element() -> (f64, u64) {
     (t.elapsed().as_secs_f64(), black_box(cycles))
 }
 
-/// Times the same stream through the per-line batched fast lane (interval
-/// engine bypassed).
+/// Times the same stream through the per-line batched fast lane
+/// (`MemorySystem::access_run`).
 fn time_fast_lane() -> (f64, u64) {
     let (mut sys, a) = stream_system();
     let t = Instant::now();
-    let out = sys.access_run_lane(a, 8, STREAM_ELEMS, AccessKind::Load, 0).unwrap();
-    (t.elapsed().as_secs_f64(), black_box(out.cycles))
-}
-
-/// Times the same stream through `access_run` with the closed-form
-/// interval engine engaged (cold pre-mapped uniform pages). Also returns
-/// the number of pages the engine advanced in closed form.
-fn time_interval() -> (f64, (u64, u64)) {
-    let (mut sys, a) = stream_system();
-    let t = Instant::now();
     let out = sys.access_run(a, 8, STREAM_ELEMS, AccessKind::Load, 0).unwrap();
-    (t.elapsed().as_secs_f64(), (black_box(out.cycles), sys.interval_stats().pages))
+    (t.elapsed().as_secs_f64(), black_box(out.cycles))
 }
 
 /// Pages in the streaming region (8 MB / 4 KiB).
@@ -195,8 +185,8 @@ const STREAM_PAGES: u64 = STREAM_ELEMS * 8 / PAGE_SIZE;
 /// with an OS engine servicing its faults: every first touch demand-pages
 /// through `AutoNuma::handle_fault`, as a freshly allocated graph buffer
 /// would. `fault_around_pages = 1` is the pure demand-paged kernel
-/// default shape; larger windows bulk-populate ahead of the stream.
-fn demand_system(fault_around_pages: u64) -> (MemorySystem, AutoNuma, VirtAddr) {
+/// default shape.
+fn demand_system() -> (MemorySystem, AutoNuma, VirtAddr) {
     let mut sys = MemorySystem::new(
         MemConfig::builder()
             .dram_capacity((STREAM_PAGES + 64) * PAGE_SIZE)
@@ -206,18 +196,16 @@ fn demand_system(fault_around_pages: u64) -> (MemorySystem, AutoNuma, VirtAddr) 
     )
     .unwrap();
     let a = sys.mmap(STREAM_PAGES * PAGE_SIZE, MemPolicy::Default, "bench").unwrap();
-    let cfg = OsConfig { autonuma_enabled: false, fault_around_pages, ..Default::default() };
+    let cfg = OsConfig { autonuma_enabled: false, fault_around_pages: 1, ..Default::default() };
     let os = AutoNuma::new(cfg).unwrap();
     (sys, os, a)
 }
 
 /// Times the stream demand-paged element by element: every access goes
 /// through `MemorySystem::access`, every first touch of a page through
-/// the fault path. This is the regression the demand-populate lane is
-/// measured against — the batched lanes cannot engage because the next
-/// page is never resident yet.
+/// the fault path.
 fn time_demand_paged() -> (f64, u64) {
-    let (mut sys, mut os, a) = demand_system(1);
+    let (mut sys, mut os, a) = demand_system();
     let t = Instant::now();
     let mut cycles = 0u64;
     for i in 0..STREAM_ELEMS {
@@ -238,50 +226,12 @@ fn time_demand_paged() -> (f64, u64) {
     (t.elapsed().as_secs_f64(), black_box(cycles))
 }
 
-/// Times the same stream with fault-around bulk population: each fault
-/// maps a whole window ahead, so the machine-style dispatch loop finds
-/// plain resident windows and hands them to `access_run`, re-engaging
-/// the fast lane and the closed-form interval engine. Returns
-/// (seconds, (cycles, interval_pages)).
-fn time_demand_populated() -> (f64, (u64, u64)) {
-    let (mut sys, mut os, a) = demand_system(STREAM_PAGES);
-    let t = Instant::now();
-    let mut cycles = 0u64;
-    let mut i = 0u64;
-    while i < STREAM_ELEMS {
-        let addr = a + i * 8;
-        let window = sys.plain_window(addr.page(), STREAM_PAGES as usize + 2);
-        if window == 0 {
-            match sys.access(addr, AccessKind::Load, 0) {
-                Ok(o) => {
-                    cycles += o.cycles;
-                    i += 1;
-                }
-                Err(AccessError::Fault(pf)) => {
-                    cycles += os.handle_fault(&mut sys, pf, 0).expect("populate fault").cost_cycles;
-                }
-                Err(AccessError::Segfault { addr }) => panic!("segfault at {addr}"),
-            }
-            continue;
-        }
-        let window_end = (addr.page().index() + window as u64) << PAGE_SHIFT;
-        let max_in_window = (window_end - 1 - addr.raw()) / 8 + 1;
-        let chunk = (STREAM_ELEMS - i).min(max_in_window);
-        let out = sys.access_run(addr, 8, chunk, AccessKind::Load, 0).expect("resident window");
-        cycles += out.cycles;
-        i += out.elems;
-    }
-    (t.elapsed().as_secs_f64(), (black_box(cycles), sys.interval_stats().pages))
-}
-
 fn bench_stream(c: &mut Criterion) {
     let mut g = c.benchmark_group("stream");
     g.throughput(Throughput::Elements(STREAM_ELEMS));
     g.bench_function("per_element", |b| b.iter(|| time_per_element().1));
     g.bench_function("fast_lane", |b| b.iter(|| time_fast_lane().1));
-    g.bench_function("interval", |b| b.iter(|| time_interval().1));
     g.bench_function("demand_paged", |b| b.iter(|| time_demand_paged().1));
-    g.bench_function("demand_populate", |b| b.iter(|| time_demand_populated().1));
     g.finish();
 }
 
@@ -326,39 +276,16 @@ fn best_of_3<T>(mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
 /// Measures the tracked perf baseline and writes it to
 /// `BENCH_access_path.json` at the repo root.
 fn bench_baseline(_c: &mut Criterion) {
-    // Access-path throughput: all three lanes must charge bit-equal cycles.
+    // Access-path throughput: both lanes must charge bit-equal cycles.
     let (per_elem_secs, per_elem_cycles) = best_of_3(time_per_element);
     let (fast_secs, fast_cycles) = best_of_3(time_fast_lane);
-    let (interval_secs, (interval_cycles, interval_pages)) = best_of_3(time_interval);
     assert_eq!(per_elem_cycles, fast_cycles, "fast lane diverged from the per-element path");
-    assert_eq!(
-        per_elem_cycles, interval_cycles,
-        "interval engine diverged from the per-element path"
-    );
-    assert_eq!(interval_pages, 2048, "interval engine did not cover the whole stream");
     let per_elem_rate = STREAM_ELEMS as f64 / per_elem_secs;
     let fast_rate = STREAM_ELEMS as f64 / fast_secs;
-    let interval_rate = STREAM_ELEMS as f64 / interval_secs.max(1e-12);
 
-    // Demand-paged regime: element-by-element faulting vs fault-around
-    // bulk population. The populated lane must re-engage the interval
-    // engine (ISSUE 9's acceptance bar: >= 5x over the demand-paged
-    // per-element path, enforced again by `cargo xtask bench-gate`).
+    // Demand-paged regime: element-by-element faulting.
     let (demand_secs, _demand_cycles) = best_of_3(time_demand_paged);
-    let (populate_secs, (_populate_cycles, populate_interval_pages)) =
-        best_of_3(time_demand_populated);
-    assert!(
-        populate_interval_pages >= STREAM_PAGES / 2,
-        "interval engine covered only {populate_interval_pages} of {STREAM_PAGES} pages \
-         in the populated lane"
-    );
     let demand_rate = STREAM_ELEMS as f64 / demand_secs;
-    let populate_rate = STREAM_ELEMS as f64 / populate_secs.max(1e-12);
-    let populate_speedup = demand_secs / populate_secs.max(1e-12);
-    assert!(
-        populate_speedup >= 5.0,
-        "fault-around population must beat demand paging >= 5x, got {populate_speedup:.2}x"
-    );
 
     // Sweep wall time: serial vs one worker per core. On a single-core
     // host (jobs <= 1) the "parallel" run is the serial run again, so the
@@ -388,11 +315,10 @@ fn bench_baseline(_c: &mut Criterion) {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"access_path\",\n  \"host_cores\": {cores},\n  \"access_path\": {{\n    \"stream_elements\": {elems},\n    \"per_element_secs\": {per_elem_secs:.6},\n    \"per_element_accesses_per_sec\": {per_elem_rate:.0},\n    \"fast_lane_secs\": {fast_secs:.6},\n    \"fast_lane_accesses_per_sec\": {fast_rate:.0},\n    \"fast_lane_speedup\": {lane_speedup:.3},\n    \"interval_secs\": {interval_secs:.6},\n    \"interval_accesses_per_sec\": {interval_rate:.0},\n    \"interval_speedup\": {interval_speedup:.3},\n    \"demand_paged_secs\": {demand_secs:.6},\n    \"demand_paged_accesses_per_sec\": {demand_rate:.0},\n    \"demand_populate_secs\": {populate_secs:.6},\n    \"demand_populate_accesses_per_sec\": {populate_rate:.0},\n    \"demand_populate_speedup\": {populate_speedup:.3}\n  }},\n  \"sweep\": {{\n    \"cells\": 6,\n    \"scale\": 10,\n    \"serial_secs\": {serial_secs:.3},\n    \"jobs\": {jobs},\n    \"parallel_secs\": {parallel_secs:.3},\n    \"sweep_speedup\": {sweep_speedup}{sweep_note}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"access_path\",\n  \"host_cores\": {cores},\n  \"access_path\": {{\n    \"stream_elements\": {elems},\n    \"per_element_secs\": {per_elem_secs:.6},\n    \"per_element_accesses_per_sec\": {per_elem_rate:.0},\n    \"fast_lane_secs\": {fast_secs:.6},\n    \"fast_lane_accesses_per_sec\": {fast_rate:.0},\n    \"fast_lane_speedup\": {lane_speedup:.3},\n    \"demand_paged_secs\": {demand_secs:.6},\n    \"demand_paged_accesses_per_sec\": {demand_rate:.0}\n  }},\n  \"sweep\": {{\n    \"cells\": 6,\n    \"scale\": 10,\n    \"serial_secs\": {serial_secs:.3},\n    \"jobs\": {jobs},\n    \"parallel_secs\": {parallel_secs:.3},\n    \"sweep_speedup\": {sweep_speedup}{sweep_note}\n  }}\n}}\n",
         cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1),
         elems = STREAM_ELEMS,
         lane_speedup = per_elem_secs / fast_secs.max(1e-12),
-        interval_speedup = per_elem_secs / interval_secs.max(1e-12),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_access_path.json");
     tiersim_core::journal::atomic_write(std::path::Path::new(path), json.as_bytes())

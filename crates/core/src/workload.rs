@@ -4,7 +4,6 @@ use core::fmt;
 
 /// Graph kernel to run (the paper's BC/BFS/CC plus PR/SSSP extensions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Kernel {
     /// Betweenness centrality (Brandes).
     Bc,
@@ -50,7 +49,6 @@ impl fmt::Display for Kernel {
 
 /// Input dataset (GAPBS synthetic generators).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Dataset {
     /// Kronecker/RMAT graph (GAPBS `-g`).
     Kron,
@@ -85,7 +83,6 @@ impl fmt::Display for Dataset {
 
 /// How the graph reaches memory at run start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LoadMode {
     /// Read a pre-built serialized CSR (`.sg`) through the page cache and
     /// copy it out — the paper artifact's flow (`converter` runs offline).
@@ -98,7 +95,6 @@ pub enum LoadMode {
 
 /// One workload: kernel, dataset, size and trial parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadConfig {
     /// The kernel.
     pub kernel: Kernel,

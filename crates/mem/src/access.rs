@@ -7,7 +7,6 @@ use core::fmt;
 
 /// The kind of memory operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// A load instruction.
     Load,

@@ -27,7 +27,6 @@ impl CacheOutcome {
 
 /// Hit/miss counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Number of lookups that hit.
     pub hits: u64,
@@ -77,11 +76,6 @@ pub struct SetAssocCache {
     /// slots at the tail (see `recency`). A tag word is `line << 1 |
     /// dirty`, so a hit moves one word and nothing else.
     tags: Vec<u64>,
-    /// Count of currently dirty lines, maintained incrementally. The
-    /// interval engine uses `dirty_lines == 0` as proof that every
-    /// eviction during a cold streaming run is clean (no writeback
-    /// traffic can occur), which is one of its validity conditions.
-    dirty_lines: u64,
     stats: CacheStats,
 }
 
@@ -109,7 +103,6 @@ impl SetAssocCache {
             ways,
             set_mask: sets as u64 - 1,
             tags: vec![INVALID; sets * ways],
-            dirty_lines: 0,
             stats: CacheStats::default(),
         }
     }
@@ -151,11 +144,7 @@ impl SetAssocCache {
 
         // Hit path: move the line to the front, adding the dirty bit.
         if let Some((pos, word)) = set.iter().copied().enumerate().find(|&(_, t)| t >> 1 == line) {
-            let marked = word | u64::from(write);
-            if marked != word {
-                self.dirty_lines += 1;
-            }
-            shift_in(set, pos, marked);
+            shift_in(set, pos, word | u64::from(write));
             self.stats.hits += 1;
             return CacheOutcome::Hit;
         }
@@ -164,51 +153,13 @@ impl SetAssocCache {
         // the least recently used line afterwards.
         self.stats.misses += 1;
         let victim = shift_in(set, self.ways - 1, line << 1 | u64::from(write));
-        self.dirty_lines += u64::from(write);
         let writeback = if victim & DIRTY != 0 {
             self.stats.writebacks += 1;
-            self.dirty_lines -= 1;
             Some(victim >> 1)
         } else {
             None
         };
         CacheOutcome::Miss { writeback }
-    }
-
-    /// Fills a line the caller has *proved* absent (and whose victim is
-    /// provably clean because [`SetAssocCache::dirty_lines`]` == 0`):
-    /// exactly [`SetAssocCache::access`]`(line, false)` minus the hit scan
-    /// and the writeback branch, both of which are dead under those
-    /// preconditions. The interval engine's per-line workhorse.
-    #[inline]
-    pub fn fill_cold(&mut self, line: u64) {
-        self.fill_cold_run(line, 1);
-    }
-
-    /// Fills `n` sequential lines the caller has proved absent (victims
-    /// provably clean, as for [`SetAssocCache::fill_cold`]): exactly
-    /// equivalent to `n` `fill_cold` calls on `first_line..first_line+n`,
-    /// with the stats update hoisted out of the loop. The interval
-    /// engine's per-page workhorse.
-    pub fn fill_cold_run(&mut self, first_line: u64, n: u64) {
-        self.stats.misses += n;
-        for line in first_line..first_line + n {
-            debug_assert!(line < INVALID >> 1);
-            let base = self.set_of(line) * self.ways;
-            let set = &mut self.tags[base..base + self.ways];
-            debug_assert!(
-                !set.iter().any(|&t| t >> 1 == line),
-                "fill_cold_run of a line that is present"
-            );
-            let victim = shift_in(set, self.ways - 1, line << 1);
-            debug_assert_eq!(victim & DIRTY, 0, "fill_cold_run evicting a dirty line");
-        }
-    }
-
-    /// Number of currently dirty lines.
-    #[inline]
-    pub fn dirty_lines(&self) -> u64 {
-        self.dirty_lines
     }
 
     /// Credits `n` additional hits without touching replacement state.
@@ -235,10 +186,7 @@ impl SetAssocCache {
         let base = self.set_of(line) * self.ways;
         match self.tags[base..base + self.ways].iter_mut().find(|t| **t >> 1 == line) {
             Some(word) => {
-                if *word & DIRTY == 0 {
-                    *word |= DIRTY;
-                    self.dirty_lines += 1;
-                }
+                *word |= DIRTY;
                 true
             }
             None => false,
@@ -278,7 +226,6 @@ mod tests {
         tags: Vec<u64>,
         order: Vec<u8>,
         dirty: Vec<bool>,
-        dirty_lines: u64,
         stats: CacheStats,
     }
 
@@ -297,7 +244,6 @@ mod tests {
                 tags: vec![OLD_INVALID; sets * ways],
                 order,
                 dirty: vec![false; sets * ways],
-                dirty_lines: 0,
                 stats: CacheStats::default(),
             }
         }
@@ -310,10 +256,7 @@ mod tests {
             let base = self.base(line);
             if let Some(w) = self.tags[base..base + self.ways].iter().position(|&t| t == line) {
                 self.touch(base, w as u8);
-                if write && !self.dirty[base + w] {
-                    self.dirty[base + w] = true;
-                    self.dirty_lines += 1;
-                }
+                self.dirty[base + w] |= write;
                 self.stats.hits += 1;
                 return CacheOutcome::Hit;
             }
@@ -321,24 +264,13 @@ mod tests {
             let idx = base + usize::from(self.pop_lru(base));
             let writeback = if self.tags[idx] != OLD_INVALID && self.dirty[idx] {
                 self.stats.writebacks += 1;
-                self.dirty_lines -= 1;
                 Some(self.tags[idx])
             } else {
                 None
             };
             self.tags[idx] = line;
             self.dirty[idx] = write;
-            if write {
-                self.dirty_lines += 1;
-            }
             CacheOutcome::Miss { writeback }
-        }
-
-        fn fill_cold(&mut self, line: u64) {
-            self.stats.misses += 1;
-            let base = self.base(line);
-            let victim = self.pop_lru(base);
-            self.tags[base + usize::from(victim)] = line;
         }
 
         fn probe(&self, line: u64) -> bool {
@@ -350,10 +282,7 @@ mod tests {
             let base = self.base(line);
             match self.tags[base..base + self.ways].iter().position(|&t| t == line) {
                 Some(w) => {
-                    if !self.dirty[base + w] {
-                        self.dirty[base + w] = true;
-                        self.dirty_lines += 1;
-                    }
+                    self.dirty[base + w] = true;
                     true
                 }
                 None => false,
@@ -395,8 +324,6 @@ mod tests {
         Access(u64, bool),
         MarkDirty(u64),
         Probe(u64),
-        FillCold(u64),
-        FillColdRun(u64, u64),
     }
 
     fn cache_op() -> impl Strategy<Value = CacheOp> {
@@ -405,22 +332,17 @@ mod tests {
             (0u64..64, any::<bool>()).prop_map(|(l, w)| CacheOp::Access(l, w)),
             (0u64..64).prop_map(CacheOp::MarkDirty),
             (0u64..64).prop_map(CacheOp::Probe),
-            (0u64..96).prop_map(CacheOp::FillCold),
-            (0u64..96, 1u64..20).prop_map(|(l, n)| CacheOp::FillColdRun(l, n)),
         ]
     }
 
     proptest! {
         /// The recency-ordered tag words replace exactly what the
         /// order-permutation model replaced: same outcomes, writeback
-        /// victims, stats, dirty counts and per-set recency, op by op.
-        /// Cold fills run only under the interval engine's precondition
-        /// (absent lines, no dirty line anywhere); `clean` cases issue no
-        /// stores so that precondition holds often.
+        /// victims, stats and per-set recency (dirty bits included), op
+        /// by op.
         #[test]
         fn recency_sets_match_the_order_permutation_model(
             geo in 0usize..5,
-            clean in any::<bool>(),
             ops in proptest::collection::vec(cache_op(), 1..300),
         ) {
             let (ways, sets) = [(1usize, 1usize), (2, 2), (3, 4), (4, 4), (8, 2)][geo];
@@ -429,30 +351,14 @@ mod tests {
             for op in ops {
                 match op {
                     CacheOp::Access(line, write) => {
-                        let write = write && !clean;
                         prop_assert_eq!(new.access(line, write), old.access(line, write), "{:?}", op);
                     }
-                    CacheOp::MarkDirty(line) if !clean => {
+                    CacheOp::MarkDirty(line) => {
                         prop_assert_eq!(new.mark_dirty(line), old.mark_dirty(line), "{:?}", op);
                     }
-                    CacheOp::MarkDirty(_) => {}
                     CacheOp::Probe(line) => prop_assert_eq!(new.probe(line), old.probe(line)),
-                    CacheOp::FillCold(line) if old.dirty_lines == 0 && !old.probe(line) => {
-                        new.fill_cold(line);
-                        old.fill_cold(line);
-                    }
-                    CacheOp::FillColdRun(first, n)
-                        if old.dirty_lines == 0 && (first..first + n).all(|l| !old.probe(l)) =>
-                    {
-                        new.fill_cold_run(first, n);
-                        for line in first..first + n {
-                            old.fill_cold(line);
-                        }
-                    }
-                    CacheOp::FillCold(_) | CacheOp::FillColdRun(..) => {}
                 }
                 prop_assert_eq!(new.stats(), old.stats, "{:?}", op);
-                prop_assert_eq!(new.dirty_lines(), old.dirty_lines, "{:?}", op);
                 prop_assert_eq!(new.recency(), old.recency(), "{:?}", op);
             }
         }
@@ -546,83 +452,6 @@ mod tests {
         assert_eq!(looped.stats(), bulk.stats());
         assert!(looped.probe(1) && bulk.probe(1));
         assert!(!looped.probe(0) && !bulk.probe(0));
-    }
-
-    #[test]
-    fn fill_cold_matches_access_on_clean_cache() {
-        let mut via_access = tiny(2, 2);
-        via_access.access(1, false);
-        via_access.access(3, false);
-        let mut via_cold = via_access.clone();
-        for line in [5, 7, 9, 11] {
-            via_access.access(line, false);
-            via_cold.fill_cold(line);
-        }
-        assert_eq!(via_access.stats(), via_cold.stats());
-        for line in [1, 5, 7, 9, 11] {
-            assert_eq!(via_access.probe(line), via_cold.probe(line), "line {line}");
-        }
-        // Subsequent normal traffic observes identical replacement state.
-        via_access.access(13, false);
-        via_cold.access(13, false);
-        assert_eq!(via_access.probe(5), via_cold.probe(5));
-        assert_eq!(via_access.probe(9), via_cold.probe(9));
-    }
-
-    #[test]
-    fn fill_cold_run_matches_per_line_fill_cold() {
-        // Cover partially filled sets, full sets with LRU eviction, and
-        // set reuse within one run (n > sets), across geometries.
-        for (ways, sets) in [(2usize, 2usize), (8, 4), (4, 16)] {
-            let mut looped = tiny(ways, sets);
-            // Pre-populate with a clean, irregular working set.
-            for line in [0u64, 3, 7, 1, 3, 0] {
-                looped.access(line, false);
-            }
-            let mut bulk = looped.clone();
-            let (first, n) = (5u64, (2 * sets + 1) as u64);
-            for line in first..first + n {
-                if !looped.probe(line) {
-                    looped.fill_cold(line);
-                }
-            }
-            // The bulk path needs the same absent-lines precondition; the
-            // range above only collides for the smallest geometry, so
-            // filter identically.
-            let absent: Vec<u64> = (first..first + n).filter(|&l| !bulk.probe(l)).collect();
-            let mut start = absent[0];
-            let mut len = 0u64;
-            for &l in &absent {
-                if l == start + len {
-                    len += 1;
-                } else {
-                    bulk.fill_cold_run(start, len);
-                    start = l;
-                    len = 1;
-                }
-            }
-            bulk.fill_cold_run(start, len);
-            assert_eq!(looped.stats(), bulk.stats(), "{ways}w{sets}s");
-            assert_eq!(looped.recency(), bulk.recency(), "{ways}w{sets}s");
-        }
-    }
-
-    #[test]
-    fn dirty_lines_tracks_stores_and_writebacks() {
-        let mut c = tiny(1, 2);
-        assert_eq!(c.dirty_lines(), 0);
-        c.access(0, true);
-        assert_eq!(c.dirty_lines(), 1);
-        c.access(0, true); // re-dirtying is not double counted
-        assert_eq!(c.dirty_lines(), 1);
-        c.access(1, false);
-        assert!(c.mark_dirty(1));
-        assert_eq!(c.dirty_lines(), 2);
-        c.access(2, false); // evicts dirty line 0 (set 0)
-        assert_eq!(c.dirty_lines(), 1);
-        c.access(3, false); // evicts dirty line 1 (set 1)
-        assert_eq!(c.dirty_lines(), 0);
-        assert_eq!(c.stats().writebacks, 2);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use tiersim_trace::TraceConfig;
 
 /// Geometry of one set-associative cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheGeometry {
     /// Total capacity in bytes. Must be `ways * sets * 64`.
     pub capacity: u64,
@@ -38,7 +37,6 @@ impl CacheGeometry {
 
 /// Geometry of one TLB level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TlbGeometry {
     /// Total number of entries. Must be `ways * sets`.
     pub entries: usize,
@@ -66,7 +64,6 @@ impl TlbGeometry {
 
 /// Latency model for the DRAM device (open-row policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramTimings {
     /// Number of banks (row buffers).
     pub banks: usize,
@@ -90,7 +87,6 @@ pub struct DramTimings {
 /// access misses it, producing the paper's ~2x (sequential) vs ~3x (random)
 /// read latency vs DRAM (ref \[8\] in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NvmTimings {
     /// Number of 256-byte entries in the internal buffer.
     pub buffer_entries: usize,
@@ -125,7 +121,6 @@ pub struct NvmTimings {
 /// # Ok::<(), tiersim_mem::MemError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemConfig {
     /// DRAM (tier-1) capacity in bytes.
     pub dram_capacity: u64,

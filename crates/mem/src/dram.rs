@@ -4,7 +4,6 @@ use crate::config::DramTimings;
 
 /// Per-device traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceStats {
     /// Read requests served.
     pub reads: u64,
@@ -105,39 +104,6 @@ impl DramModel {
         cycles
     }
 
-    /// Serves `lines` sequential 64-byte reads starting at byte address
-    /// `addr` (line `i` at `addr + i * 64`); returns the total latency.
-    ///
-    /// Row-granular closed form of `lines` successive [`DramModel::read`]
-    /// calls: within one row, every read after the first provably hits the
-    /// row the first one just opened (consecutive lines share the row, and
-    /// nothing else touches the bank in between), so only one open-row
-    /// check is evaluated per row crossed. Stats, open-row state and total
-    /// cycles are bit-equal to the per-line loop.
-    pub fn read_run(&mut self, addr: u64, lines: u64) -> u64 {
-        let line = crate::addr::LINE_SIZE;
-        let mut total = 0;
-        let mut a = addr;
-        let mut remaining = lines;
-        while remaining > 0 {
-            let (bank, row) = self.bank_and_row(a);
-            let row_end = (row + 1) << self.row_shift;
-            let in_row = ((row_end - a) / line).min(remaining);
-            let first_hit = self.open_rows[bank] == row;
-            self.open_rows[bank] = row;
-            self.stats.reads += in_row;
-            let follow_hits = in_row - 1;
-            self.stats.read_buffer_hits += follow_hits + u64::from(first_hit);
-            let first = if first_hit { self.timings.read_hit } else { self.timings.read_miss };
-            let cycles = first + follow_hits * self.timings.read_hit;
-            self.stats.read_cycles += cycles;
-            total += cycles;
-            a += in_row * line;
-            remaining -= in_row;
-        }
-        total
-    }
-
     /// Serves a 64-byte write at byte address `addr`; returns the (posted)
     /// latency in cycles.
     pub fn write(&mut self, addr: u64) -> u64 {
@@ -204,27 +170,6 @@ mod tests {
         d.read(0); // bank 0
         d.read(4096); // bank 1
         assert_eq!(d.read(64), 100); // bank 0 row still open
-    }
-
-    #[test]
-    fn read_run_matches_per_line_reads() {
-        // Pre-warm with scattered traffic, then compare runs of assorted
-        // lengths and (mid-row) starting offsets.
-        let mut looped = model();
-        for a in [0, 5 * 4096, 64, 9 * 4096 + 128] {
-            looped.read(a);
-            looped.write(a + 64);
-        }
-        let mut run = looped.clone();
-        for (start, lines) in [(0u64, 1u64), (128, 3), (3 * 4096 + 64, 200), (7 * 4096, 64)] {
-            let mut want = 0;
-            for i in 0..lines {
-                want += looped.read(start + i * 64);
-            }
-            assert_eq!(run.read_run(start, lines), want, "run at {start}+{lines}");
-            assert_eq!(run.stats(), looped.stats());
-            assert_eq!(run.open_rows, looped.open_rows);
-        }
     }
 
     #[test]

@@ -42,7 +42,6 @@ const SITES: usize = 3;
 /// A half-open window `[start, end)` of simulated cycles during which a
 /// fault is armed. The default window covers the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CycleWindow {
     /// First cycle (inclusive) at which the fault may fire.
     pub start: u64,
@@ -83,7 +82,6 @@ impl Default for CycleWindow {
 /// plan.validate().unwrap();
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Seed for every probabilistic draw; identical seeds (with
     /// identical configs) reproduce identical fault streams.
@@ -195,7 +193,6 @@ impl Default for FaultPlan {
 
 /// Counts of faults actually injected so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultStats {
     /// Transient DRAM allocation failures injected.
     pub dram_alloc_failures: u64,
@@ -320,28 +317,6 @@ impl FaultState {
         } else {
             1
         }
-    }
-
-    /// Whether NVM traffic to the `pages`-page range starting at
-    /// `first_page` is provably unaffected by the latency spike *right
-    /// now*: the spike is disabled, its window is closed at the current
-    /// clock, or its page range does not overlap. [`nvm_multiplier`] is
-    /// then exactly 1 for every address in the range and takes no draws
-    /// and no stats, so a batched path may skip the calls entirely.
-    ///
-    /// [`nvm_multiplier`]: FaultState::nvm_multiplier
-    #[must_use]
-    pub fn nvm_spike_quiescent(&self, first_page: u64, pages: u64) -> bool {
-        if !self.enabled || self.plan.nvm_spike_pages == 0 || self.plan.nvm_spike_multiplier <= 1 {
-            return true;
-        }
-        if !self.plan.nvm_spike_window.contains(self.now) {
-            return true;
-        }
-        let spike_first = self.plan.nvm_spike_first_page;
-        let spike_end = spike_first.saturating_add(self.plan.nvm_spike_pages);
-        let end = first_page.saturating_add(pages);
-        end <= spike_first || first_page >= spike_end
     }
 
     /// Extra cycles to charge this reclaim pass (0 when no stall is
@@ -481,28 +456,6 @@ mod tests {
         assert_eq!(st.nvm_multiplier(5 * PAGE_SIZE + 64), 8);
         assert_eq!(st.nvm_multiplier(6 * PAGE_SIZE), 1);
         assert_eq!(st.stats().nvm_spiked_ops, 2);
-    }
-
-    #[test]
-    fn quiescence_matches_multiplier_behavior() {
-        let plan = FaultPlan {
-            nvm_spike_multiplier: 8,
-            nvm_spike_first_page: 4,
-            nvm_spike_pages: 2,
-            nvm_spike_window: CycleWindow { start: 100, end: 200 },
-            ..FaultPlan::none()
-        };
-        let mut st = FaultState::new(plan);
-        // Window closed: everything quiescent.
-        assert!(st.nvm_spike_quiescent(4, 2));
-        st.set_now(150);
-        assert!(!st.nvm_spike_quiescent(4, 2));
-        assert!(!st.nvm_spike_quiescent(0, 5), "overlap at page 4");
-        assert!(!st.nvm_spike_quiescent(5, 10), "overlap at page 5");
-        assert!(st.nvm_spike_quiescent(0, 4), "ends before the spike");
-        assert!(st.nvm_spike_quiescent(6, 10), "starts after the spike");
-        // The empty plan is always quiescent.
-        assert!(FaultState::new(FaultPlan::none()).nvm_spike_quiescent(0, u64::MAX));
     }
 
     #[test]

@@ -100,40 +100,6 @@ impl NvmModel {
         cycles
     }
 
-    /// Serves `lines` sequential 64-byte reads starting at byte address
-    /// `addr` (line `i` at `addr + i * 64`); returns the total latency.
-    ///
-    /// Block-granular closed form of `lines` successive [`NvmModel::read`]
-    /// calls: one real LRU [`touch_buffer`](Self::touch_buffer) per
-    /// 256-byte block crossed, because every read after the first within a
-    /// block provably hits the block the first one just made MRU (and
-    /// re-touching the MRU entry leaves the buffer order unchanged).
-    /// Stats, buffer state and total cycles are bit-equal to the per-line
-    /// loop.
-    pub fn read_run(&mut self, addr: u64, lines: u64) -> u64 {
-        let line = crate::addr::LINE_SIZE;
-        let lines_per_block = self.timings.block_bytes >> crate::addr::LINE_SHIFT;
-        let mut total = 0;
-        let mut a = addr;
-        let mut remaining = lines;
-        while remaining > 0 {
-            let block = a >> self.block_shift;
-            let into_block = (a / line) % lines_per_block;
-            let in_block = (lines_per_block - into_block).min(remaining);
-            let hit = self.touch_buffer(block);
-            self.stats.reads += in_block;
-            let follow_hits = in_block - 1;
-            self.stats.read_buffer_hits += follow_hits + u64::from(hit);
-            let first = if hit { self.timings.read_hit } else { self.timings.read_miss };
-            let cycles = first + follow_hits * self.timings.read_hit;
-            self.stats.read_cycles += cycles;
-            total += cycles;
-            a += in_block * line;
-            remaining -= in_block;
-        }
-        total
-    }
-
     /// Serves a 64-byte write at byte address `addr`; returns the (posted)
     /// latency in cycles.
     pub fn write(&mut self, addr: u64) -> u64 {
@@ -207,26 +173,6 @@ mod tests {
         n.read(512); // block 2 evicts block 1
         assert_eq!(n.read(0), 300);
         assert_eq!(n.read(256), 900);
-    }
-
-    #[test]
-    fn read_run_matches_per_line_reads() {
-        // Pre-warm the buffer, then compare runs of assorted lengths and
-        // (mid-block) starting offsets, including a re-read of a buffered
-        // block.
-        let mut looped = model();
-        looped.read(0);
-        looped.read(1024);
-        let mut run = looped.clone();
-        for (start, lines) in [(0u64, 1u64), (64, 3), (512 + 128, 40), (4096, 16)] {
-            let mut want = 0;
-            for i in 0..lines {
-                want += looped.read(start + i * 64);
-            }
-            assert_eq!(run.read_run(start, lines), want, "run at {start}+{lines}");
-            assert_eq!(run.stats(), looped.stats());
-            assert_eq!(run.buffer, looped.buffer);
-        }
     }
 
     proptest::proptest! {

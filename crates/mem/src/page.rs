@@ -9,7 +9,6 @@ use core::ops::{BitOr, BitOrAssign};
 /// A hand-rolled bitflag newtype (the crate deliberately avoids external
 /// dependencies beyond the approved set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PageFlags(u8);
 
 impl PageFlags {
@@ -105,7 +104,6 @@ impl fmt::Display for PageFlags {
 /// `pageinfo-construct` lint rule — go through `PageTable::insert` /
 /// `update` instead so the residency counters and columns stay coherent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PageInfo {
     /// The tier whose frame currently backs this page.
     pub tier: Tier,

@@ -39,15 +39,12 @@ const fn byte_tier(b: u8) -> Option<Tier> {
 ///
 /// Page metadata is held in parallel struct-of-arrays columns (tier byte,
 /// flags, scan time, last-access time) rather than a `Vec<Option<PageInfo>>`.
-/// The interval engine ([`MemorySystem::access_run`]) validates and updates
-/// whole page *windows*, and the SoA layout turns those window operations
-/// into dense scans of a single small column (`tiers`, one byte per page)
-/// plus a bulk `fill` of `last_access` — instead of pointer-chasing 32-byte
-/// per-page structs. [`PageInfo`] survives as a *value* snapshot type: this
-/// module is the only place allowed to assemble one (enforced by the
+/// Window queries such as [`PageTable::plain_window`] and the THP collapse
+/// checks then scan a single small column (`tiers`, one byte per page)
+/// densely instead of pointer-chasing 32-byte per-page structs.
+/// [`PageInfo`] survives as a *value* snapshot type: this module is the
+/// only place allowed to assemble one (enforced by the
 /// `pageinfo-construct` lint rule).
-///
-/// [`MemorySystem::access_run`]: crate::MemorySystem::access_run
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
     /// Presence + tier per slot: `TIER_NONE` if not resident.
@@ -306,43 +303,6 @@ impl PageTable {
         })
     }
 
-    /// Read-only window check for the interval engine: returns the common
-    /// tier iff all `n` pages starting at `pn` are resident on the same
-    /// tier with no pending HINT flag and no collapsed 2 MiB membership
-    /// (huge pages translate through a shared PMD-level TLB tag, so the
-    /// engine's per-page walk model does not apply; such windows fall back
-    /// to the per-line fast lane, which handles them exactly). A dense
-    /// scan of the `tiers` byte column plus flags/huge sweeps; does not
-    /// modify anything.
-    pub fn window_uniform(&self, pn: PageNum, n: usize) -> Option<Tier> {
-        let slot = Self::slot(pn)?;
-        let end = slot.checked_add(n)?;
-        let tiers = self.tiers.get(slot..end)?;
-        let want = *tiers.first()?;
-        let tier = byte_tier(want)?;
-        if !tiers.iter().all(|&b| b == want) {
-            return None;
-        }
-        if self.flags[slot..end].iter().any(|f| f.contains(PageFlags::HINT)) {
-            return None;
-        }
-        if self.huge.get(slot..end).is_some_and(|h| h.iter().any(|&b| b != 0)) {
-            return None;
-        }
-        Some(tier)
-    }
-
-    /// Bulk hotness update for the interval engine: stamps
-    /// `last_access = now` on `n` pages starting at `pn`. Callers must have
-    /// validated the window with [`PageTable::window_uniform`] first.
-    pub fn stamp_last_access(&mut self, pn: PageNum, n: usize, now: u64) {
-        let Some(slot) = Self::slot(pn) else { return };
-        let Some(end) = slot.checked_add(n) else { return };
-        if let Some(ts) = self.last_access.get_mut(slot..end) {
-            ts.fill(now);
-        }
-    }
-
     /// Number of leading pages in `[pn, pn + max_pages)` that are resident
     /// with no pending HINT flag — the window a batched run may cover
     /// without per-element fault/hint handling. Returns 0 if the first
@@ -472,35 +432,6 @@ mod tests {
         assert_eq!(pt.access_touch(pn(8), 100), None);
     }
 
-    #[test]
-    fn window_uniform_requires_same_tier_and_no_hint() {
-        let mut pt = PageTable::new();
-        for i in 0..4 {
-            pt.insert(pn(i), Tier::Dram, 0);
-        }
-        assert_eq!(pt.window_uniform(pn(0), 4), Some(Tier::Dram));
-        pt.retier(pn(2), Tier::Nvm);
-        assert_eq!(pt.window_uniform(pn(0), 4), None);
-        assert_eq!(pt.window_uniform(pn(0), 2), Some(Tier::Dram));
-        pt.retier(pn(2), Tier::Dram);
-        pt.update(pn(1), |p| p.flags.insert(PageFlags::HINT));
-        assert_eq!(pt.window_uniform(pn(0), 4), None);
-        // Out-of-range window (page 4 not resident).
-        assert_eq!(pt.window_uniform(pn(3), 2), None);
-    }
-
-    #[test]
-    fn stamp_last_access_fills_window() {
-        let mut pt = PageTable::new();
-        for i in 0..3 {
-            pt.insert(pn(i), Tier::Dram, 0);
-        }
-        pt.stamp_last_access(pn(0), 3, 42);
-        for i in 0..3 {
-            assert_eq!(pt.get(pn(i)).unwrap().last_access, 42);
-        }
-    }
-
     /// Maps the whole 512-page block starting at slot `base` on `tier`.
     fn fill_block(pt: &mut PageTable, base: u64, tier: Tier) {
         for i in 0..HUGE_SLOTS as u64 {
@@ -570,18 +501,6 @@ mod tests {
         assert!(!pt.is_huge(pn(0)));
         assert!(!pt.is_huge(pn(511)));
         assert_eq!(pt.total_resident(), HUGE_SLOTS as u64 - 1);
-    }
-
-    #[test]
-    fn window_uniform_excludes_huge_blocks() {
-        let mut pt = PageTable::new();
-        fill_block(&mut pt, 0, Tier::Dram);
-        assert_eq!(pt.window_uniform(pn(0), 16), Some(Tier::Dram));
-        assert_eq!(pt.collapse_block(pn(0)), Some(Tier::Dram));
-        assert_eq!(pt.window_uniform(pn(0), 16), None);
-        assert_eq!(pt.window_uniform(pn(500), 12), None);
-        assert_eq!(pt.split_block(pn(0)), Some(pn(0)));
-        assert_eq!(pt.window_uniform(pn(0), 16), Some(Tier::Dram));
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::tier::{MemLevel, Tier};
 /// crate computes the paper's tables from *samples*, and integration tests
 /// use these totals to check that sampling is unbiased.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessStats {
     /// Number of load accesses.
     pub loads: u64,
@@ -73,43 +72,6 @@ impl AccessStats {
         let li = MemLevel::L1.index();
         self.level_counts[li] += n;
         self.level_cycles[li] += n * l1_latency;
-    }
-
-    /// Records `n` external (device-level) accesses whose latencies sum to
-    /// `total_cycles`, all with the same `level` and `tlb_miss` bit and no
-    /// hint fault.
-    ///
-    /// The bulk half of the interval engine
-    /// ([`MemorySystem::access_run`](crate::MemorySystem::access_run)):
-    /// every counter [`AccessStats::record`] touches is linear in the
-    /// per-access cycle count, so summing cycles before recording is
-    /// exactly equivalent to `n` individual calls.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `level` is external (has a tier).
-    #[inline]
-    pub fn record_external_run(
-        &mut self,
-        kind: crate::access::AccessKind,
-        level: MemLevel,
-        tlb_miss: bool,
-        n: u64,
-        total_cycles: u64,
-    ) {
-        let is_store = u64::from(kind.is_store());
-        self.stores += is_store * n;
-        self.loads += (1 - is_store) * n;
-        let li = level.index();
-        self.level_counts[li] += n;
-        self.level_cycles[li] += total_cycles;
-        self.tlb_misses += u64::from(tlb_miss) * n;
-        let ti = level.tier().map(Tier::index);
-        debug_assert!(ti.is_some(), "record_external_run with cache level {level:?}");
-        let ti = ti.unwrap_or(0);
-        let mi = usize::from(tlb_miss);
-        self.external_counts[ti][mi] += n;
-        self.external_cycles[ti][mi] += total_cycles;
     }
 
     /// Total accesses.
@@ -190,23 +152,6 @@ mod tests {
         }
         for _ in 0..3 {
             looped.record(AccessKind::Store, &outcome(MemLevel::L1, 4, false));
-        }
-        assert_eq!(bulk, looped);
-    }
-
-    #[test]
-    fn record_external_run_matches_repeated_record() {
-        let mut bulk = AccessStats::default();
-        let mut looped = AccessStats::default();
-        // 3 walk-free DRAM accesses summing to 610 cycles, 2 page-walk NVM
-        // accesses summing to 1900.
-        bulk.record_external_run(AccessKind::Load, MemLevel::Dram, false, 3, 610);
-        bulk.record_external_run(AccessKind::Load, MemLevel::Nvm, true, 2, 1900);
-        for c in [200, 205, 205] {
-            looped.record(AccessKind::Load, &outcome(MemLevel::Dram, c, false));
-        }
-        for c in [930, 970] {
-            looped.record(AccessKind::Load, &outcome(MemLevel::Nvm, c, true));
         }
         assert_eq!(bulk, looped);
     }

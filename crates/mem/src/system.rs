@@ -28,65 +28,18 @@ const PTE_BASE: u64 = 1 << 46;
 /// Lines per page (4096 / 64).
 const LINES_PER_PAGE: u64 = PAGE_SIZE >> LINE_SHIFT;
 
-/// Minimum number of core pages for which the interval engine engages;
-/// shorter runs stay on the per-line fast lane (the setup cost would not
-/// amortize, and an 8-page block is the PTE-line granule).
-const MIN_INTERVAL_PAGES: u64 = 8;
-
-/// Conservative interval `[lo, hi)` of line numbers that may be present in
-/// any cache level. Grown on every line that enters [`cache_path`]; never
-/// shrunk (evictions leave it alone). The interval engine's soundness rests
-/// on the guarantee *line cached ⇒ line inside the footprint*: a run whose
-/// lines are disjoint from the footprint is provably absent from every
-/// cache, so each of its lines is a full miss. Over-coverage only costs
-/// fallbacks, never correctness.
-///
-/// [`cache_path`]: MemorySystem::cache_path
-#[derive(Debug, Clone, Copy)]
-struct LineFootprint {
-    lo: u64,
-    hi: u64,
-}
-
-impl LineFootprint {
-    const EMPTY: LineFootprint = LineFootprint { lo: u64::MAX, hi: 0 };
-
-    #[inline]
-    fn extend(&mut self, line: u64) {
-        self.lo = self.lo.min(line);
-        self.hi = self.hi.max(line + 1);
-    }
-
-    /// Whether `[lo, hi)` does not intersect the footprint.
-    #[inline]
-    fn disjoint(&self, lo: u64, hi: u64) -> bool {
-        self.hi <= lo || hi <= self.lo
-    }
-}
-
-/// Counters for the interval engine (observability, *not* part of the
-/// simulation's observable state: the bit-equality suite compares
-/// everything else across execution paths, which engage the engine
-/// differently by design).
+/// Counters of the retired closed-form interval engine. Always zero: the
+/// engine only engaged on spans that were already resident and never
+/// cached, and the paper's demand-paged workloads first-touch every page
+/// through a faulting access, so it never ran on a real workload and was
+/// removed (DESIGN.md §12). The type and [`MemorySystem::interval_stats`]
+/// stay so tools that report the counters keep building.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntervalStats {
     /// Runs (or run segments) executed closed-form.
     pub runs: u64,
     /// Pages advanced closed-form.
     pub pages: u64,
-}
-
-/// The validated closed-form core of a run: `core_elems` elements covering
-/// `pages` full pages starting at `first_page`, preceded by `lead_elems`
-/// lane elements.
-#[derive(Debug, Clone, Copy)]
-struct IntervalCore {
-    lead_elems: u64,
-    core_elems: u64,
-    first_page: u64,
-    pages: u64,
-    tier: Tier,
-    stride: u64,
 }
 
 /// Totals of a completed sequential run (see
@@ -166,11 +119,6 @@ pub struct MemorySystem {
     stats: AccessStats,
     faults: FaultState,
     trace: TraceState,
-    /// Conservative cache footprint over data lines (below [`PTE_BASE`]).
-    fp_data: LineFootprint,
-    /// Conservative cache footprint over PTE lines (at/above [`PTE_BASE`]).
-    fp_pte: LineFootprint,
-    interval: IntervalStats,
 }
 
 impl MemorySystem {
@@ -199,9 +147,6 @@ impl MemorySystem {
             stats: AccessStats::default(),
             faults: FaultState::new(cfg.fault),
             trace: TraceState::new(cfg.trace),
-            fp_data: LineFootprint::EMPTY,
-            fp_pte: LineFootprint::EMPTY,
-            interval: IntervalStats::default(),
             cfg,
         })
     }
@@ -432,7 +377,7 @@ impl MemorySystem {
     /// immediately following, contiguous, *non-resident* pages lie inside
     /// `pn`'s VMA, up to `max`. The OS maps these alongside the faulting
     /// page (Linux's fault-around / `MAP_POPULATE`) so regular streams
-    /// re-enter the interval lane instead of faulting once per page. The
+    /// stay on the batched lane instead of faulting once per page. The
     /// window stops at the first already-resident page, keeping the
     /// populate order deterministic and fault-free.
     pub fn fault_around_candidates(&self, pn: PageNum, max: u64) -> u64 {
@@ -518,14 +463,6 @@ impl MemorySystem {
     /// fetched from `tier`'s device. Returns the satisfying level and the
     /// cycles spent.
     fn cache_path(&mut self, line: u64, is_store: bool, tier: Tier) -> (MemLevel, u64) {
-        // Track every line that can enter a cache: the interval engine's
-        // disjointness proof depends on this being the only entry point
-        // (besides the engine's own cold fills, accounted separately).
-        if line < (PTE_BASE >> LINE_SHIFT) {
-            self.fp_data.extend(line);
-        } else {
-            self.fp_pte.extend(line);
-        }
         match self.l1.access(line, is_store) {
             CacheOutcome::Hit => return (MemLevel::L1, self.l1.latency()),
             CacheOutcome::Miss { writeback } => {
@@ -660,35 +597,23 @@ impl MemorySystem {
     }
 
     /// Performs `count` sequential accesses of one `stride`-byte element
-    /// each, element `i` at `addr + i * stride` — the batched engine for
+    /// each, element `i` at `addr + i * stride` — the batched lane for
     /// streaming loops.
     ///
-    /// Two nested accelerations, both bit-equal to the per-element loop
-    /// (enforced by property tests against the retained reference path):
-    ///
-    /// 1. **Fast lane** (always applicable): the first element of every
-    ///    cache line takes the full [`MemorySystem::access`] path; the
-    ///    remaining elements of that line are *provably* free DTLB hits
-    ///    plus L1 hits that leave all replacement state untouched, so they
-    ///    are charged in bulk.
-    /// 2. **Interval engine** (DESIGN.md §12): when the run's *core* — its
-    ///    maximal span of whole pages, 8-page aligned at the front — is
-    ///    provably regular (loads only, uniform resident tier, no pending
-    ///    hint bits, all caches clean and provably free of the core's data
-    ///    and PTE lines, NVM fault spike quiescent over the span), each
-    ///    core page is advanced closed-form: a real page walk and PTE
-    ///    fetch, cold cache fills, one device row/block-granular read run,
-    ///    and O(1) bulk statistics updates in place of
-    ///    `4096 / stride` individual accesses. The partial head (plus
-    ///    alignment slack) and tail still go through the fast lane.
+    /// The first element of every cache line takes the full
+    /// [`MemorySystem::access`] path; the remaining elements of that line
+    /// are *provably* free DTLB hits plus L1 hits that leave all
+    /// replacement state untouched, so they are charged in bulk. The
+    /// result is bit-equal to issuing every element through
+    /// [`MemorySystem::access`] (enforced by property tests against the
+    /// retained per-element reference path; DESIGN.md §12).
     ///
     /// # Errors
     ///
     /// On a page fault or segfault the completed prefix stays charged and
     /// [`RunFault`] reports how far the run got; the caller services the
     /// fault and resumes from `done`, exactly as it would retry a single
-    /// [`MemorySystem::access`]. The interval core itself cannot fault
-    /// (every core page is resident by construction).
+    /// [`MemorySystem::access`].
     pub fn access_run(
         &mut self,
         addr: VirtAddr,
@@ -699,61 +624,8 @@ impl MemorySystem {
     ) -> Result<RunOutcome, RunFault> {
         let stride = u64::from(stride.max(1));
         let mut out = RunOutcome::default();
-        if count == 0 {
-            return Ok(out);
-        }
-        // The per-element path feeds the fault injector the clock on every
-        // access; doing it once up front is identical (set_now is
-        // monotonic) and lets the validity check read the settled clock.
-        self.faults.set_now(now);
-        if let Some(core) = self.interval_core(addr, stride, count, kind) {
-            self.lane_segment(addr, stride, 0, core.lead_elems, kind, now, &mut out)?;
-            self.run_interval(&core, kind, now, &mut out);
-            let done = core.lead_elems + core.core_elems;
-            self.lane_segment(addr, stride, done, count, kind, now, &mut out)?;
-        } else {
-            self.lane_segment(addr, stride, 0, count, kind, now, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// The run executed purely on the per-line fast lane, with the
-    /// interval engine disabled. Public so benchmarks and tests can time
-    /// and compare the two paths; production callers use
-    /// [`MemorySystem::access_run`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`MemorySystem::access_run`].
-    pub fn access_run_lane(
-        &mut self,
-        addr: VirtAddr,
-        stride: u32,
-        count: u64,
-        kind: AccessKind,
-        now: u64,
-    ) -> Result<RunOutcome, RunFault> {
-        let stride = u64::from(stride.max(1));
-        let mut out = RunOutcome::default();
-        self.lane_segment(addr, stride, 0, count, kind, now, &mut out)?;
-        Ok(out)
-    }
-
-    /// Fast-lane execution of elements `[start, end)` of a run based at
-    /// `addr`, appending into `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn lane_segment(
-        &mut self,
-        addr: VirtAddr,
-        stride: u64,
-        start: u64,
-        end: u64,
-        kind: AccessKind,
-        now: u64,
-        out: &mut RunOutcome,
-    ) -> Result<(), RunFault> {
-        let mut i = start;
-        while i < end {
+        let mut i = 0;
+        while i < count {
             let a = addr + i * stride;
             let first = match self.access(a, kind, now) {
                 Ok(o) => o,
@@ -765,7 +637,7 @@ impl MemorySystem {
             out.hint_faults += u64::from(first.hint_fault);
             // Index of the last element still on this cache line.
             let line_end = (a.line() + 1) << LINE_SHIFT;
-            let j_last = ((line_end - 1 - addr.raw()) / stride).min(end - 1);
+            let j_last = ((line_end - 1 - addr.raw()) / stride).min(count - 1);
             let bulk = j_last - i;
             if bulk > 0 {
                 let lat = self.l1.latency();
@@ -777,151 +649,7 @@ impl MemorySystem {
             out.elems += bulk + 1;
             i = j_last + 1;
         }
-        Ok(())
-    }
-
-    /// Validates the closed-form core of a run (DESIGN.md §12), read-only.
-    ///
-    /// Returns `None` — fall back to the fast lane — unless *every*
-    /// interval-validity condition holds. The conditions make each core
-    /// access's outcome a constant the engine can charge without
-    /// simulating it:
-    ///
-    /// - loads only (stores dirty lines, creating order-dependent
-    ///   writeback chains) and no Memory-Mode cache;
-    /// - `stride` divides the line size and `addr` is stride-aligned, so
-    ///   page boundaries are element boundaries;
-    /// - the core spans at least [`MIN_INTERVAL_PAGES`] whole pages, its
-    ///   first page 8-aligned so the lead-in cannot share a PTE line with
-    ///   the core;
-    /// - every core page is resident on one uniform tier with no pending
-    ///   hint bit ([`PageTable::window_uniform`]);
-    /// - all cache levels are clean (evictions then never write back) and
-    ///   the core's data and PTE line ranges are disjoint from the
-    ///   conservative cache footprint, so every core line is a full miss
-    ///   and — since pages enter the TLB only via walks, which always
-    ///   cache the PTE line — no core page is TLB-resident;
-    /// - an NVM core is outside any injected latency-spike range/window
-    ///   ([`FaultState::nvm_spike_quiescent`]).
-    fn interval_core(
-        &self,
-        addr: VirtAddr,
-        stride: u64,
-        count: u64,
-        kind: AccessKind,
-    ) -> Option<IntervalCore> {
-        if kind.is_store() || self.mm_cache.is_some() {
-            return None;
-        }
-        if !crate::addr::LINE_SIZE.is_multiple_of(stride) || !addr.raw().is_multiple_of(stride) {
-            return None;
-        }
-        let a = addr.raw();
-        let end = a.checked_add(count.checked_mul(stride)?)?;
-        // First whole page covered from its start, rounded up to the
-        // 8-page PTE-line granule; last whole page boundary below `end`.
-        let first_full = (a + PAGE_SIZE - 1) >> PAGE_SHIFT;
-        let p_lo = (first_full + (MIN_INTERVAL_PAGES - 1)) & !(MIN_INTERVAL_PAGES - 1);
-        let p_hi = end >> PAGE_SHIFT;
-        if p_hi < p_lo + MIN_INTERVAL_PAGES {
-            return None;
-        }
-        let pages = p_hi - p_lo;
-        let tier = self.pages.window_uniform(PageNum::new(p_lo), pages as usize)?;
-        if self.l1.dirty_lines() != 0 || self.l2.dirty_lines() != 0 || self.l3.dirty_lines() != 0 {
-            return None;
-        }
-        let shift = PAGE_SHIFT - LINE_SHIFT;
-        if !self.fp_data.disjoint(p_lo << shift, p_hi << shift) {
-            return None;
-        }
-        let pte_lo = (PTE_BASE >> LINE_SHIFT) + (p_lo >> 3);
-        let pte_hi = (PTE_BASE >> LINE_SHIFT) + ((p_hi + 7) >> 3);
-        if !self.fp_pte.disjoint(pte_lo, pte_hi) {
-            return None;
-        }
-        if tier == Tier::Nvm && !self.faults.nvm_spike_quiescent(p_lo, pages) {
-            return None;
-        }
-        Some(IntervalCore {
-            lead_elems: ((p_lo << PAGE_SHIFT) - a) / stride,
-            core_elems: pages * (PAGE_SIZE / stride),
-            first_page: p_lo,
-            pages,
-            tier,
-            stride,
-        })
-    }
-
-    /// Executes a validated interval core closed-form, appending into
-    /// `out`. Infallible: every core page is resident by construction.
-    ///
-    /// Per page, the state machines are advanced by their *real*
-    /// operations minus the branches the validity proof killed: a genuine
-    /// TLB miss + insert, the PTE fetch through the full cache hierarchy
-    /// (PTE lines interfere like any other line), cold fills of all 64
-    /// data lines (full misses, clean victims), and one row/block-granular
-    /// device read run. Element-level repeats collapse into O(1) bulk
-    /// statistics credits, exactly as the fast lane's bulk half.
-    fn run_interval(
-        &mut self,
-        core: &IntervalCore,
-        kind: AccessKind,
-        now: u64,
-        out: &mut RunOutcome,
-    ) {
-        let epl_line = crate::addr::LINE_SIZE / core.stride;
-        let bulk_per_page = LINES_PER_PAGE * (epl_line - 1);
-        let rest_lines = LINES_PER_PAGE - 1;
-        let l1lat = self.l1.latency();
-        let l3lat = self.l3.latency();
-        let level = MemLevel::from(core.tier);
-        let shift = PAGE_SHIFT - LINE_SHIFT;
-        let mut walk_cycles = 0; // per-page first-line (page-walk) accesses
-        let mut rest_cycles = 0; // per-page remaining 63 line-first accesses
-        for pidx in core.first_page..core.first_page + core.pages {
-            let pn = PageNum::new(pidx);
-            let t = self.tlb.lookup(pn);
-            debug_assert!(matches!(t, TlbOutcome::Miss), "core page unexpectedly TLB-resident");
-            let pte_line = (PTE_BASE + pidx * 8) >> LINE_SHIFT;
-            let (_, pte_cycles) = self.cache_path(pte_line, false, Tier::Dram);
-            // Per-cache bulk fills: each cache sees its ops in the same
-            // per-cache order as the reference interleave (caches are
-            // independent state machines, so only per-cache order matters).
-            let line0 = pidx << shift;
-            self.l1.fill_cold_run(line0, LINES_PER_PAGE);
-            self.l2.fill_cold_run(line0, LINES_PER_PAGE);
-            self.l3.fill_cold_run(line0, LINES_PER_PAGE);
-            // Device reads in reference order (line 0 first, then the run);
-            // the spike-quiescence proof lets NVM skip the multiplier calls.
-            let dev0 = match core.tier {
-                Tier::Dram => self.dram.read(line0 << LINE_SHIFT),
-                Tier::Nvm => self.nvm.read(line0 << LINE_SHIFT),
-            };
-            let dev_rest = match core.tier {
-                Tier::Dram => self.dram.read_run((line0 + 1) << LINE_SHIFT, rest_lines),
-                Tier::Nvm => self.nvm.read_run((line0 + 1) << LINE_SHIFT, rest_lines),
-            };
-            walk_cycles += self.cfg.walk_base_penalty + pte_cycles + l3lat + dev0;
-            rest_cycles += rest_lines * l3lat + dev_rest;
-            self.tlb.record_l1_hit_run(rest_lines + bulk_per_page);
-            self.l1.record_hit_run(bulk_per_page);
-        }
-        let pages = core.pages;
-        self.stats.record_external_run(kind, level, true, pages, walk_cycles);
-        self.stats.record_external_run(kind, level, false, pages * rest_lines, rest_cycles);
-        self.stats.record_l1_run(kind, pages * bulk_per_page, l1lat);
-        self.pages.stamp_last_access(PageNum::new(core.first_page), pages as usize, now);
-        // The core's data lines are now cached: grow the footprint over
-        // them (their PTE lines went through cache_path above).
-        self.fp_data.extend(core.first_page << shift);
-        self.fp_data.extend(((core.first_page + pages) << shift) - 1);
-        out.elems += core.core_elems;
-        out.cycles += walk_cycles + rest_cycles + pages * bulk_per_page * l1lat;
-        out.lines += pages * LINES_PER_PAGE;
-        out.tlb_misses += pages;
-        self.interval.runs += 1;
-        self.interval.pages += pages;
+        Ok(out)
     }
 
     /// The pre-fast-lane reference path: the same run issued strictly
@@ -964,10 +692,10 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// Interval-engine engagement counters (how often and over how many
-    /// pages [`MemorySystem::access_run`] executed closed-form).
+    /// Interval-engine engagement counters: always zero, since the engine
+    /// is gone (see [`IntervalStats`]).
     pub fn interval_stats(&self) -> IntervalStats {
-        self.interval
+        IntervalStats::default()
     }
 
     /// Number of leading pages in `[pn, pn + max_pages)` that are *plain*
@@ -1239,9 +967,7 @@ mod tests {
 
     /// Every observable number of a system, for execution-path
     /// equivalence checks: access/TLB/cache/device/fault statistics, the
-    /// trace event stream and page residency. Interval-engine engagement
-    /// counters are deliberately excluded — the paths differ in *how*
-    /// they execute, never in what they observe.
+    /// trace event stream and page residency.
     fn fingerprint(s: &MemorySystem) -> String {
         format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
@@ -1261,34 +987,41 @@ mod tests {
     enum RunMode {
         /// Strictly element-by-element (`access_run_ref`).
         Reference,
-        /// Per-line fast lane only (`access_run_lane`).
+        /// The batched per-line fast lane (`access_run`).
         Lane,
-        /// Fast lane + interval engine (`access_run`).
-        Full,
     }
 
     /// Drives `runs` through the chosen execution path, servicing page
-    /// faults with a tier chosen from the page number (32-page blocks, so
-    /// uniform-tier windows exist and the interval engine can engage),
-    /// and logs everything observable along the way.
+    /// faults with a tier chosen from the page number (32-page blocks),
+    /// and logs everything observable along the way. Before run `ri` the
+    /// page at region offset `migrate[ri]`, if resident, migrates to the
+    /// other tier, so runs also cross pages that moved under cached lines
+    /// and translations.
     fn drive_runs(
         mut s: MemorySystem,
         base: VirtAddr,
         runs: &[(u64, u32, u64, bool)],
+        migrate: &[u64],
         mode: RunMode,
     ) -> (Vec<String>, MemorySystem) {
         let mut log = Vec::new();
         for (ri, &(off, stride, count, is_store)) in runs.iter().enumerate() {
             let kind = if is_store { AccessKind::Store } else { AccessKind::Load };
             let now = ri as u64 * 1000;
+            if let Some(&m) = migrate.get(ri) {
+                let pn = (base + m * PAGE_SIZE).page();
+                if let Some(info) = s.page(pn) {
+                    let moved = s.migrate_page(pn, info.tier.other());
+                    log.push(format!("{ri}: migrate {m}: {moved:?}"));
+                }
+            }
             let stride64 = u64::from(stride.max(1));
             let mut start = 0u64;
             while start <= count {
                 let addr = base + off + start * stride64;
                 let remaining = count - start;
                 let res = match mode {
-                    RunMode::Full => s.access_run(addr, stride, remaining, kind, now),
-                    RunMode::Lane => s.access_run_lane(addr, stride, remaining, kind, now),
+                    RunMode::Lane => s.access_run(addr, stride, remaining, kind, now),
                     RunMode::Reference => s.access_run_ref(addr, stride, remaining, kind, now),
                 };
                 match res {
@@ -1310,31 +1043,30 @@ mod tests {
         (log, s)
     }
 
-    /// Drives the same run list down all three execution paths from
-    /// clones of `s` and asserts pairwise observation equivalence.
-    fn assert_three_way(s: MemorySystem, base: VirtAddr, runs: &[(u64, u32, u64, bool)]) {
-        let lane = s.clone();
+    /// Drives the same run list down both execution paths from clones of
+    /// `s` and asserts observation equivalence.
+    fn assert_lane_matches_reference(
+        s: MemorySystem,
+        base: VirtAddr,
+        runs: &[(u64, u32, u64, bool)],
+        migrate: &[u64],
+    ) {
         let reference = s.clone();
-        let (log_full, s_full) = drive_runs(s, base, runs, RunMode::Full);
-        let (log_lane, s_lane) = drive_runs(lane, base, runs, RunMode::Lane);
-        let (log_ref, s_ref) = drive_runs(reference, base, runs, RunMode::Reference);
-        assert_eq!(log_full, log_lane, "full vs lane logs");
-        assert_eq!(log_full, log_ref, "full vs reference logs");
-        assert_eq!(fingerprint(&s_full), fingerprint(&s_lane), "full vs lane state");
-        assert_eq!(fingerprint(&s_full), fingerprint(&s_ref), "full vs reference state");
-        assert_eq!(s_lane.interval_stats(), IntervalStats::default());
-        assert_eq!(s_ref.interval_stats(), IntervalStats::default());
+        let (log_lane, s_lane) = drive_runs(s, base, runs, migrate, RunMode::Lane);
+        let (log_ref, s_ref) = drive_runs(reference, base, runs, migrate, RunMode::Reference);
+        assert_eq!(log_lane, log_ref, "lane vs reference logs");
+        assert_eq!(fingerprint(&s_lane), fingerprint(&s_ref), "lane vs reference state");
     }
 
     proptest::proptest! {
-        /// The batched fast lane and the interval engine are
-        /// observation-equivalent to the per-element reference path:
-        /// identical run outcomes, identical fault sequences, and
-        /// bit-equal access/TLB/cache/device stats.
+        /// The batched fast lane is observation-equivalent to the
+        /// per-element reference path: identical run outcomes, identical
+        /// fault sequences, and bit-equal access/TLB/cache/device stats.
         #[test]
         fn prop_access_run_matches_reference(
             maps in proptest::collection::vec(0u8..3, 32),
             hints in proptest::collection::vec(proptest::bool::ANY, 32),
+            migrate in proptest::collection::vec(0u64..32, 10),
             raw_runs in proptest::collection::vec(
                 (0u64..32 * PAGE_SIZE, 1u32..130, 0u64..300, proptest::bool::ANY),
                 1..10,
@@ -1369,27 +1101,27 @@ mod tests {
                     (off, stride, count.min(max), st)
                 })
                 .collect();
-            assert_three_way(s, base, &runs);
+            assert_lane_matches_reference(s, base, &runs, &migrate);
         }
     }
 
-    /// Stride menu for interval-scale property runs: every divisor of the
-    /// line size (interval-eligible) plus a few misaligned strides that
-    /// must fall back to the lane.
+    /// Stride menu for long property runs: every divisor of the line size
+    /// plus a few strides that do not divide it.
     const PROP_STRIDES: [u32; 10] = [1, 2, 4, 8, 16, 32, 64, 3, 24, 100];
 
     proptest::proptest! {
-        /// Interval-scale runs (thousands of elements over a 64-page
-        /// region) under random NVM-spike fault plans: the three paths
-        /// stay bit-equal across AccessStats, device/TLB/cache counters,
-        /// fault stats and the trace stream, with tracing enabled.
+        /// Long runs (thousands of elements over a 64-page region) under
+        /// random NVM-spike fault plans: the lane and the reference stay
+        /// bit-equal across AccessStats, device/TLB/cache counters, fault
+        /// stats and the trace stream, with tracing enabled.
         #[test]
-        fn prop_interval_engine_matches_reference_under_fault_plans(
+        fn prop_access_run_matches_reference_under_fault_plans(
             maps in proptest::collection::vec(0u8..3, 64),
             hints in proptest::collection::vec(proptest::bool::ANY, 64),
             spike in (0u64..80, 0u64..40, 1u32..6),
             window in (0u64..3, 1u64..9),
             seed in 0u64..u64::MAX,
+            migrate in proptest::collection::vec(0u64..64, 5),
             raw_runs in proptest::collection::vec(
                 (0u64..60 * PAGE_SIZE, 0usize..10, 0u64..4000, proptest::bool::ANY),
                 1..5,
@@ -1418,7 +1150,7 @@ mod tests {
                     .unwrap(),
             )
             .unwrap();
-            let base = s.mmap(64 * PAGE_SIZE, MemPolicy::Default, "interval").unwrap();
+            let base = s.mmap(64 * PAGE_SIZE, MemPolicy::Default, "long").unwrap();
             for (i, &m) in maps.iter().enumerate() {
                 let pn = (base + i as u64 * PAGE_SIZE).page();
                 match m {
@@ -1438,169 +1170,8 @@ mod tests {
                     (off, stride, count.min(max), st)
                 })
                 .collect();
-            assert_three_way(s, base, &runs);
+            assert_lane_matches_reference(s, base, &runs, &migrate);
         }
-    }
-
-    /// A system with `pages` contiguously mapped pages of `tier`.
-    fn uniform_region(pages: u64, tier: Tier) -> (MemorySystem, VirtAddr) {
-        let mut s = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(256 * PAGE_SIZE)
-                .nvm_capacity(256 * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let a = s.mmap(pages * PAGE_SIZE, MemPolicy::Default, "interval").unwrap();
-        for i in 0..pages {
-            s.map_page((a + i * PAGE_SIZE).page(), tier, 0).unwrap();
-        }
-        (s, a)
-    }
-
-    #[test]
-    fn interval_engine_engages_and_matches_both_paths() {
-        for tier in [Tier::Dram, Tier::Nvm] {
-            let (mut full, a) = uniform_region(32, tier);
-            let (mut lane, _) = uniform_region(32, tier);
-            let (mut reference, _) = uniform_region(32, tier);
-            let count = 32 * PAGE_SIZE / 8;
-            let out_full = full.access_run(a, 8, count, AccessKind::Load, 7).unwrap();
-            let out_lane = lane.access_run_lane(a, 8, count, AccessKind::Load, 7).unwrap();
-            let out_ref = reference.access_run_ref(a, 8, count, AccessKind::Load, 7).unwrap();
-            assert_eq!(out_full, out_lane, "{tier:?}");
-            assert_eq!(out_full, out_ref, "{tier:?}");
-            assert_eq!(fingerprint(&full), fingerprint(&lane), "{tier:?}");
-            assert_eq!(fingerprint(&full), fingerprint(&reference), "{tier:?}");
-            // The mmap arena base is 8-page aligned and the run covers the
-            // whole region, so the entire span executes closed-form.
-            assert_eq!(full.interval_stats(), IntervalStats { runs: 1, pages: 32 }, "{tier:?}");
-            assert_eq!(lane.interval_stats(), IntervalStats::default());
-            // Hotness metadata advanced for every core page.
-            assert_eq!(full.page((a + 9 * PAGE_SIZE).page()).unwrap().last_access, 7);
-        }
-    }
-
-    #[test]
-    fn interval_core_is_page_aligned_with_lane_lead_and_tail() {
-        let (mut full, a) = uniform_region(32, Tier::Dram);
-        let (mut reference, _) = uniform_region(32, Tier::Dram);
-        // Start 3 elements in and stop 8 short: the lead-in up to the next
-        // 8-aligned page boundary and the tail ride the fast lane.
-        let count = 32 * PAGE_SIZE / 8 - 8;
-        let start = a + 3 * 8;
-        let out_full = full.access_run(start, 8, count, AccessKind::Load, 7).unwrap();
-        let out_ref = reference.access_run_ref(start, 8, count, AccessKind::Load, 7).unwrap();
-        assert_eq!(out_full, out_ref);
-        assert_eq!(fingerprint(&full), fingerprint(&reference));
-        // Pages 8..31 are core; page 0..7 (partial + alignment) and the
-        // partial page 31 fall to the lane.
-        assert_eq!(full.interval_stats(), IntervalStats { runs: 1, pages: 23 });
-    }
-
-    #[test]
-    fn interval_invalidated_by_mid_span_migration() {
-        let (mut full, a) = uniform_region(16, Tier::Dram);
-        let (mut reference, _) = uniform_region(16, Tier::Dram);
-        // A tier change inside the span kills window uniformity: the run
-        // must fall back to the exact path and still match the reference.
-        full.migrate_page((a + 5 * PAGE_SIZE).page(), Tier::Nvm).unwrap();
-        reference.migrate_page((a + 5 * PAGE_SIZE).page(), Tier::Nvm).unwrap();
-        let count = 16 * PAGE_SIZE / 8;
-        let out_full = full.access_run(a, 8, count, AccessKind::Load, 7).unwrap();
-        let out_ref = reference.access_run_ref(a, 8, count, AccessKind::Load, 7).unwrap();
-        assert_eq!(out_full, out_ref);
-        assert_eq!(fingerprint(&full), fingerprint(&reference));
-        assert_eq!(full.interval_stats(), IntervalStats::default());
-    }
-
-    #[test]
-    fn interval_invalidated_by_pending_hint_and_dirty_caches() {
-        // Pending AutoNUMA hint bit inside the span: exact path services
-        // the hint fault; the closed-form path must not engage.
-        let (mut full, a) = uniform_region(16, Tier::Dram);
-        let (mut reference, _) = uniform_region(16, Tier::Dram);
-        assert!(full.mark_hint((a + 12 * PAGE_SIZE).page(), 9));
-        assert!(reference.mark_hint((a + 12 * PAGE_SIZE).page(), 9));
-        let count = 16 * PAGE_SIZE / 8;
-        let out_full = full.access_run(a, 8, count, AccessKind::Load, 7).unwrap();
-        let out_ref = reference.access_run_ref(a, 8, count, AccessKind::Load, 7).unwrap();
-        assert_eq!(out_full, out_ref);
-        assert_eq!(out_full.hint_faults, 1);
-        assert_eq!(fingerprint(&full), fingerprint(&reference));
-        assert_eq!(full.interval_stats(), IntervalStats::default());
-
-        // A single dirty line anywhere in the hierarchy blocks the engine
-        // (evictions could write back in an order-dependent way).
-        let (mut dirty, b) = uniform_region(16, Tier::Dram);
-        dirty.access(b, AccessKind::Store, 0).unwrap();
-        dirty.access_run(b + PAGE_SIZE, 8, 15 * PAGE_SIZE / 8, AccessKind::Load, 1).unwrap();
-        assert_eq!(dirty.interval_stats(), IntervalStats::default());
-    }
-
-    #[test]
-    fn interval_falls_back_once_lines_may_be_cached() {
-        let (mut full, a) = uniform_region(16, Tier::Dram);
-        let (mut reference, _) = uniform_region(16, Tier::Dram);
-        let count = 16 * PAGE_SIZE / 8;
-        full.access_run(a, 8, count, AccessKind::Load, 1).unwrap();
-        reference.access_run_ref(a, 8, count, AccessKind::Load, 1).unwrap();
-        assert_eq!(full.interval_stats(), IntervalStats { runs: 1, pages: 16 });
-        // Second pass over the same span: its lines are now inside the
-        // conservative cache footprint, so the full-miss proof fails and
-        // the run is exact — and still bit-equal.
-        full.access_run(a, 8, count, AccessKind::Load, 2).unwrap();
-        reference.access_run_ref(a, 8, count, AccessKind::Load, 2).unwrap();
-        assert_eq!(full.interval_stats(), IntervalStats { runs: 1, pages: 16 });
-        assert_eq!(fingerprint(&full), fingerprint(&reference));
-    }
-
-    #[test]
-    fn interval_respects_nvm_spike_quiescence() {
-        let plan = FaultPlan {
-            seed: 9,
-            nvm_spike_multiplier: 4,
-            nvm_spike_first_page: (crate::vma::MMAP_BASE >> PAGE_SHIFT) + 4,
-            nvm_spike_pages: 2,
-            nvm_spike_window: CycleWindow { start: 0, end: 100 },
-            ..FaultPlan::none()
-        };
-        let build = || {
-            let mut s = MemorySystem::new(
-                MemConfig::builder()
-                    .dram_capacity(64 * PAGE_SIZE)
-                    .nvm_capacity(64 * PAGE_SIZE)
-                    .fault(plan)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-            let a = s.mmap(16 * PAGE_SIZE, MemPolicy::Default, "nvm").unwrap();
-            for i in 0..16 {
-                s.map_page((a + i * PAGE_SIZE).page(), Tier::Nvm, 0).unwrap();
-            }
-            (s, a)
-        };
-        let count = 16 * PAGE_SIZE / 8;
-        // Inside the spike window the spiked pages overlap the span: the
-        // engine must not engage, and the spike must land identically.
-        let (mut full, a) = build();
-        let (mut reference, _) = build();
-        let out_full = full.access_run(a, 8, count, AccessKind::Load, 7).unwrap();
-        let out_ref = reference.access_run_ref(a, 8, count, AccessKind::Load, 7).unwrap();
-        assert_eq!(out_full, out_ref);
-        assert_eq!(fingerprint(&full), fingerprint(&reference));
-        assert_eq!(full.interval_stats(), IntervalStats::default());
-        assert!(full.fault_stats().nvm_spiked_ops > 0);
-        // Past the window the spike is provably quiescent: closed-form.
-        let (mut late, b) = build();
-        let (mut late_ref, _) = build();
-        let out_late = late.access_run(b, 8, count, AccessKind::Load, 200).unwrap();
-        let out_late_ref = late_ref.access_run_ref(b, 8, count, AccessKind::Load, 200).unwrap();
-        assert_eq!(out_late, out_late_ref);
-        assert_eq!(fingerprint(&late), fingerprint(&late_ref));
-        assert_eq!(late.interval_stats(), IntervalStats { runs: 1, pages: 16 });
     }
 
     /// A system with one whole 2 MiB block (512 pages) mapped on `tier`,
@@ -1705,8 +1276,7 @@ mod tests {
     /// regime and returns the finished system (for satellite bit-equality
     /// checks across {demand, fault-around, pre-populated} mappings).
     /// The tier of each page is a pure function of its index so every
-    /// regime places identically; a uniform tier keeps the populated
-    /// spans interval-eligible.
+    /// regime places identically.
     fn run_regime(pages: u64, window: u64, prepopulate: bool) -> MemorySystem {
         let tier_of = |_pn: PageNum| Tier::Dram;
         let (mut s, a) = {
@@ -1749,18 +1319,12 @@ mod tests {
     }
 
     #[test]
-    fn populate_regimes_are_observation_equivalent_and_only_populate_engages_interval() {
+    fn populate_regimes_are_observation_equivalent() {
         let demand = run_regime(64, 0, false);
         let around = run_regime(64, 512, false);
         let prepop = run_regime(64, 0, true);
         assert_eq!(fingerprint(&demand), fingerprint(&around), "demand vs fault-around");
         assert_eq!(fingerprint(&demand), fingerprint(&prepop), "demand vs pre-populated");
-        // Demand paging faults at every page boundary, so no window is
-        // ever uniformly resident; bulk populate removes the phase
-        // boundaries and the closed-form engine takes over.
-        assert_eq!(demand.interval_stats().runs, 0);
-        assert!(around.interval_stats().pages >= 32, "fault-around must engage the engine");
-        assert!(prepop.interval_stats().pages >= 32, "pre-populate must engage the engine");
     }
 
     #[test]

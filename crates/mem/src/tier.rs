@@ -7,7 +7,6 @@ use core::fmt;
 /// The paper's system has DRAM as the fast tier (tier-1) and Optane NVM
 /// exposed as a CPU-less NUMA node as the slow tier (tier-2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Tier {
     /// Fast, low-capacity tier (tier-1).
     Dram,
@@ -61,7 +60,6 @@ impl fmt::Display for Tier {
 /// API fidelity with perf's levels; the simulator has no miss-level
 /// parallelism model and never produces it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemLevel {
     /// First-level data cache.
     L1,

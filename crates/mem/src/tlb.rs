@@ -26,7 +26,6 @@ impl TlbOutcome {
 
 /// Hit/miss counters for the TLB.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TlbStats {
     /// DTLB hits.
     pub l1_hits: u64,

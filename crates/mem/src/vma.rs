@@ -16,7 +16,6 @@ pub const MMAP_BASE: u64 = 0x1000_0000;
 /// [`set_policy_range`](VmaTable::set_policy_range)) produces new ids;
 /// stable *object* identity across splits is the profiler's job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VmaId(pub u32);
 
 /// NUMA memory policy of a VMA — which tier newly-faulted pages go to.
@@ -25,7 +24,6 @@ pub struct VmaId(pub u32);
 /// default (allocate on the fast node while it has space — paper Finding 3)
 /// and hard binds used by the object-level static mapping (§7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemPolicy {
     /// Kernel default: first-touch on DRAM while free, spilling to NVM
     /// (the OS model implements the spill/reclaim behavior).

@@ -24,7 +24,6 @@ use crate::error::OsError;
 /// # Ok::<(), tiersim_os::OsError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OsConfig {
     /// Master switch for AutoNUMA tiering (scanner, promotion, demotion).
     /// When off, pages stay wherever first touch put them and all

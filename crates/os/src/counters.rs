@@ -9,7 +9,6 @@ use tiersim_mem::{MemorySystem, PageFlags, Tier};
 /// deltas between two snapshots (the paper does exactly this because the
 /// counters cannot be reset).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VmCounters {
     /// NUMA hint page faults serviced.
     pub numa_hint_faults: u64,
@@ -120,7 +119,6 @@ impl VmCounters {
 
 /// A numastat-style snapshot of memory usage, in pages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NumaStat {
     /// Application (anonymous) pages per tier, indexed by [`Tier::index`].
     pub anon_pages: [u64; 2],

@@ -9,7 +9,6 @@
 
 /// Configuration of the dynamic object-level tierer.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DynamicObjectConfig {
     /// Cycles between re-planning passes.
     pub replan_interval_cycles: u64,

@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 /// Placement decision for one logical object (identified by its
 /// allocation-site label).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Placement {
     /// Bind the whole object to DRAM (`mbind(MPOL_BIND, DRAM)`).
     Dram,

@@ -9,7 +9,6 @@ use tiersim_mem::VirtAddr;
 /// Ids are assigned in allocation order, like the paper's object numbering
 /// before ranking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ObjectId(pub u32);
 
 impl fmt::Display for ObjectId {

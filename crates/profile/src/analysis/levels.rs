@@ -5,7 +5,6 @@ use tiersim_mem::{MemLevel, Tier};
 
 /// Distribution of load samples across hierarchy levels.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LevelDistribution {
     /// Sample counts per level (indexed by [`MemLevel::index`]).
     pub counts: [u64; 6],

@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 /// single-touch pages dominate (33–80% of external accesses), which starves
 /// AutoNUMA's two-touch hot-page detector.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TouchHistogram {
     /// Pages with exactly one external touch.
     pub pages_one: u64,

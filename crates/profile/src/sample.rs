@@ -6,7 +6,6 @@ use tiersim_mem::{AccessKind, AccessOutcome, MemLevel, ThreadId, VirtAddr};
 /// hierarchy level that satisfied it, the virtual address (used for object
 /// mapping), and the latency in cycles (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemSample {
     /// Simulated cycle timestamp.
     pub time_cycles: u64,

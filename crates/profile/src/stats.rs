@@ -4,7 +4,6 @@
 /// Figure 5 reports (min, 25th/50th/75th percentiles, max, average, and
 /// standard deviation).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Number of values summarized.
     pub count: usize,

@@ -6,7 +6,6 @@
 
 /// Why a promotion candidate was turned away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RejectReason {
     /// Access latency was at or above the hot threshold.
     Threshold,
@@ -29,7 +28,6 @@ impl RejectReason {
 
 /// Which fault-injection site fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultSite {
     /// A DRAM allocation was forced to fail transiently.
     DramAlloc,
@@ -54,7 +52,6 @@ impl FaultSite {
 /// reproduce the counter deltas of the run that produced the trace (the
 /// conservation property tested in `tiersim-os`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceEvent {
     /// A NUMA hint fault fired on `page`.
     HintFault {
@@ -260,7 +257,6 @@ impl TraceEvent {
 /// number. `seq` counts *every* recorded event, including those later
 /// evicted from the ring, so gaps in an exported trace are detectable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceRecord {
     /// Simulated time in cycles when the event fired.
     pub now: u64,

@@ -7,7 +7,6 @@
 
 /// One interval snapshot of every registered metric.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetricsSnapshot {
     /// Simulated time in cycles when the snapshot was taken.
     pub now: u64,

@@ -17,7 +17,6 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 /// Trace settings threaded from the experiment config down to the
 /// memory system that owns the recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceConfig {
     /// Whether events are recorded at all.
     pub enabled: bool,
@@ -53,7 +52,6 @@ impl Default for TraceConfig {
 
 /// The extracted, immutable result of a traced run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceLog {
     /// Surviving records, oldest first.
     pub records: Vec<TraceRecord>,

@@ -16,18 +16,8 @@ pub const MIN_RATIO: f64 = 0.8;
 pub const GATED_KEYS: &[&str] = &[
     "per_element_accesses_per_sec",
     "fast_lane_accesses_per_sec",
-    "interval_accesses_per_sec",
     "demand_paged_accesses_per_sec",
-    "demand_populate_accesses_per_sec",
 ];
-
-/// Absolute floor for the fault-around population win: the populated
-/// lane must re-engage the interval engine, which shows up as at least
-/// this wall-clock multiple over element-by-element demand paging
-/// (ISSUE 9). Checked against the *current* run, independent of the
-/// baseline, so a populated lane that quietly degenerates to the
-/// per-element path fails even if both files carry the regression.
-pub const MIN_POPULATE_SPEEDUP: f64 = 5.0;
 
 /// One key's comparison outcome.
 #[derive(Debug, PartialEq)]
@@ -65,11 +55,6 @@ pub fn extract_number(json: &str, key: &str) -> Option<f64> {
 /// must be regenerated; one missing from the current file means the
 /// bench stopped reporting it. Both are errors — silent lane loss is
 /// exactly what the gate exists to catch.
-///
-/// Beyond the relative throughput ratios, the current run's
-/// `demand_populate_speedup` must clear [`MIN_POPULATE_SPEEDUP`]; the
-/// floor is reported as one more `Comparison` whose `baseline` is the
-/// floor itself.
 pub fn compare(baseline: &str, current: &str) -> Result<Vec<Comparison>, String> {
     let mut out = Vec::new();
     for &key in GATED_KEYS {
@@ -83,15 +68,6 @@ pub fn compare(baseline: &str, current: &str) -> Result<Vec<Comparison>, String>
         let ratio = cur / base;
         out.push(Comparison { key, baseline: base, current: cur, ratio, pass: ratio >= MIN_RATIO });
     }
-    let speedup = extract_number(current, "demand_populate_speedup")
-        .ok_or_else(|| "current run is missing `demand_populate_speedup`".to_string())?;
-    out.push(Comparison {
-        key: "demand_populate_speedup",
-        baseline: MIN_POPULATE_SPEEDUP,
-        current: speedup,
-        ratio: speedup / MIN_POPULATE_SPEEDUP,
-        pass: speedup >= MIN_POPULATE_SPEEDUP,
-    });
     Ok(out)
 }
 
@@ -103,31 +79,14 @@ mod tests {
   "access_path": {
     "per_element_accesses_per_sec": 1000000,
     "fast_lane_accesses_per_sec": 30000000,
-    "interval_accesses_per_sec": 90000000,
-    "demand_paged_accesses_per_sec": 500000,
-    "demand_populate_accesses_per_sec": 20000000,
-    "demand_populate_speedup": 40.0
+    "demand_paged_accesses_per_sec": 500000
   }
 }"#;
 
-    fn with_rates(per: f64, lane: f64, interval: f64) -> String {
-        with_rates_and_demand(per, lane, interval, 500_000.0, 20_000_000.0, 40.0)
-    }
-
-    fn with_rates_and_demand(
-        per: f64,
-        lane: f64,
-        interval: f64,
-        demand: f64,
-        populate: f64,
-        speedup: f64,
-    ) -> String {
+    fn with_rates(per: f64, lane: f64, demand: f64) -> String {
         format!(
             "{{\"per_element_accesses_per_sec\": {per}, \"fast_lane_accesses_per_sec\": {lane}, \
-             \"interval_accesses_per_sec\": {interval}, \
-             \"demand_paged_accesses_per_sec\": {demand}, \
-             \"demand_populate_accesses_per_sec\": {populate}, \
-             \"demand_populate_speedup\": {speedup}}}"
+             \"demand_paged_accesses_per_sec\": {demand}}}"
         )
     }
 
@@ -142,16 +101,15 @@ mod tests {
 
     #[test]
     fn passes_at_or_above_tolerance() {
-        let cur = with_rates(800_000.0, 24_000_000.0, 72_000_000.0);
+        let cur = with_rates(800_000.0, 24_000_000.0, 400_000.0);
         let cmp = compare(BASE, &cur).unwrap();
-        // Five throughput ratios plus the populate-speedup floor.
-        assert_eq!(cmp.len(), 6);
+        assert_eq!(cmp.len(), 3);
         assert!(cmp.iter().all(|c| c.pass));
     }
 
     #[test]
     fn fails_below_tolerance() {
-        let cur = with_rates(799_999.0, 30_000_000.0, 90_000_000.0);
+        let cur = with_rates(799_999.0, 30_000_000.0, 500_000.0);
         let cmp = compare(BASE, &cur).unwrap();
         assert!(!cmp[0].pass);
         assert!(cmp[1].pass && cmp[2].pass);
@@ -177,39 +135,5 @@ mod tests {
     #[test]
     fn empty_baseline_is_an_error() {
         assert!(compare("{}", "{}").is_err());
-    }
-
-    #[test]
-    fn populate_speedup_floor_is_absolute() {
-        // Even with throughput ratios healthy relative to the baseline, a
-        // current speedup under the floor fails: both files carrying the
-        // same degenerated lane must not pass.
-        let cur = with_rates_and_demand(
-            1_000_000.0,
-            30_000_000.0,
-            90_000_000.0,
-            500_000.0,
-            2_000_000.0,
-            4.0,
-        );
-        let cmp = compare(BASE, &cur).unwrap();
-        let floor = cmp.iter().find(|c| c.key == "demand_populate_speedup").unwrap();
-        assert!(!floor.pass);
-        assert_eq!(floor.baseline, MIN_POPULATE_SPEEDUP);
-        // At or above the floor passes regardless of the baseline's value.
-        let ok = with_rates_and_demand(
-            1_000_000.0,
-            30_000_000.0,
-            90_000_000.0,
-            500_000.0,
-            2_500_000.0,
-            5.0,
-        );
-        let cmp = compare(BASE, &ok).unwrap();
-        assert!(cmp.iter().find(|c| c.key == "demand_populate_speedup").unwrap().pass);
-        // A current file without the speedup key is an error outright.
-        let missing = with_rates(1_000_000.0, 30_000_000.0, 90_000_000.0)
-            .replace("\"demand_populate_speedup\": 40", "\"x\": 40");
-        assert!(compare(BASE, &missing).unwrap_err().contains("demand_populate_speedup"));
     }
 }
