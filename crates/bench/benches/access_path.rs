@@ -249,7 +249,7 @@ fn sweep_cells() -> Vec<impl FnOnce() -> Vec<u8> + Send> {
     cfg.workloads()
         .into_iter()
         .map(move |w| {
-            let mc = cfg.machine_for(&w, TieringMode::AutoNuma);
+            let mc = cfg.machine(TieringMode::AutoNuma);
             move || {
                 let report = run_workload(mc, w).expect("sweep cell");
                 let mut bytes = Vec::new();

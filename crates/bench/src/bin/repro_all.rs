@@ -15,16 +15,23 @@
 //! and real SIGKILL — resume where they left off, never re-executing a
 //! completed experiment, and produce byte-identical reports to an
 //! uninterrupted run.
+//!
+//! Two subcommands run instead of the suite: `repro_all dump ...` writes
+//! the paper artifact's per-workload trace CSVs (see
+//! `tiersim_bench::run_dump_cli`), and `repro_all tune ...` runs the
+//! AutoNUMA knob auto-tuner service (DESIGN.md §16; see
+//! `tiersim_bench::tune_cli`).
 
-//! `repro_all tune ...` dispatches to the AutoNUMA knob auto-tuner
-//! service instead (DESIGN.md §16); see `tiersim_bench::tune_cli`.
-
-use tiersim_bench::{banner, run_repro_suite, run_suite_journaled, run_tune_cli, Cli};
+use tiersim_bench::{
+    banner, run_dump_cli, run_repro_suite, run_suite_journaled, run_tune_cli, Cli,
+};
 
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
-    if args.peek().map(String::as_str) == Some("tune") {
-        std::process::exit(run_tune_cli(args.skip(1)));
+    match args.peek().map(String::as_str) {
+        Some("dump") => std::process::exit(run_dump_cli(args.skip(1))),
+        Some("tune") => std::process::exit(run_tune_cli(args.skip(1))),
+        _ => {}
     }
     let cli = Cli::from_env();
     banner("full paper reproduction", &cli);

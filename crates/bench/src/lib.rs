@@ -1,11 +1,14 @@
 //! # tiersim-bench — reproduction harness
 //!
-//! One binary per paper table/figure (`table1_access_location`,
-//! `fig03_sample_distribution`, …, `fig11_object_vs_autonuma`, plus
-//! `repro_all`), each printing the same rows/series the paper reports,
-//! and Criterion micro/macro benchmarks under `benches/`.
+//! One front end, `repro_all`, prints every paper table and figure as a
+//! named section, from one shared set of AutoNUMA runs
+//! ([`run_repro_suite`]). Its subcommands write the paper artifact's
+//! per-workload trace CSVs (`repro_all dump`, [`run_dump_cli`]) and run
+//! the knob auto-tuner (`repro_all tune`). Two extension binaries
+//! (`ext_dynamic_object`, `ext_dataset_locality`) and Criterion micro/macro
+//! benchmarks under `benches/` complete the crate.
 //!
-//! All binaries accept:
+//! `repro_all`, `repro_all dump` and the extension binaries accept:
 //!
 //! ```text
 //! --scale N         graph scale (default 16; paper used 30/31)
@@ -56,7 +59,13 @@ use tiersim_core::journal::{
     atomic_write, run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalError,
     JournalStats, KillMode, KillSpec, RunnerOptions,
 };
-use tiersim_core::{CoreError, ExperimentConfig, RunError, TraceConfig, TraceLog};
+use tiersim_core::sweep::{run_cells_fallible, CellFailure};
+use tiersim_core::{
+    CoreError, Dataset, ExperimentConfig, Kernel, RunError, TraceConfig, TraceLog, WorkloadConfig,
+};
+use tiersim_mem::Tier;
+use tiersim_policy::TieringMode;
+use tiersim_profile::export;
 
 /// Parsed command-line options shared by all reproduction binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -249,15 +258,15 @@ impl TraceExports {
     }
 }
 
-/// Runs a set of experiments where each may fail without killing the
-/// rest: `repro_all`'s continue-on-failure harness.
+/// The assembled result of `repro_all`'s experiments, each of which may
+/// fail without killing the rest.
 ///
-/// Each [`attempt`](ExperimentSuite::attempt) isolates one experiment —
-/// an `Err` or a panic is recorded against its name and the suite moves
-/// on. At the end, [`summary`](ExperimentSuite::summary) reports what
-/// failed and [`exit_code`](ExperimentSuite::exit_code) is nonzero if
-/// anything did. A journaled suite additionally carries degraded-mode
-/// cell accounting ([`set_cell_stats`](ExperimentSuite::set_cell_stats)).
+/// Each experiment is recorded as completed (its sections appended) or
+/// failed under its name. At the end, [`summary`](ExperimentSuite::summary)
+/// reports what failed and [`exit_code`](ExperimentSuite::exit_code) is
+/// nonzero if anything did. A journaled suite additionally carries
+/// degraded-mode cell accounting
+/// ([`set_cell_stats`](ExperimentSuite::set_cell_stats)).
 #[derive(Debug)]
 pub struct ExperimentSuite {
     output: String,
@@ -309,39 +318,12 @@ impl ExperimentSuite {
         text
     }
 
-    /// Runs one experiment isolated from the rest. Returns its value on
-    /// success; on `Err` or panic, records the failure under `name` and
-    /// returns `None` so the caller can skip that experiment's sections.
-    pub fn attempt<T, E: std::fmt::Display>(
-        &mut self,
-        name: &str,
-        f: impl FnOnce() -> Result<T, E>,
-    ) -> Option<T> {
-        self.attempted += 1;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            Ok(Ok(v)) => Some(v),
-            Ok(Err(e)) => {
-                self.failures.push((name.to_string(), e.to_string()));
-                None
-            }
-            Err(payload) => {
-                let msg = tiersim_core::sweep::panic_message(payload.as_ref());
-                self.failures.push((name.to_string(), format!("panicked: {msg}")));
-                None
-            }
-        }
-    }
-
-    /// Counts one completed experiment that ran (or was replayed)
-    /// outside [`attempt`](ExperimentSuite::attempt) — the journaled
-    /// suite path.
+    /// Counts one completed experiment.
     pub fn note_completed(&mut self) {
         self.attempted += 1;
     }
 
-    /// Records one failed experiment that ran outside
-    /// [`attempt`](ExperimentSuite::attempt) — a quarantined journal
-    /// cell.
+    /// Records one failed experiment (a quarantined cell) under `name`.
     pub fn note_quarantined(&mut self, name: &str, error: String) {
         self.attempted += 1;
         self.failures.push((name.to_string(), error));
@@ -399,7 +381,7 @@ impl ExperimentSuite {
         s
     }
 
-    /// `0` if every attempt succeeded, `1` otherwise.
+    /// `0` if every experiment succeeded, `1` otherwise.
     pub fn exit_code(&self) -> i32 {
         i32::from(!self.failures.is_empty())
     }
@@ -418,7 +400,11 @@ type Sections = Vec<(String, String)>;
 
 /// Runs the characterization experiment and renders Tables 1–3 and
 /// Figures 3–5.
-fn characterization_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
+///
+/// # Errors
+///
+/// The first failing AutoNUMA run's error.
+pub fn characterization_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
     let c = Characterization::run_with(runs)?;
     Ok(vec![
         ("Figure 3: sample distribution across levels".to_string(), c.render_fig3()),
@@ -431,7 +417,11 @@ fn characterization_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError>
 }
 
 /// Runs the object-level analysis and renders Figures 6–8.
-fn object_analysis_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
+///
+/// # Errors
+///
+/// The `bc_kron` AutoNUMA run's error.
+pub fn object_analysis_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
     let a = ObjectAnalysis::run_with(runs)?;
     let mut out = vec![(
         "Figure 6: top objects by external samples (bc_kron)".to_string(),
@@ -458,7 +448,13 @@ fn object_analysis_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> 
 
 /// Runs the traced AutoNUMA experiment and renders Figures 9–10, plus the
 /// recorded event log when tracing was enabled.
-fn autonuma_trace_sections(runs: &AutonumaRuns) -> Result<(Sections, Option<TraceLog>), CoreError> {
+///
+/// # Errors
+///
+/// The `bc_kron` AutoNUMA run's error.
+pub fn autonuma_trace_sections(
+    runs: &AutonumaRuns,
+) -> Result<(Sections, Option<TraceLog>), CoreError> {
     let tr = AutonumaTrace::run_with(runs)?;
     let sections = vec![
         ("Figure 9: memory usage and counters over time (bc_kron)".to_string(), tr.render_fig9()),
@@ -471,60 +467,13 @@ fn autonuma_trace_sections(runs: &AutonumaRuns) -> Result<(Sections, Option<Trac
 }
 
 /// Runs the Figure 11 comparison.
-fn comparison_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
+///
+/// # Errors
+///
+/// The first failing row's error.
+pub fn comparison_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
     let cmp = Comparison::run_with(runs)?;
     Ok(vec![("Figure 11: object-level static mapping vs AutoNUMA".to_string(), cmp.render())])
-}
-
-/// Runs the full `repro_all` experiment suite: the four reproduction
-/// experiments on one shared [`AutonumaRuns`] store, so each distinct
-/// AutoNUMA run is simulated once for the whole suite, each experiment
-/// isolated so one failure never kills the rest.
-///
-/// Sections print to stdout as they complete and accumulate in the
-/// returned suite ([`ExperimentSuite::output`]). The recorded bytes are
-/// identical for every `experiment.jobs` value — the byte-identity test
-/// in `tests/parallel_sweep.rs` holds this function to that contract.
-pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> ExperimentSuite {
-    let mut suite = ExperimentSuite::new().with_jobs(experiment.jobs);
-    let runs = AutonumaRuns::new(experiment);
-
-    if inject_failure {
-        // Deliberate failure to exercise the continue-on-failure path:
-        // everything below must still run and the exit code must be 1.
-        suite.attempt("injected failure", || Err::<(), _>(injected_failure()));
-    }
-
-    if let Some(sections) = suite.attempt("characterization", || characterization_sections(&runs)) {
-        for (title, body) in &sections {
-            println!("{}", suite.section(title, body));
-        }
-    }
-
-    if let Some(sections) = suite.attempt("object analysis", || object_analysis_sections(&runs)) {
-        for (title, body) in &sections {
-            println!("{}", suite.section(title, body));
-        }
-    }
-
-    if let Some((sections, log)) =
-        suite.attempt("autonuma trace", || autonuma_trace_sections(&runs))
-    {
-        for (title, body) in &sections {
-            println!("{}", suite.section(title, body));
-        }
-        if let Some(log) = log {
-            suite.set_trace_exports(TraceExports::from_log(&log));
-        }
-    }
-
-    if let Some(sections) = suite.attempt("comparison", || comparison_sections(&runs)) {
-        for (title, body) in &sections {
-            println!("{}", suite.section(title, body));
-        }
-    }
-
-    suite
 }
 
 /// The deliberate `--inject-failure` error.
@@ -569,6 +518,113 @@ fn cell_error(e: CoreError) -> CellError {
     CellError { class, message: e.to_string() }
 }
 
+/// The suite's cells, in suite order: the `--inject-failure` cell when
+/// asked for, then the four reproduction experiments on one shared
+/// [`AutonumaRuns`] store, so each distinct AutoNUMA run is simulated
+/// once per suite. A cell's payload is its encoded sections; the traced
+/// run's exports ride along as reserved sections, so a resumed suite
+/// reproduces `--trace` output from the journal alone.
+fn suite_cells(experiment: &ExperimentConfig, inject_failure: bool) -> Vec<JournalCell> {
+    type Experiment = fn(&AutonumaRuns) -> Result<Sections, CoreError>;
+    let experiments: [(&str, Experiment); 4] = [
+        ("characterization", characterization_sections),
+        ("object analysis", object_analysis_sections),
+        ("autonuma trace", |runs| {
+            let (mut sections, log) = autonuma_trace_sections(runs)?;
+            if let Some(log) = log {
+                let exports = TraceExports::from_log(&log);
+                sections.push((TRACE_JSONL_SECTION.to_string(), exports.jsonl));
+                sections.push((TRACE_CSV_SECTION.to_string(), exports.csv));
+            }
+            Ok(sections)
+        }),
+        ("comparison", comparison_sections),
+    ];
+    let mut cells = Vec::new();
+    if inject_failure {
+        // Deliberate failure to exercise the continue-on-failure path:
+        // every later cell must still run and the exit code must be 1.
+        cells.push(JournalCell {
+            name: "injected failure".to_string(),
+            run: Box::new(|| Err(cell_error(injected_failure()))),
+        });
+    }
+    let runs = Arc::new(AutonumaRuns::new(experiment));
+    for (name, sections) in experiments {
+        let runs = Arc::clone(&runs);
+        cells.push(JournalCell {
+            name: name.to_string(),
+            run: Box::new(move || sections(&runs).map(|s| encode_payload(&s)).map_err(cell_error)),
+        });
+    }
+    cells
+}
+
+/// Runs `cells` once each, in order, isolating failures: the suite
+/// without a journal. A failed cell is quarantined at once.
+fn run_unjournaled(cells: &[JournalCell]) -> Vec<(String, CellOutcome)> {
+    let results = run_cells_fallible(1, cells.iter().map(|cell| || (cell.run)()).collect());
+    cells
+        .iter()
+        .zip(results)
+        .map(|(cell, result)| {
+            let outcome = match result {
+                Ok(payload) => CellOutcome::Completed { payload, attempts: 1, replayed: false },
+                Err(
+                    CellFailure::Error(CellError { message: error, .. })
+                    | CellFailure::Panic(error),
+                ) => CellOutcome::Quarantined { error, attempts: 1 },
+            };
+            (cell.name.clone(), outcome)
+        })
+        .collect()
+}
+
+/// Puts the suite back together from its cells' outcomes, in cell order,
+/// printing each section to stdout.
+fn assemble(jobs: usize, outcomes: &[(String, CellOutcome)]) -> ExperimentSuite {
+    let mut suite = ExperimentSuite::new().with_jobs(jobs);
+    let mut jsonl = None;
+    let mut csv = None;
+    for (name, cell) in outcomes {
+        match cell {
+            CellOutcome::Completed { payload, .. } => {
+                suite.note_completed();
+                for (title, body) in decode_payload(payload) {
+                    if title == TRACE_JSONL_SECTION {
+                        jsonl = Some(body.to_string());
+                    } else if title == TRACE_CSV_SECTION {
+                        csv = Some(body.to_string());
+                    } else {
+                        println!("{}", suite.section(title, body));
+                    }
+                }
+            }
+            // The attempt count is session-relative, so it stays out of
+            // the byte-compared summary; the message itself is a pure
+            // function of the cell.
+            CellOutcome::Quarantined { error, .. } => {
+                suite.note_quarantined(name, format!("quarantined: {error}"));
+            }
+        }
+    }
+    if let (Some(jsonl), Some(csv)) = (jsonl, csv) {
+        suite.set_trace_exports(TraceExports { jsonl, csv });
+    }
+    suite
+}
+
+/// Runs the full `repro_all` experiment suite without a journal: each
+/// suite cell runs once, and one failure never kills the rest.
+///
+/// Sections print to stdout once the suite finishes and accumulate in the
+/// returned suite ([`ExperimentSuite::output`]). The recorded bytes are
+/// identical for every `experiment.jobs` value — the byte-identity test
+/// in `tests/parallel_sweep.rs` holds this function to that contract.
+pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> ExperimentSuite {
+    assemble(experiment.jobs, &run_unjournaled(&suite_cells(experiment, inject_failure)))
+}
+
 /// The journaled variant of [`run_repro_suite`]: every experiment is one
 /// durable cell in the write-ahead journal at `journal` (DESIGN.md §13).
 ///
@@ -600,80 +656,75 @@ pub fn run_suite_journaled(
     opts: RunnerOptions,
     inject_failure: bool,
 ) -> Result<ExperimentSuite, JournalError> {
-    let runs = Arc::new(AutonumaRuns::new(experiment));
-    let mut cells: Vec<JournalCell> = Vec::new();
-    if inject_failure {
-        cells.push(JournalCell {
-            name: "injected failure".to_string(),
-            run: Box::new(move || Err(cell_error(injected_failure()))),
-        });
-    }
-    let shared = Arc::clone(&runs);
-    cells.push(JournalCell {
-        name: "characterization".to_string(),
-        run: Box::new(move || {
-            characterization_sections(&shared).map(|s| encode_payload(&s)).map_err(cell_error)
-        }),
-    });
-    let shared = Arc::clone(&runs);
-    cells.push(JournalCell {
-        name: "object analysis".to_string(),
-        run: Box::new(move || {
-            object_analysis_sections(&shared).map(|s| encode_payload(&s)).map_err(cell_error)
-        }),
-    });
-    let shared = Arc::clone(&runs);
-    cells.push(JournalCell {
-        name: "autonuma trace".to_string(),
-        run: Box::new(move || {
-            let (mut sections, log) = autonuma_trace_sections(&shared).map_err(cell_error)?;
-            if let Some(log) = log {
-                let exports = TraceExports::from_log(&log);
-                sections.push((TRACE_JSONL_SECTION.to_string(), exports.jsonl));
-                sections.push((TRACE_CSV_SECTION.to_string(), exports.csv));
-            }
-            Ok(encode_payload(&sections))
-        }),
-    });
-    cells.push(JournalCell {
-        name: "comparison".to_string(),
-        run: Box::new(move || {
-            comparison_sections(&runs).map(|s| encode_payload(&s)).map_err(cell_error)
-        }),
-    });
-
+    let cells = suite_cells(experiment, inject_failure);
     let outcome = run_journaled(journal, &experiment.fingerprint(), cells, opts)?;
+    let mut suite = assemble(experiment.jobs, &outcome.cells);
+    suite.set_cell_stats(outcome.stats);
+    Ok(suite)
+}
 
-    let mut suite = ExperimentSuite::new().with_jobs(experiment.jobs);
-    let mut jsonl = None;
-    let mut csv = None;
-    for (name, cell) in &outcome.cells {
-        match cell {
-            CellOutcome::Completed { payload, .. } => {
-                suite.note_completed();
-                for (title, body) in decode_payload(payload) {
-                    if title == TRACE_JSONL_SECTION {
-                        jsonl = Some(body.to_string());
-                    } else if title == TRACE_CSV_SECTION {
-                        csv = Some(body.to_string());
-                    } else {
-                        println!("{}", suite.section(title, body));
-                    }
-                }
-            }
-            // The attempt count is session-relative, so it stays out of
-            // the byte-compared summary; the message itself is a pure
-            // function of the cell.
-            CellOutcome::Quarantined { error, .. } => {
-                suite.note_quarantined(name, format!("quarantined: {error}"));
+/// `repro_all dump`: writes the paper artifact's trace files for every
+/// paper workload's AutoNUMA run into `<workload>/autonuma/` under the
+/// working directory — `memory_trace.csv`, `mmap_trace.csv`,
+/// `munmap_trace.csv`, `perfmem_trace_mapped_DRAM.csv` and
+/// `perfmem_trace_mapped_PMEM.csv`, the outputs of the artifact's
+/// `start_post_process.sh` + `start_mapping.sh` pipeline and the inputs
+/// of its plotting scripts (Figure 7 reads the mmap/munmap traces,
+/// Figure 8 the PMEM trace).
+///
+/// Takes the suite's flags (everything after the `dump` token) and
+/// returns the process exit code: 0 on success, 1 if a run or a file
+/// write fails, 2 on bad arguments.
+pub fn run_dump_cli(args: impl IntoIterator<Item = String>) -> i32 {
+    let cli = match Cli::parse(args) {
+        Ok(cli) => cli,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return 2;
+        }
+    };
+    banner("trace dump (artifact CSV layout)", &cli);
+    for kernel in Kernel::PAPER {
+        for dataset in Dataset::ALL {
+            let w = cli.experiment.workload(kernel, dataset);
+            if let Err(e) = dump_workload(&cli.experiment, w) {
+                eprintln!("dump {}: {e}", w.name());
+                return 1;
             }
         }
     }
-    if let (Some(jsonl), Some(csv)) = (jsonl, csv) {
-        suite.set_trace_exports(TraceExports { jsonl, csv });
-    }
-    suite.set_cell_stats(outcome.stats);
-    Ok(suite)
+    0
+}
+
+/// Runs `w` under AutoNUMA and writes its five artifact CSVs.
+fn dump_workload(cfg: &ExperimentConfig, w: WorkloadConfig) -> Result<(), String> {
+    let r = cfg.run(w, TieringMode::AutoNuma).map_err(|e| e.to_string())?;
+    let dir = PathBuf::from(w.name()).join("autonuma");
+    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let write = |name: &str, csv: &dyn Fn(&mut Vec<u8>) -> std::io::Result<()>| {
+        let path = dir.join(name);
+        let mut bytes = Vec::new();
+        csv(&mut bytes)
+            .and_then(|()| atomic_write(&path, &bytes))
+            .map_err(|e| format!("write {}: {e}", path.display()))
+    };
+    write("memory_trace.csv", &|b| export::write_memory_trace(b, &r.samples))?;
+    write("mmap_trace.csv", &|b| export::write_mmap_trace(b, &r.tracker))?;
+    write("munmap_trace.csv", &|b| export::write_munmap_trace(b, &r.tracker))?;
+    write("perfmem_trace_mapped_DRAM.csv", &|b| {
+        export::write_mapped_trace(b, &r.samples, &r.tracker, Tier::Dram)
+    })?;
+    write("perfmem_trace_mapped_PMEM.csv", &|b| {
+        export::write_mapped_trace(b, &r.samples, &r.tracker, Tier::Nvm)
+    })?;
+    println!(
+        "{}: {} samples, {} allocations -> {}/",
+        w.name(),
+        r.samples.len(),
+        r.tracker.len(),
+        dir.display()
+    );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -773,37 +824,50 @@ mod tests {
         assert_eq!(ExperimentSuite::new().with_jobs(0).jobs(), 1, "clamped to at least one worker");
     }
 
+    fn cell(
+        name: &str,
+        run: impl Fn() -> Result<String, CellError> + Send + Sync + 'static,
+    ) -> JournalCell {
+        JournalCell { name: name.to_string(), run: Box::new(run) }
+    }
+
+    fn error(message: &str) -> CellError {
+        CellError { class: FailureClass::Error, message: message.to_string() }
+    }
+
     #[test]
     fn suite_continues_past_failures_and_reports() {
-        let mut suite = ExperimentSuite::new();
-        let ok = suite.attempt("first", || Ok::<_, String>(41));
-        assert_eq!(ok, Some(41));
-        let bad = suite.attempt("second", || Err::<i32, _>("boom".to_string()));
-        assert_eq!(bad, None);
-        let after = suite.attempt("third", || Ok::<_, String>(1));
-        assert_eq!(after, Some(1), "a failure does not stop later experiments");
+        let cells = vec![
+            cell("first", || Ok(encode_payload(&[("one".to_string(), "1\n".to_string())]))),
+            cell("second", || Err(error("boom"))),
+            cell("third", || Ok(encode_payload(&[("three".to_string(), "3\n".to_string())]))),
+        ];
+        let suite = assemble(1, &run_unjournaled(&cells));
+        assert_eq!(
+            suite.output(),
+            "--- one ---\n1\n\n--- three ---\n3\n\n",
+            "a failure does not stop later cells"
+        );
         assert_eq!(suite.failures().len(), 1);
         assert_eq!(suite.exit_code(), 1);
         let s = suite.summary();
-        assert!(s.contains("2/3 experiments completed"), "{s}");
-        assert!(s.contains("FAILED second: boom"), "{s}");
+        assert_eq!(s, "== 2/3 experiments completed ==\nFAILED second: quarantined: boom\n");
     }
 
     #[test]
     fn suite_isolates_panics() {
-        let mut suite = ExperimentSuite::new();
-        let r = suite.attempt("exploding", || -> Result<(), String> {
-            panic!("unrecoverable fault at 0xdead");
-        });
-        assert_eq!(r, None);
-        assert!(suite.summary().contains("panicked: unrecoverable fault at 0xdead"));
+        let cells = vec![cell("exploding", || panic!("unrecoverable fault at 0xdead"))];
+        let suite = assemble(1, &run_unjournaled(&cells));
+        assert!(suite
+            .summary()
+            .contains("FAILED exploding: quarantined: unrecoverable fault at 0xdead"));
         assert_eq!(suite.exit_code(), 1);
     }
 
     #[test]
     fn clean_suite_exits_zero() {
         let mut suite = ExperimentSuite::new();
-        suite.attempt("only", || Ok::<_, String>(()));
+        suite.note_completed();
         let text = suite.section("t", "body\n");
         assert!(text.starts_with("--- t ---"));
         assert_eq!(suite.exit_code(), 0);

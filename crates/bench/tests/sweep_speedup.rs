@@ -34,7 +34,7 @@ fn cells() -> Vec<impl FnOnce() -> Vec<u8> + Send> {
     ws.push(ws[1]);
     ws.into_iter()
         .map(move |w| {
-            let mc = cfg.machine_for(&w, TieringMode::AutoNuma);
+            let mc = cfg.machine(TieringMode::AutoNuma);
             move || {
                 let report = run_workload(mc, w).expect("cell run");
                 let mut bytes = Vec::new();

@@ -94,7 +94,7 @@ impl Comparison {
         let cells: Vec<_> = specs
             .into_iter()
             .map(|(w, spill, auto)| {
-                let base = cfg.machine_for(&w, TieringMode::AutoNuma);
+                let base = cfg.machine(TieringMode::AutoNuma);
                 move || Self::static_row(base, w, spill, &*auto?)
             })
             .collect();
@@ -113,7 +113,7 @@ impl Comparison {
         workload: WorkloadConfig,
         spill: bool,
     ) -> Result<Fig11Row, CoreError> {
-        let base = cfg.machine_for(&workload, TieringMode::AutoNuma);
+        let base = cfg.machine(TieringMode::AutoNuma);
         let auto = run_workload(base.clone(), workload)?;
         Self::static_row(base, workload, spill, &auto)
     }
@@ -208,6 +208,19 @@ mod tests {
         assert!(row.static_secs > 0.0);
         assert!(!row.spill);
         assert!(row.workload == "bfs_kron");
+
+        // The row's static half is a static-object run on the plan
+        // profiled from the AutoNUMA half, and it never migrates.
+        let base = cfg.machine(TieringMode::AutoNuma);
+        let auto = run_workload(base.clone(), w).unwrap();
+        assert_eq!(auto.mode_name, "autonuma");
+        assert_eq!(row.autonuma_secs, auto.total_secs);
+        let mut static_cfg = base.clone();
+        static_cfg.mode = TieringMode::StaticObject(plan_from_report(&auto, &base, false));
+        let stat = run_workload(static_cfg, w).unwrap();
+        assert_eq!(stat.mode_name, "static_object");
+        assert!(stat.counters.no_migrations(), "static mapping never migrates");
+        assert_eq!(row.static_secs, stat.total_secs);
     }
 
     #[test]

@@ -148,20 +148,13 @@ impl ExperimentConfig {
         )
     }
 
-    /// The machine configuration for a workload under `mode`. The machine
-    /// is the same for every workload (see [`ExperimentConfig::machine`]);
-    /// the parameter only keeps call sites self-documenting.
-    pub fn machine_for(&self, _workload: &WorkloadConfig, mode: TieringMode) -> MachineConfig {
-        self.machine(mode)
-    }
-
     /// Runs one workload under `mode`.
     ///
     /// # Errors
     ///
     /// Propagates configuration/OOM errors from the runner.
     pub fn run(&self, workload: WorkloadConfig, mode: TieringMode) -> Result<RunReport, CoreError> {
-        run_workload(self.machine_for(&workload, mode), workload)
+        run_workload(self.machine(mode), workload)
     }
 }
 
@@ -208,9 +201,7 @@ mod tests {
 
     #[test]
     fn machine_inherits_sample_period() {
-        let cfg = tiny_config();
-        let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
-        let m = cfg.machine_for(&w, TieringMode::AutoNuma);
+        let m = tiny_config().machine(TieringMode::AutoNuma);
         assert_eq!(m.sample_period, 97);
     }
 

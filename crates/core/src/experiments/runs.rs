@@ -72,7 +72,7 @@ impl AutonumaRuns {
     /// simulation.
     fn cell(&self, w: WorkloadConfig) -> impl FnOnce() -> SharedRun + Send {
         let hit = self.lock().iter().find(|(d, _)| *d == w).map(|(_, r)| Arc::clone(r));
-        let mc = self.cfg.machine_for(&w, TieringMode::AutoNuma);
+        let mc = self.cfg.machine(TieringMode::AutoNuma);
         move || match hit {
             Some(report) => Ok(report),
             None => run_workload(mc, w).map(Arc::new),

@@ -241,7 +241,7 @@ fn panicking_and_stuck_cells_quarantine_in_degraded_summary() {
                     thp: false,
                 };
                 let w = exp.workloads().into_iter().next().expect("workload");
-                let mut mc = exp.machine_for(&w, TieringMode::AutoNuma);
+                let mut mc = exp.machine(TieringMode::AutoNuma);
                 mc.os.kswapd_period_cycles = 1_000;
                 match run_workload(mc, w) {
                     Err(e @ CoreError::Run(RunError::Stuck { .. })) => {

@@ -103,7 +103,7 @@ fn audited_runs_stay_clean_under_parallel_sweep() {
             .into_iter()
             .take(4)
             .map(|w| {
-                let mc: MachineConfig = cfg.machine_for(&w, TieringMode::AutoNuma).with_audit(64);
+                let mc: MachineConfig = cfg.machine(TieringMode::AutoNuma).with_audit(64);
                 move || serialized(&run_workload(mc, w).expect("audited run"))
             })
             .collect();

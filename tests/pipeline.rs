@@ -36,7 +36,7 @@ fn autonuma_disabled_counters_stay_zero() {
 fn static_mapping_never_migrates() {
     let cfg = tiny();
     let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
-    let base = cfg.machine_for(&w, TieringMode::AutoNuma);
+    let base = cfg.machine(TieringMode::AutoNuma);
     let auto = run_workload(base.clone(), w).expect("profiling run");
     let plan = plan_from_report(&auto, &base, true);
     let mut static_cfg = base;
@@ -141,7 +141,7 @@ fn baseline_modes_bracket_performance() {
     let cfg = tiny();
     let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
     // Give the all-DRAM machine enough capacity to hold everything.
-    let mut big = cfg.machine_for(&w, TieringMode::AllDram);
+    let mut big = cfg.machine(TieringMode::AllDram);
     big.mem.dram_capacity = w.peak_app_bytes() * 4;
     big.mem.nvm_capacity = w.peak_app_bytes() * 4;
     let all_dram = run_workload(big.clone(), w).expect("all dram");
@@ -168,7 +168,7 @@ fn baseline_modes_bracket_performance() {
 fn memory_mode_brackets_between_dram_and_nvm() {
     let cfg = tiny();
     let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
-    let mut big = cfg.machine_for(&w, TieringMode::AllDram);
+    let mut big = cfg.machine(TieringMode::AllDram);
     big.mem.dram_capacity = w.peak_app_bytes() * 4;
     big.mem.nvm_capacity = w.peak_app_bytes() * 4;
     let all_dram = run_workload(big.clone(), w).expect("all dram");

@@ -1,6 +1,7 @@
 //! Byte oracle for the reproduction suite: the suite at the CI smoke
 //! arguments must reproduce the archived `results/repro_scale11.txt`
-//! exactly, and with `--thp` the archived `results/repro_scale11_thp.txt`.
+//! exactly — plain, journaled (`--resume`) and with an injected failing
+//! cell — and with `--thp` the archived `results/repro_scale11_thp.txt`.
 //! Replacement policy, OS model and rendering all feed those bytes, so any
 //! behaviour change in them fails here; the THP archive also pins the
 //! huge-page TLB key, fault-around and collapse paths.
@@ -9,13 +10,19 @@
 //! `repro_all --scale 11 --degree 8 --trials 1 --out results/repro_scale11.txt`
 //! and the same command with `--thp --out results/repro_scale11_thp.txt`.
 
-use tiersim_bench::{run_repro_suite, Cli};
+use tiersim_bench::{run_repro_suite, run_suite_journaled, Cli, ExperimentSuite};
+use tiersim_core::journal::RunnerOptions;
+use tiersim_core::ExperimentConfig;
 
-fn assert_reproduces(extra: &[&str], archived: &str, archive: &str) {
+const SCALE11: &str = include_str!("../results/repro_scale11.txt");
+
+/// The experiment at the CI smoke arguments plus `extra` flags.
+fn smoke(extra: &[&str]) -> ExperimentConfig {
     let args = ["--scale", "11", "--degree", "8", "--trials", "1"].iter().chain(extra);
-    let cli = Cli::parse(args.map(|a| a.to_string())).expect("CI smoke arguments parse");
-    let suite = run_repro_suite(&cli.experiment, false);
-    assert_eq!(suite.exit_code(), 0, "suite failed:\n{}", suite.summary());
+    Cli::parse(args.map(|a| a.to_string())).expect("CI smoke arguments parse").experiment
+}
+
+fn assert_output(suite: &ExperimentSuite, archived: &str, archive: &str) {
     assert!(
         suite.output() == archived,
         "suite output differs from {archive} (first differing line: {:?})",
@@ -23,13 +30,42 @@ fn assert_reproduces(extra: &[&str], archived: &str, archive: &str) {
     );
 }
 
+fn assert_reproduces(extra: &[&str], archived: &str, archive: &str) {
+    let suite = run_repro_suite(&smoke(extra), false);
+    assert_eq!(suite.exit_code(), 0, "suite failed:\n{}", suite.summary());
+    assert_output(&suite, archived, archive);
+}
+
 #[test]
 fn scale11_suite_reproduces_the_archived_output() {
-    assert_reproduces(
-        &[],
-        include_str!("../results/repro_scale11.txt"),
-        "results/repro_scale11.txt",
+    assert_reproduces(&[], SCALE11, "results/repro_scale11.txt");
+}
+
+#[test]
+fn scale11_journaled_suite_reproduces_the_archived_output() {
+    let journal =
+        std::env::temp_dir().join(format!("tiersim-oracle-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let suite = run_suite_journaled(&smoke(&[]), &journal, RunnerOptions::default(), false)
+        .expect("journaled suite");
+    std::fs::remove_file(&journal).expect("journal written");
+    assert_eq!(
+        suite.summary(),
+        "== 4/4 experiments completed ==\ncells: 4 completed, 0 retried, 0 quarantined\n"
     );
+    assert_output(&suite, SCALE11, "results/repro_scale11.txt");
+}
+
+#[test]
+fn injected_failure_exits_one_and_keeps_every_section() {
+    let suite = run_repro_suite(&smoke(&[]), true);
+    assert_eq!(suite.exit_code(), 1);
+    assert_eq!(
+        suite.summary(),
+        "== 4/5 experiments completed ==\nFAILED injected failure: quarantined: invalid \
+         configuration: injected failure (got --inject-failure)\n"
+    );
+    assert_output(&suite, SCALE11, "results/repro_scale11.txt");
 }
 
 #[test]

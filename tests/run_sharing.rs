@@ -13,7 +13,10 @@ use tiersim::core::experiments::{
     AutonumaRuns, AutonumaTrace, Characterization, Comparison, ObjectAnalysis,
 };
 use tiersim::core::{runs_started, CoreError, ExperimentConfig};
-use tiersim_bench::{run_suite_journaled, ExperimentSuite};
+use tiersim_bench::{
+    autonuma_trace_sections, characterization_sections, comparison_sections,
+    object_analysis_sections, run_suite_journaled, ExperimentSuite,
+};
 use tiersim_core::journal::{JournalStats, RunnerOptions};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -37,74 +40,24 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, runs_started() - before)
 }
 
-type Sections = Vec<(String, String)>;
-type Experiment = fn(&ExperimentConfig) -> Result<Sections, CoreError>;
+type Experiment = fn(&AutonumaRuns) -> Result<Vec<(String, String)>, CoreError>;
 
-fn characterization(cfg: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let c = Characterization::run(cfg)?;
-    Ok(vec![
-        ("Figure 3: sample distribution across levels".to_string(), c.render_fig3()),
-        ("Figure 4: page touch-count histogram".to_string(), c.render_fig4()),
-        ("Figure 5: 2-touch reuse intervals (hottest NVM object)".to_string(), c.render_fig5()),
-        ("Table 1: external access location".to_string(), c.render_table1()),
-        ("Table 2: external latency cost split".to_string(), c.render_table2()),
-        ("Table 3: external access cost by TLB outcome".to_string(), c.render_table3()),
-    ])
-}
-
-fn object_analysis(cfg: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let a = ObjectAnalysis::run(cfg)?;
-    let mut out = vec![(
-        "Figure 6: top objects by external samples (bc_kron)".to_string(),
-        a.render_fig6(10),
-    )];
-    if let Some(secs) = a.hottest_nvm_alloc_secs() {
-        let body = format!(
-            "peak live {:.2} MB over {} events; hottest NVM object allocated at t={secs:.4}s\n",
-            a.fig7().peak_bytes() as f64 / (1 << 20) as f64,
-            a.fig7().points.len(),
-        );
-        out.push(("Figure 7: allocation timeline (bc_kron)".to_string(), body));
-    }
-    if let Some(p) = a.fig8() {
-        let body = format!(
-            "{} samples, randomness metric {:.3}\n",
-            p.points.len(),
-            p.randomness().unwrap_or(0.0)
-        );
-        out.push(("Figure 8: hottest NVM object access pattern (bc_kron)".to_string(), body));
-    }
-    Ok(out)
-}
-
-fn autonuma_trace(cfg: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let tr = AutonumaTrace::run(cfg)?;
-    Ok(vec![
-        ("Figure 9: memory usage and counters over time (bc_kron)".to_string(), tr.render_fig9()),
-        ("Figure 10: DRAM loads vs promotions (bc_kron)".to_string(), tr.render_fig10()),
-    ])
-}
-
-fn comparison(cfg: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let cmp = Comparison::run(cfg)?;
-    Ok(vec![("Figure 11: object-level static mapping vs AutoNUMA".to_string(), cmp.render())])
-}
-
-/// The unshared reference: the four experiments, each on a fresh store,
-/// assembled the way the journaled suite assembles its cells (a failing
-/// experiment fails every attempt the same way, so it quarantines).
+/// The unshared reference: the library's four section builders, each on
+/// a fresh store, assembled the way the journaled suite assembles its
+/// cells (a failing experiment fails every attempt the same way, so it
+/// quarantines).
 fn unshared_reference(cfg: &ExperimentConfig) -> (ExperimentSuite, u64) {
     counted(|| {
         let mut suite = ExperimentSuite::new();
         let mut stats = JournalStats::default();
         let experiments: [(&str, Experiment); 4] = [
-            ("characterization", characterization),
-            ("object analysis", object_analysis),
-            ("autonuma trace", autonuma_trace),
-            ("comparison", comparison),
+            ("characterization", characterization_sections),
+            ("object analysis", object_analysis_sections),
+            ("autonuma trace", |runs| autonuma_trace_sections(runs).map(|(sections, _)| sections)),
+            ("comparison", comparison_sections),
         ];
-        for (name, run) in experiments {
-            match run(cfg) {
+        for (name, sections) in experiments {
+            match sections(&AutonumaRuns::new(cfg)) {
                 Ok(sections) => {
                     stats.completed += 1;
                     suite.note_completed();
