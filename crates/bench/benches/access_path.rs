@@ -1,7 +1,7 @@
 //! Microbenchmarks of the simulator's hot access path: cache hits, device
 //! misses, TLB walks, and page migration — plus the tracked perf baseline:
-//! streaming throughput through the `access_run` fast lane vs the
-//! per-element path, and experiment-sweep wall time serial vs parallel,
+//! streaming throughput of the per-element path over resident and
+//! demand-paged memory, and experiment-sweep wall time serial vs parallel,
 //! written to `BENCH_access_path.json` at the repo root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -169,15 +169,6 @@ fn time_per_element() -> (f64, u64) {
     (t.elapsed().as_secs_f64(), black_box(cycles))
 }
 
-/// Times the same stream through the per-line batched fast lane
-/// (`MemorySystem::access_run`).
-fn time_fast_lane() -> (f64, u64) {
-    let (mut sys, a) = stream_system();
-    let t = Instant::now();
-    let out = sys.access_run(a, 8, STREAM_ELEMS, AccessKind::Load, 0).unwrap();
-    (t.elapsed().as_secs_f64(), black_box(out.cycles))
-}
-
 /// Pages in the streaming region (8 MB / 4 KiB).
 const STREAM_PAGES: u64 = STREAM_ELEMS * 8 / PAGE_SIZE;
 
@@ -230,7 +221,6 @@ fn bench_stream(c: &mut Criterion) {
     let mut g = c.benchmark_group("stream");
     g.throughput(Throughput::Elements(STREAM_ELEMS));
     g.bench_function("per_element", |b| b.iter(|| time_per_element().1));
-    g.bench_function("fast_lane", |b| b.iter(|| time_fast_lane().1));
     g.bench_function("demand_paged", |b| b.iter(|| time_demand_paged().1));
     g.finish();
 }
@@ -276,12 +266,9 @@ fn best_of_3<T>(mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
 /// Measures the tracked perf baseline and writes it to
 /// `BENCH_access_path.json` at the repo root.
 fn bench_baseline(_c: &mut Criterion) {
-    // Access-path throughput: both lanes must charge bit-equal cycles.
-    let (per_elem_secs, per_elem_cycles) = best_of_3(time_per_element);
-    let (fast_secs, fast_cycles) = best_of_3(time_fast_lane);
-    assert_eq!(per_elem_cycles, fast_cycles, "fast lane diverged from the per-element path");
+    // Access-path throughput over resident memory.
+    let (per_elem_secs, _) = best_of_3(time_per_element);
     let per_elem_rate = STREAM_ELEMS as f64 / per_elem_secs;
-    let fast_rate = STREAM_ELEMS as f64 / fast_secs;
 
     // Demand-paged regime: element-by-element faulting.
     let (demand_secs, _demand_cycles) = best_of_3(time_demand_paged);
@@ -315,10 +302,9 @@ fn bench_baseline(_c: &mut Criterion) {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"access_path\",\n  \"host_cores\": {cores},\n  \"access_path\": {{\n    \"stream_elements\": {elems},\n    \"per_element_secs\": {per_elem_secs:.6},\n    \"per_element_accesses_per_sec\": {per_elem_rate:.0},\n    \"fast_lane_secs\": {fast_secs:.6},\n    \"fast_lane_accesses_per_sec\": {fast_rate:.0},\n    \"fast_lane_speedup\": {lane_speedup:.3},\n    \"demand_paged_secs\": {demand_secs:.6},\n    \"demand_paged_accesses_per_sec\": {demand_rate:.0}\n  }},\n  \"sweep\": {{\n    \"cells\": 6,\n    \"scale\": 10,\n    \"serial_secs\": {serial_secs:.3},\n    \"jobs\": {jobs},\n    \"parallel_secs\": {parallel_secs:.3},\n    \"sweep_speedup\": {sweep_speedup}{sweep_note}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"access_path\",\n  \"host_cores\": {cores},\n  \"access_path\": {{\n    \"stream_elements\": {elems},\n    \"per_element_secs\": {per_elem_secs:.6},\n    \"per_element_accesses_per_sec\": {per_elem_rate:.0},\n    \"demand_paged_secs\": {demand_secs:.6},\n    \"demand_paged_accesses_per_sec\": {demand_rate:.0}\n  }},\n  \"sweep\": {{\n    \"cells\": 6,\n    \"scale\": 10,\n    \"serial_secs\": {serial_secs:.3},\n    \"jobs\": {jobs},\n    \"parallel_secs\": {parallel_secs:.3},\n    \"sweep_speedup\": {sweep_speedup}{sweep_note}\n  }}\n}}\n",
         cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1),
         elems = STREAM_ELEMS,
-        lane_speedup = per_elem_secs / fast_secs.max(1e-12),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_access_path.json");
     tiersim_core::journal::atomic_write(std::path::Path::new(path), json.as_bytes())

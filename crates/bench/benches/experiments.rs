@@ -1,6 +1,6 @@
 //! One Criterion target per paper table/figure, at a reduced scale so
 //! `cargo bench` exercises every reproduction end to end. The
-//! full-resolution runs live in the `src/bin` reproduction binaries.
+//! full-resolution runs are the `repro_all` binary's sections.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tiersim_core::experiments::{

@@ -38,11 +38,6 @@ pub struct MachineConfig {
     pub timeline_period_cycles: u64,
     /// Fraction of DRAM the static-object planner may commit.
     pub plan_dram_headroom: f64,
-    /// Host worker threads available to sweeps that run many copies of
-    /// this machine concurrently (see `crate::sweep`). One machine is
-    /// always a single simulation thread: this knob never affects
-    /// simulated behavior or output bytes, only wall-clock time.
-    pub jobs: usize,
     /// Stuck-cell watchdog: abort the run (as a typed
     /// [`crate::RunError::Stuck`] failure) once the machine has taken more
     /// than this many OS engine ticks. `0` disables the watchdog. Ticks
@@ -108,16 +103,8 @@ impl MachineConfig {
             cpu_cycles_per_op: 2,
             timeline_period_cycles,
             plan_dram_headroom: 0.92,
-            jobs: 1,
             tick_budget: 0,
         }
-    }
-
-    /// Returns a copy with `jobs` host worker threads for sweeps.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
     }
 
     /// Returns a copy with the stuck-cell watchdog armed at `ticks` OS
@@ -174,9 +161,6 @@ impl MachineConfig {
         if self.threads == 0 {
             return Err(CoreError::InvalidConfig { what: "threads", got: "0".to_string() });
         }
-        if self.jobs == 0 {
-            return Err(CoreError::InvalidConfig { what: "jobs", got: "0".to_string() });
-        }
         if self.sample_period == 0 {
             return Err(CoreError::InvalidConfig { what: "sample period", got: "0".to_string() });
         }
@@ -220,15 +204,6 @@ mod tests {
         let mut cfg = MachineConfig::scaled_default(1 << 20, TieringMode::FirstTouch);
         cfg.threads = 0;
         assert!(matches!(cfg.validate(), Err(CoreError::InvalidConfig { what: "threads", .. })));
-    }
-
-    #[test]
-    fn validation_catches_zero_jobs() {
-        let cfg = MachineConfig::scaled_default(1 << 20, TieringMode::AutoNuma).with_jobs(0);
-        assert!(matches!(cfg.validate(), Err(CoreError::InvalidConfig { what: "jobs", .. })));
-        let cfg = cfg.with_jobs(8);
-        cfg.validate().unwrap();
-        assert_eq!(cfg.jobs, 8);
     }
 
     #[test]

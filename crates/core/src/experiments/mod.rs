@@ -118,7 +118,6 @@ impl ExperimentConfig {
         let reference = self.workload(Kernel::Bc, Dataset::Kron);
         let mut cfg = MachineConfig::scaled_default(reference.steady_app_bytes(), mode);
         cfg.sample_period = self.sample_period;
-        cfg.jobs = self.jobs;
         cfg.mem.trace = self.trace;
         cfg.tick_budget = self.tick_budget;
         if self.thp {

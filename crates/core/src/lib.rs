@@ -56,4 +56,4 @@ pub use tiersim_trace::{
     TraceRecord, CSV_HEADER as TRACE_CSV_HEADER,
 };
 pub use timeline::{TimelineOps, TimelineSnapshot};
-pub use workload::{Dataset, Kernel, LoadMode, WorkloadConfig};
+pub use workload::{Dataset, Kernel, WorkloadConfig};

@@ -18,8 +18,9 @@ use tiersim_profile::{AllocTracker, Sampler};
 const SYSCALL_COST_CYCLES: u64 = 1_300;
 
 /// Elements per batched run chunk ([`Machine::run`]): large enough to
-/// amortize the run-engine dispatch, small enough that OS housekeeping —
-/// which runs at chunk boundaries in batched mode — stays timely.
+/// amortize the plain-window scan and the clock advance, small enough
+/// that OS housekeeping — which runs at chunk boundaries in batched
+/// mode — stays timely.
 const RUN_CHUNK_ELEMS: u64 = 4_096;
 
 /// The simulated machine for one run.
@@ -491,9 +492,9 @@ impl Machine {
     /// due sample — take the exact per-element [`Machine::op`] path one at
     /// a time. Everything else is provably plain (resident hint-free
     /// pages, sampler not due, so `AutoNuma::on_access` would be an exact
-    /// no-op) and is dispatched in chunks to
-    /// [`MemorySystem::access_run`], which charges each cache line's
-    /// repeat elements in bulk.
+    /// no-op) and runs in chunks: each element goes through
+    /// [`MemorySystem::access`] exactly as [`Machine::op`] would issue it,
+    /// and the chunk's cycles are summed into one clock advance.
     ///
     /// Semantic note (DESIGN.md §12): within a chunk the clock is frozen
     /// at the chunk's start and OS housekeeping runs at chunk boundaries,
@@ -520,21 +521,25 @@ impl Machine {
             let window_end = (a.page().index() + window_pages as u64) << tiersim_mem::PAGE_SHIFT;
             let max_in_window = (window_end - 1 - a.raw()) / stride64 + 1;
             let chunk = (count - i).min(RUN_CHUNK_ELEMS).min(max_in_window).min(due - 1);
-            match self.mem.access_run(a, stride, chunk, kind, self.clock_cycles) {
-                Ok(out) => {
-                    debug_assert_eq!(out.elems, chunk);
-                    debug_assert_eq!(out.hint_faults, 0, "hint fault inside a plain window");
-                    self.sampler.observe_gap(out.elems);
-                    self.advance_parallel(self.cfg.cpu_cycles_per_op * out.elems + out.cycles);
-                    i += out.elems;
-                }
-                Err(rf) => {
-                    // The window held only resident pages and nothing in
-                    // access_run unmaps them.
-                    // tiersim-analyze: allow(panic-reach) — window residency is established above
-                    unreachable!("fault inside a resident plain window: {:?}", rf.error)
+            let now = self.clock_cycles;
+            let mut cycles = 0;
+            for k in 0..chunk {
+                match self.mem.access(a + k * stride64, kind, now) {
+                    Ok(out) => {
+                        debug_assert!(!out.hint_fault, "hint fault inside a plain window");
+                        cycles += out.cycles;
+                    }
+                    Err(e) => {
+                        // The window held only resident pages and nothing
+                        // in MemorySystem::access unmaps them.
+                        // tiersim-analyze: allow(panic-reach) — window residency is established above
+                        unreachable!("fault inside a resident plain window: {e:?}")
+                    }
                 }
             }
+            self.sampler.observe_gap(chunk);
+            self.advance_parallel(self.cfg.cpu_cycles_per_op * chunk + cycles);
+            i += chunk;
         }
     }
 

@@ -16,7 +16,8 @@ pub struct RunReport {
     pub mode_name: String,
     /// End of the file-load phase, seconds.
     pub load_end_secs: f64,
-    /// End of the CSR build phase, seconds.
+    /// End of the CSR build phase, seconds. The `.sg` loader has no
+    /// separate build, so this equals `load_end_secs`.
     pub build_end_secs: f64,
     /// Per-trial kernel execution times, seconds.
     pub trial_secs: Vec<f64>,

@@ -7,9 +7,8 @@ use crate::report::RunReport;
 use crate::workload::{Dataset, Kernel, WorkloadConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tiersim_graph::{
-    bc, bfs, build_sim_csr, build_sim_weights, cc_afforest, cc_sv, load_sim_csr_streamed, pr,
-    sg_file_bytes, sssp, tc, BfsParams, EdgeList, KroneckerGenerator, PrParams, SimCsrGraph,
-    SourcePicker, UniformGenerator,
+    bc, bfs, build_sim_weights, cc_afforest, cc_sv, load_sim_csr_streamed, pr, sssp, tc, BfsParams,
+    EdgeList, KroneckerGenerator, PrParams, SimCsrGraph, SourcePicker, UniformGenerator,
 };
 use tiersim_policy::{aggregate_by_label, plan_static, StaticPlan};
 
@@ -160,37 +159,25 @@ fn run_workload_inner(
     let mut m = Machine::new(machine_cfg)?;
     let el = generate(&workload);
 
-    // Phases 1+2: get the graph into simulated memory.
-    let (g, load_end_secs) = match workload.load {
-        crate::workload::LoadMode::SgFile => {
-            // The paper's artifact flow: the converter built the `.sg`
-            // offline; the run streams it through the page cache and
-            // copies it into the CSR arrays.
-            let mut host = tiersim_graph::CsrGraph::from_edges(&el, true);
-            drop(el);
-            if workload.kernel == Kernel::Tc {
-                // GAPBS preprocesses TC inputs: sorted, deduplicated lists.
-                host.sort_neighbors();
-                host.dedup_neighbors();
-            }
-            let _total = sg_file_bytes(host.num_nodes(), host.num_edges());
-            // The read() loop interleaves 1 MiB file reads with the
-            // copy-out, so page cache and CSR growth compete for DRAM
-            // concurrently, as in the paper's long load phase.
-            let g = load_sim_csr_streamed(&mut m, &host, threads, 1 << 20, |m, bytes| {
-                m.file_read(bytes)
-            })?;
-            let load_end = m.now_secs();
-            m.snapshot_now();
-            (g, load_end)
-        }
-        crate::workload::LoadMode::GenerateAndBuild => {
-            m.file_read(el.serialized_bytes())?;
-            let load_end = m.now_secs();
-            m.snapshot_now();
-            (build_sim_csr(&mut m, &el, true, threads), load_end)
-        }
-    };
+    // Phases 1+2: get the graph into simulated memory. The paper's
+    // artifact flow: the converter built the `.sg` offline; the run
+    // streams it through the page cache and copies it into the CSR arrays.
+    let mut host = tiersim_graph::CsrGraph::from_edges(&el, true);
+    drop(el);
+    if workload.kernel == Kernel::Tc {
+        // GAPBS preprocesses TC inputs: sorted, deduplicated lists.
+        host.sort_neighbors();
+        host.dedup_neighbors();
+    }
+    // The read() loop interleaves 1 MiB file reads with the copy-out, so
+    // page cache and CSR growth compete for DRAM concurrently, as in the
+    // paper's long load phase.
+    let g = load_sim_csr_streamed(&mut m, &host, threads, 1 << 20, |m, bytes| m.file_read(bytes))?;
+    drop(host);
+    let load_end_secs = m.now_secs();
+    m.snapshot_now();
+    // The `.sg` load has no separate build phase: it ends where the load
+    // ends, with its own timeline mark.
     let build_end_secs = m.now_secs();
     m.snapshot_now();
 
@@ -242,7 +229,7 @@ pub fn plan_from_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiersim_graph::reference;
+    use tiersim_graph::{build_sim_csr, reference};
     use tiersim_policy::TieringMode;
 
     fn tiny(kernel: Kernel, dataset: Dataset) -> WorkloadConfig {
@@ -261,7 +248,7 @@ mod tests {
         assert!(r.exec_secs() > 0.0);
         assert!(r.load_end_secs > 0.0);
         // With the streamed .sg loader, load and deserialize are one
-        // phase; the explicit build phase exists under GenerateAndBuild.
+        // phase.
         assert!(r.build_end_secs >= r.load_end_secs);
         assert!(r.total_secs >= r.build_end_secs);
         assert!(!r.samples.is_empty());
@@ -316,23 +303,6 @@ mod tests {
         let host = g.to_host_csr();
         let r = tiersim_graph::bfs(&mut null, &g, 1, 2, BfsParams::default());
         assert_eq!(r.dist.host(), reference::bfs_ref(&host, 1).as_slice());
-    }
-
-    #[test]
-    fn generate_and_build_mode_has_build_phase() {
-        let mut w = tiny(Kernel::Bfs, Dataset::Kron);
-        w.load = crate::workload::LoadMode::GenerateAndBuild;
-        let r = run_workload(cfg(&w, TieringMode::AutoNuma), w).unwrap();
-        // The in-process build is a distinct phase and leaves the builder
-        // temporaries in the allocation log (freed before the trials).
-        assert!(r.build_end_secs > r.load_end_secs);
-        let edge_list = r
-            .tracker
-            .records()
-            .iter()
-            .find(|rec| &*rec.site == "builder.edge_list")
-            .expect("edge list tracked");
-        assert!(edge_list.free_time.is_some(), "edge list freed after build");
     }
 
     #[test]

@@ -81,18 +81,6 @@ impl fmt::Display for Dataset {
     }
 }
 
-/// How the graph reaches memory at run start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LoadMode {
-    /// Read a pre-built serialized CSR (`.sg`) through the page cache and
-    /// copy it out — the paper artifact's flow (`converter` runs offline).
-    #[default]
-    SgFile,
-    /// Read a raw edge-list file and build the CSR in-process (GAPBS `-g`/
-    /// `-u` flow with an explicit build phase); kept as an ablation.
-    GenerateAndBuild,
-}
-
 /// One workload: kernel, dataset, size and trial parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
@@ -108,23 +96,13 @@ pub struct WorkloadConfig {
     pub trials: usize,
     /// RNG seed for generation and source picking.
     pub seed: u64,
-    /// How the graph is loaded.
-    pub load: LoadMode,
 }
 
 impl WorkloadConfig {
     /// Creates a workload with the scaled experiment defaults
     /// (scale 18, degree 16, 4 trials, `.sg` load).
     pub fn new(kernel: Kernel, dataset: Dataset) -> Self {
-        WorkloadConfig {
-            kernel,
-            dataset,
-            scale: 18,
-            degree: 16,
-            trials: 4,
-            seed: 20220917,
-            load: LoadMode::SgFile,
-        }
+        WorkloadConfig { kernel, dataset, scale: 18, degree: 16, trials: 4, seed: 20220917 }
     }
 
     /// Sets the scale (consuming builder style).

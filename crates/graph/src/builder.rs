@@ -140,12 +140,6 @@ pub fn load_sim_csr<B: MemBackend>(
     SimCsrGraph::from_parts(index, neighbors)
 }
 
-/// Size in bytes of the serialized CSR (`.sg`) form: a small header plus
-/// 64-bit offsets and 32-bit neighbor ids, as GAPBS writes it.
-pub fn sg_file_bytes(num_nodes: usize, num_directed_edges: usize) -> u64 {
-    16 + 8 * (num_nodes as u64 + 1) + 4 * num_directed_edges as u64
-}
-
 /// Streamed variant of [`load_sim_csr`]: the loader's `read()` loop
 /// interleaves file input with the copy-out, calling `read_chunk(b,
 /// bytes)` before each `chunk_bytes` of CSR data is written. This is how
@@ -276,11 +270,6 @@ mod tests {
         // Two objects allocated, all elements stored.
         assert_eq!(b.mmaps(), 2);
         assert_eq!(b.stores(), (host.num_nodes() + 1 + host.num_edges()) as u64);
-    }
-
-    #[test]
-    fn sg_file_size_formula() {
-        assert_eq!(sg_file_bytes(3, 4), 16 + 8 * 4 + 4 * 4);
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl EdgeList {
         self.edges.is_empty()
     }
 
-    /// Size in bytes of the serialized form (8 bytes per edge), used to
-    /// model the graph file the loader reads through the page cache.
-    pub fn serialized_bytes(&self) -> u64 {
-        self.edges.len() as u64 * 8
-    }
-
     /// Removes self-loops in place (GAPBS builder squish step).
     pub fn remove_self_loops(&mut self) {
         self.edges.retain(|&(u, v)| u != v);
@@ -62,7 +56,6 @@ mod tests {
     fn new_validates_endpoints() {
         let el = EdgeList::new(4, vec![(0, 1), (3, 2)]);
         assert_eq!(el.len(), 2);
-        assert_eq!(el.serialized_bytes(), 16);
     }
 
     #[test]

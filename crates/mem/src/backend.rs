@@ -32,10 +32,13 @@ pub trait MemBackend {
     /// Issues `count` sequential loads of one `stride`-byte element each,
     /// element `i` at `addr + i * stride`.
     ///
-    /// The default implementation is the plain per-element loop, so every
-    /// backend behaves identically by construction; backends with a
-    /// batched fast path may override it, but must keep all observable
-    /// behavior bit-equal to the loop.
+    /// The default implementation is the plain per-element loop. A backend
+    /// may override it to schedule the run in chunks, but every element
+    /// must still get the memory-system result (level, tier, TLB outcome,
+    /// cycles, statistics) the loop would give it at the same clock. Only
+    /// the clock advance and periodic housekeeping may be deferred, and
+    /// only to chunk boundaries that are a pure function of the run and
+    /// the backend's state.
     fn load_run(&mut self, addr: VirtAddr, stride: u32, count: u64) {
         for i in 0..count {
             self.load(addr + i * u64::from(stride), stride);

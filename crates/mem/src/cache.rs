@@ -162,18 +162,6 @@ impl SetAssocCache {
         CacheOutcome::Miss { writeback }
     }
 
-    /// Credits `n` additional hits without touching replacement state.
-    ///
-    /// Used by the sequential fast lane for repeat accesses to the line
-    /// just accessed: a repeat [`SetAssocCache::access`] of a set's MRU
-    /// line leaves the set's tag words unchanged (the line is already at
-    /// the front, and a store re-marks an already-dirty line), so the
-    /// bulk credit is exactly equivalent to `n` repeat accesses.
-    #[inline]
-    pub fn record_hit_run(&mut self, n: u64) {
-        self.stats.hits += n;
-    }
-
     /// Returns `true` if `line` is present, without disturbing LRU state.
     pub fn probe(&self, line: u64) -> bool {
         let base = self.set_of(line) * self.ways;
@@ -431,27 +419,6 @@ mod tests {
             CacheOutcome::Hit => panic!("expected miss"),
         }
         assert!(!c.mark_dirty(42));
-    }
-
-    #[test]
-    fn bulk_hit_credit_matches_repeat_accesses() {
-        let mut looped = tiny(2, 1);
-        looped.access(0, false);
-        looped.access(1, true);
-        let mut bulk = looped.clone();
-        for _ in 0..4 {
-            assert!(looped.access(1, true).is_hit());
-        }
-        assert!(bulk.access(1, true).is_hit());
-        bulk.record_hit_run(3);
-        assert_eq!(looped.stats(), bulk.stats());
-        // Replacement state is untouched either way: line 0 is still the
-        // LRU victim, and the dirty victim is still line 1's neighbor.
-        looped.access(2, false);
-        bulk.access(2, false);
-        assert_eq!(looped.stats(), bulk.stats());
-        assert!(looped.probe(1) && bulk.probe(1));
-        assert!(!looped.probe(0) && !bulk.probe(0));
     }
 
     #[test]

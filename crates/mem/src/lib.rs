@@ -83,7 +83,7 @@ pub use page::{PageFlags, PageInfo};
 pub use page_table::PageTable;
 pub use simvec::SimVec;
 pub use stats::AccessStats;
-pub use system::{IntervalStats, MemorySystem, RunFault, RunOutcome, UnmapReport};
+pub use system::{IntervalStats, MemorySystem, UnmapReport};
 pub use tier::{MemLevel, Tier};
 pub use tiersim_trace::{
     FaultSite, RejectReason, TraceConfig, TraceEvent, TraceLog, TraceRecord, TraceState,

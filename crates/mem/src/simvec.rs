@@ -125,8 +125,8 @@ impl<T: Copy> SimVec<T> {
     ///
     /// Equivalent to calling [`SimVec::get`] for `0..len()`; use it for
     /// pure read sweeps — index scans, reduction passes — so backends
-    /// with a fast lane can charge the stream per cache line instead of
-    /// per element. The visitor must not touch the backend.
+    /// that schedule runs in chunks can do so. The visitor must not touch
+    /// the backend.
     pub fn scan<B: MemBackend>(&self, backend: &mut B, mut f: impl FnMut(usize, T)) {
         backend.load_run(self.base, size_of::<T>() as u32, self.data.len() as u64);
         for (i, &v) in self.data.iter().enumerate() {

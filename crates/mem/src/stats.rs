@@ -57,23 +57,6 @@ impl AccessStats {
         self.external_cycles[ti][mi] += ext * outcome.cycles;
     }
 
-    /// Records `n` repeat accesses that hit L1 with latency `l1_latency`
-    /// each and neither missed the TLB nor raised a hint fault.
-    ///
-    /// This is the bulk half of the sequential fast lane
-    /// ([`MemorySystem::access_run`](crate::MemorySystem::access_run)): it
-    /// is exactly equivalent to calling [`AccessStats::record`] `n` times
-    /// with an L1-hit outcome of `l1_latency` cycles.
-    #[inline]
-    pub fn record_l1_run(&mut self, kind: crate::access::AccessKind, n: u64, l1_latency: u64) {
-        let is_store = u64::from(kind.is_store());
-        self.stores += is_store * n;
-        self.loads += (1 - is_store) * n;
-        let li = MemLevel::L1.index();
-        self.level_counts[li] += n;
-        self.level_cycles[li] += n * l1_latency;
-    }
-
     /// Total accesses.
     pub fn total(&self) -> u64 {
         self.loads + self.stores
@@ -139,21 +122,6 @@ mod tests {
         assert!((s.external_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.external_on(Tier::Nvm), 1);
         assert_eq!(s.tlb_misses, 1);
-    }
-
-    #[test]
-    fn record_l1_run_matches_repeated_record() {
-        let mut bulk = AccessStats::default();
-        let mut looped = AccessStats::default();
-        bulk.record_l1_run(AccessKind::Load, 7, 4);
-        bulk.record_l1_run(AccessKind::Store, 3, 4);
-        for _ in 0..7 {
-            looped.record(AccessKind::Load, &outcome(MemLevel::L1, 4, false));
-        }
-        for _ in 0..3 {
-            looped.record(AccessKind::Store, &outcome(MemLevel::L1, 4, false));
-        }
-        assert_eq!(bulk, looped);
     }
 
     #[test]

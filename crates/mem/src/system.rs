@@ -42,34 +42,6 @@ pub struct IntervalStats {
     pub pages: u64,
 }
 
-/// Totals of a completed sequential run (see
-/// [`MemorySystem::access_run`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// Elements accessed.
-    pub elems: u64,
-    /// Total latency cycles charged across the run.
-    pub cycles: u64,
-    /// Distinct cache lines entered (full-path accesses).
-    pub lines: u64,
-    /// Page walks performed.
-    pub tlb_misses: u64,
-    /// Hint faults raised.
-    pub hint_faults: u64,
-}
-
-/// A fault partway through a sequential run: `done` elements completed
-/// (and stay charged) before `error` was raised at element `done`.
-#[derive(Debug)]
-pub struct RunFault {
-    /// Elements fully charged before the fault.
-    pub done: u64,
-    /// Cycles charged for the completed prefix.
-    pub cycles: u64,
-    /// The fault itself, exactly as the per-element path reports it.
-    pub error: AccessError,
-}
-
 /// Summary of an `munmap` call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UnmapReport {
@@ -377,7 +349,7 @@ impl MemorySystem {
     /// immediately following, contiguous, *non-resident* pages lie inside
     /// `pn`'s VMA, up to `max`. The OS maps these alongside the faulting
     /// page (Linux's fault-around / `MAP_POPULATE`) so regular streams
-    /// stay on the batched lane instead of faulting once per page. The
+    /// fault once per window instead of once per page. The
     /// window stops at the first already-resident page, keeping the
     /// populate order deterministic and fault-free.
     pub fn fault_around_candidates(&self, pn: PageNum, max: u64) -> u64 {
@@ -596,95 +568,6 @@ impl MemorySystem {
         }
     }
 
-    /// Performs `count` sequential accesses of one `stride`-byte element
-    /// each, element `i` at `addr + i * stride` — the batched lane for
-    /// streaming loops.
-    ///
-    /// The first element of every cache line takes the full
-    /// [`MemorySystem::access`] path; the remaining elements of that line
-    /// are *provably* free DTLB hits plus L1 hits that leave all
-    /// replacement state untouched, so they are charged in bulk. The
-    /// result is bit-equal to issuing every element through
-    /// [`MemorySystem::access`] (enforced by property tests against the
-    /// retained per-element reference path; DESIGN.md §12).
-    ///
-    /// # Errors
-    ///
-    /// On a page fault or segfault the completed prefix stays charged and
-    /// [`RunFault`] reports how far the run got; the caller services the
-    /// fault and resumes from `done`, exactly as it would retry a single
-    /// [`MemorySystem::access`].
-    pub fn access_run(
-        &mut self,
-        addr: VirtAddr,
-        stride: u32,
-        count: u64,
-        kind: AccessKind,
-        now: u64,
-    ) -> Result<RunOutcome, RunFault> {
-        let stride = u64::from(stride.max(1));
-        let mut out = RunOutcome::default();
-        let mut i = 0;
-        while i < count {
-            let a = addr + i * stride;
-            let first = match self.access(a, kind, now) {
-                Ok(o) => o,
-                Err(error) => return Err(RunFault { done: i, cycles: out.cycles, error }),
-            };
-            out.lines += 1;
-            out.cycles += first.cycles;
-            out.tlb_misses += u64::from(first.tlb_miss);
-            out.hint_faults += u64::from(first.hint_fault);
-            // Index of the last element still on this cache line.
-            let line_end = (a.line() + 1) << LINE_SHIFT;
-            let j_last = ((line_end - 1 - addr.raw()) / stride).min(count - 1);
-            let bulk = j_last - i;
-            if bulk > 0 {
-                let lat = self.l1.latency();
-                self.tlb.record_l1_hit_run(bulk);
-                self.l1.record_hit_run(bulk);
-                self.stats.record_l1_run(kind, bulk, lat);
-                out.cycles += bulk * lat;
-            }
-            out.elems += bulk + 1;
-            i = j_last + 1;
-        }
-        Ok(out)
-    }
-
-    /// The pre-fast-lane reference path: the same run issued strictly
-    /// element by element through [`MemorySystem::access`]. Retained only
-    /// to pin `access_run` equivalence in the property tests.
-    #[cfg(test)]
-    pub(crate) fn access_run_ref(
-        &mut self,
-        addr: VirtAddr,
-        stride: u32,
-        count: u64,
-        kind: AccessKind,
-        now: u64,
-    ) -> Result<RunOutcome, RunFault> {
-        let stride = u64::from(stride.max(1));
-        let mut out = RunOutcome::default();
-        let mut prev_line = None;
-        for i in 0..count {
-            let a = addr + i * stride;
-            let o = match self.access(a, kind, now) {
-                Ok(o) => o,
-                Err(error) => return Err(RunFault { done: i, cycles: out.cycles, error }),
-            };
-            out.elems += 1;
-            out.cycles += o.cycles;
-            out.tlb_misses += u64::from(o.tlb_miss);
-            out.hint_faults += u64::from(o.hint_fault);
-            if prev_line != Some(a.line()) {
-                out.lines += 1;
-                prev_line = Some(a.line());
-            }
-        }
-        Ok(out)
-    }
-
     // ----- statistics ----------------------------------------------------
 
     /// Aggregate access statistics.
@@ -780,7 +663,6 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{CycleWindow, FaultPlan};
 
     fn sys() -> MemorySystem {
         MemorySystem::new(
@@ -965,7 +847,7 @@ mod tests {
         cycles as f64 / ext as f64
     }
 
-    /// Every observable number of a system, for execution-path
+    /// Every observable number of a system, for populate-regime
     /// equivalence checks: access/TLB/cache/device/fault statistics, the
     /// trace event stream and page residency.
     fn fingerprint(s: &MemorySystem) -> String {
@@ -980,198 +862,6 @@ mod tests {
             s.trace().records(),
             s.resident_pages().collect::<Vec<_>>(),
         )
-    }
-
-    /// Which execution path [`drive_runs`] exercises.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum RunMode {
-        /// Strictly element-by-element (`access_run_ref`).
-        Reference,
-        /// The batched per-line fast lane (`access_run`).
-        Lane,
-    }
-
-    /// Drives `runs` through the chosen execution path, servicing page
-    /// faults with a tier chosen from the page number (32-page blocks),
-    /// and logs everything observable along the way. Before run `ri` the
-    /// page at region offset `migrate[ri]`, if resident, migrates to the
-    /// other tier, so runs also cross pages that moved under cached lines
-    /// and translations.
-    fn drive_runs(
-        mut s: MemorySystem,
-        base: VirtAddr,
-        runs: &[(u64, u32, u64, bool)],
-        migrate: &[u64],
-        mode: RunMode,
-    ) -> (Vec<String>, MemorySystem) {
-        let mut log = Vec::new();
-        for (ri, &(off, stride, count, is_store)) in runs.iter().enumerate() {
-            let kind = if is_store { AccessKind::Store } else { AccessKind::Load };
-            let now = ri as u64 * 1000;
-            if let Some(&m) = migrate.get(ri) {
-                let pn = (base + m * PAGE_SIZE).page();
-                if let Some(info) = s.page(pn) {
-                    let moved = s.migrate_page(pn, info.tier.other());
-                    log.push(format!("{ri}: migrate {m}: {moved:?}"));
-                }
-            }
-            let stride64 = u64::from(stride.max(1));
-            let mut start = 0u64;
-            while start <= count {
-                let addr = base + off + start * stride64;
-                let remaining = count - start;
-                let res = match mode {
-                    RunMode::Lane => s.access_run(addr, stride, remaining, kind, now),
-                    RunMode::Reference => s.access_run_ref(addr, stride, remaining, kind, now),
-                };
-                match res {
-                    Ok(out) => {
-                        log.push(format!("{ri}@{start}: {out:?}"));
-                        break;
-                    }
-                    Err(rf) => {
-                        log.push(format!("{ri}@{start}: fault after {} ({:?})", rf.done, rf.error));
-                        let AccessError::Fault(pf) = rf.error else { break };
-                        let tier =
-                            if (pf.page.index() / 32) % 2 == 0 { Tier::Dram } else { Tier::Nvm };
-                        s.map_page(pf.page, tier, now).unwrap();
-                        start += rf.done;
-                    }
-                }
-            }
-        }
-        (log, s)
-    }
-
-    /// Drives the same run list down both execution paths from clones of
-    /// `s` and asserts observation equivalence.
-    fn assert_lane_matches_reference(
-        s: MemorySystem,
-        base: VirtAddr,
-        runs: &[(u64, u32, u64, bool)],
-        migrate: &[u64],
-    ) {
-        let reference = s.clone();
-        let (log_lane, s_lane) = drive_runs(s, base, runs, migrate, RunMode::Lane);
-        let (log_ref, s_ref) = drive_runs(reference, base, runs, migrate, RunMode::Reference);
-        assert_eq!(log_lane, log_ref, "lane vs reference logs");
-        assert_eq!(fingerprint(&s_lane), fingerprint(&s_ref), "lane vs reference state");
-    }
-
-    proptest::proptest! {
-        /// The batched fast lane is observation-equivalent to the
-        /// per-element reference path: identical run outcomes, identical
-        /// fault sequences, and bit-equal access/TLB/cache/device stats.
-        #[test]
-        fn prop_access_run_matches_reference(
-            maps in proptest::collection::vec(0u8..3, 32),
-            hints in proptest::collection::vec(proptest::bool::ANY, 32),
-            migrate in proptest::collection::vec(0u64..32, 10),
-            raw_runs in proptest::collection::vec(
-                (0u64..32 * PAGE_SIZE, 1u32..130, 0u64..300, proptest::bool::ANY),
-                1..10,
-            ),
-        ) {
-            let mut s = MemorySystem::new(
-                MemConfig::builder()
-                    .dram_capacity(128 * PAGE_SIZE)
-                    .nvm_capacity(128 * PAGE_SIZE)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-            let base = s.mmap(32 * PAGE_SIZE, MemPolicy::Default, "run").unwrap();
-            for (i, &m) in maps.iter().enumerate() {
-                let pn = (base + i as u64 * PAGE_SIZE).page();
-                match m {
-                    1 => s.map_page(pn, Tier::Dram, 0).unwrap(),
-                    2 => s.map_page(pn, Tier::Nvm, 0).unwrap(),
-                    _ => continue,
-                }
-                if hints[i] {
-                    s.mark_hint(pn, 7);
-                }
-            }
-            // Clamp each run inside the region so only first-touch faults
-            // (never segfaults) occur.
-            let runs: Vec<(u64, u32, u64, bool)> = raw_runs
-                .into_iter()
-                .map(|(off, stride, count, st)| {
-                    let max = (32 * PAGE_SIZE - off) / u64::from(stride.max(1));
-                    (off, stride, count.min(max), st)
-                })
-                .collect();
-            assert_lane_matches_reference(s, base, &runs, &migrate);
-        }
-    }
-
-    /// Stride menu for long property runs: every divisor of the line size
-    /// plus a few strides that do not divide it.
-    const PROP_STRIDES: [u32; 10] = [1, 2, 4, 8, 16, 32, 64, 3, 24, 100];
-
-    proptest::proptest! {
-        /// Long runs (thousands of elements over a 64-page region) under
-        /// random NVM-spike fault plans: the lane and the reference stay
-        /// bit-equal across AccessStats, device/TLB/cache counters, fault
-        /// stats and the trace stream, with tracing enabled.
-        #[test]
-        fn prop_access_run_matches_reference_under_fault_plans(
-            maps in proptest::collection::vec(0u8..3, 64),
-            hints in proptest::collection::vec(proptest::bool::ANY, 64),
-            spike in (0u64..80, 0u64..40, 1u32..6),
-            window in (0u64..3, 1u64..9),
-            seed in 0u64..u64::MAX,
-            migrate in proptest::collection::vec(0u64..64, 5),
-            raw_runs in proptest::collection::vec(
-                (0u64..60 * PAGE_SIZE, 0usize..10, 0u64..4000, proptest::bool::ANY),
-                1..5,
-            ),
-        ) {
-            let (spike_off, spike_pages, spike_mult) = spike;
-            let (win_start_k, win_len_k) = window;
-            let plan = FaultPlan {
-                seed,
-                nvm_spike_multiplier: spike_mult,
-                nvm_spike_first_page: (crate::vma::MMAP_BASE >> PAGE_SHIFT) + spike_off,
-                nvm_spike_pages: spike_pages,
-                nvm_spike_window: CycleWindow {
-                    start: win_start_k * 1000,
-                    end: (win_start_k + win_len_k) * 1000,
-                },
-                ..FaultPlan::none()
-            };
-            let mut s = MemorySystem::new(
-                MemConfig::builder()
-                    .dram_capacity(256 * PAGE_SIZE)
-                    .nvm_capacity(256 * PAGE_SIZE)
-                    .fault(plan)
-                    .trace(tiersim_trace::TraceConfig::on())
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-            let base = s.mmap(64 * PAGE_SIZE, MemPolicy::Default, "long").unwrap();
-            for (i, &m) in maps.iter().enumerate() {
-                let pn = (base + i as u64 * PAGE_SIZE).page();
-                match m {
-                    1 => s.map_page(pn, Tier::Dram, 0).unwrap(),
-                    2 => s.map_page(pn, Tier::Nvm, 0).unwrap(),
-                    _ => continue,
-                }
-                if hints[i] {
-                    s.mark_hint(pn, 7);
-                }
-            }
-            let runs: Vec<(u64, u32, u64, bool)> = raw_runs
-                .into_iter()
-                .map(|(off, si, count, st)| {
-                    let stride = PROP_STRIDES[si];
-                    let max = (64 * PAGE_SIZE - off) / u64::from(stride);
-                    (off, stride, count.min(max), st)
-                })
-                .collect();
-            assert_lane_matches_reference(s, base, &runs, &migrate);
-        }
     }
 
     /// A system with one whole 2 MiB block (512 pages) mapped on `tier`,
@@ -1298,20 +988,13 @@ mod tests {
                 s.map_page(pn, tier_of(pn), 0).unwrap();
             }
         }
-        let stride = 8u32;
-        let count = pages * PAGE_SIZE / 8;
-        let mut start = 0u64;
-        while start < count {
-            match s.access_run(a + start * 8, stride, count - start, AccessKind::Load, 5) {
-                Ok(_) => break,
-                Err(rf) => {
-                    let AccessError::Fault(pf) = rf.error else { panic!("unexpected segfault") };
-                    s.map_page(pf.page, tier_of(pf.page), 5).unwrap();
-                    for j in 0..s.fault_around_candidates(pf.page, window) {
-                        let q = PageNum::new(pf.page.index() + 1 + j);
-                        s.map_page(q, tier_of(q), 5).unwrap();
-                    }
-                    start += rf.done;
+        for i in 0..pages * PAGE_SIZE / 8 {
+            while let Err(e) = s.access(a + i * 8, AccessKind::Load, 5) {
+                let AccessError::Fault(pf) = e else { panic!("unexpected segfault") };
+                s.map_page(pf.page, tier_of(pf.page), 5).unwrap();
+                for j in 0..s.fault_around_candidates(pf.page, window) {
+                    let q = PageNum::new(pf.page.index() + 1 + j);
+                    s.map_page(q, tier_of(q), 5).unwrap();
                 }
             }
         }
@@ -1325,46 +1008,6 @@ mod tests {
         let prepop = run_regime(64, 0, true);
         assert_eq!(fingerprint(&demand), fingerprint(&around), "demand vs fault-around");
         assert_eq!(fingerprint(&demand), fingerprint(&prepop), "demand vs pre-populated");
-    }
-
-    #[test]
-    fn access_run_segfault_reports_progress() {
-        let mut s = sys();
-        let a = s.mmap(PAGE_SIZE, MemPolicy::Default, "one").unwrap();
-        s.map_page(a.page(), Tier::Dram, 0).unwrap();
-        // 8-byte elements: the run walks off the end of the single-page
-        // VMA after 512 elements.
-        let rf = s.access_run(a, 8, 600, AccessKind::Load, 0).unwrap_err();
-        assert_eq!(rf.done, 512);
-        assert!(rf.cycles > 0);
-        assert!(matches!(rf.error, AccessError::Segfault { .. }));
-    }
-
-    #[test]
-    fn access_run_memory_mode_matches_reference() {
-        let build = || {
-            let mut s = MemorySystem::new(
-                MemConfig::builder()
-                    .dram_capacity(16 * PAGE_SIZE)
-                    .nvm_capacity(64 * PAGE_SIZE)
-                    .memory_mode(true)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-            let a = s.mmap(8 * PAGE_SIZE, MemPolicy::Default, "mm").unwrap();
-            for i in 0..8 {
-                s.map_page((a + i * PAGE_SIZE).page(), Tier::Nvm, 0).unwrap();
-            }
-            (s, a)
-        };
-        let (mut f, a) = build();
-        let (mut r, _) = build();
-        let out_f = f.access_run(a, 4, 4096, AccessKind::Store, 5).unwrap();
-        let out_r = r.access_run_ref(a, 4, 4096, AccessKind::Store, 5).unwrap();
-        assert_eq!(out_f, out_r);
-        assert_eq!(fingerprint(&f), fingerprint(&r));
-        assert_eq!(f.memory_mode_stats(), r.memory_mode_stats());
     }
 
     #[test]

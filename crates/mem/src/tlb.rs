@@ -223,18 +223,6 @@ impl Tlb {
         pages.into_iter().map(PageNum::new).collect()
     }
 
-    /// Credits `n` additional DTLB hits without touching replacement
-    /// state.
-    ///
-    /// Used by the sequential fast lane for repeat lookups of the page
-    /// just translated: re-looking-up the MRU entry of a set leaves it at
-    /// the front (the set is unchanged) and bumps `l1_hits`, so the bulk
-    /// credit is exactly equivalent to `n` repeat [`Tlb::lookup`] calls.
-    #[inline]
-    pub fn record_l1_hit_run(&mut self, n: u64) {
-        self.stats.l1_hits += n;
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> TlbStats {
         self.stats
@@ -621,20 +609,6 @@ mod tests {
         for pn in 0..8 {
             assert!(t.lookup(PageNum::new(pn)).is_miss());
         }
-    }
-
-    #[test]
-    fn bulk_l1_credit_matches_repeat_lookups() {
-        let mut looped = tiny();
-        looped.insert(PageNum::new(3));
-        let mut bulk = looped.clone();
-        for _ in 0..5 {
-            assert_eq!(looped.lookup(PageNum::new(3)), TlbOutcome::L1Hit);
-        }
-        assert_eq!(bulk.lookup(PageNum::new(3)), TlbOutcome::L1Hit);
-        bulk.record_l1_hit_run(4);
-        assert_eq!(looped.stats(), bulk.stats());
-        assert_eq!(looped.cached_pages(), bulk.cached_pages());
     }
 
     #[test]

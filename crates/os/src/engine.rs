@@ -240,9 +240,8 @@ impl AutoNuma {
     /// following the faulting one within its VMA (the kernel's
     /// fault-around / `MAP_POPULATE`). Each extra page goes through the
     /// normal policy placement but is charged only a fraction of a minor
-    /// fault, and never faults on first touch — which is what lets
-    /// sequential streams re-enter the interval fast lane under demand
-    /// paging.
+    /// fault, and never faults on first touch, so a sequential stream
+    /// takes one fault per window instead of one per page.
     fn fault_around(&mut self, mem: &mut MemorySystem, fault: PageFault, now: u64, cost: &mut u64) {
         let want = self.cfg.fault_around_pages - 1;
         let limit = mem.fault_around_candidates(fault.page, want);

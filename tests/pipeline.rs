@@ -5,7 +5,7 @@ use tiersim::core::{
     WorkloadConfig,
 };
 use tiersim::graph::{bfs, build_sim_csr, reference, BfsParams, KroneckerGenerator};
-use tiersim::mem::MemBackend;
+use tiersim::mem::{MemBackend, SimVec};
 use tiersim::policy::TieringMode;
 
 fn tiny() -> ExperimentConfig {
@@ -210,4 +210,46 @@ fn machine_is_a_usable_backend() {
     assert!(machine.tracker().len() == 1);
     machine.munmap(addr);
     assert!(machine.tracker().record(tiersim::profile::ObjectId(0)).unwrap().free_time.is_some());
+}
+
+/// The machine's chunked run path (`store_run`, behind `SimVec::fill`)
+/// charges each element exactly as the per-element path does: over pages
+/// that are already resident, and with no OS tick inside the run, a fill
+/// and a loop of `set` leave every memory-system, sampler and OS counter
+/// and the clock identical.
+#[test]
+fn chunked_fill_matches_per_element_stores() {
+    let machine = || {
+        let mut cfg = MachineConfig::scaled_default(64 << 20, TieringMode::AutoNuma);
+        // A short period puts due samples inside the run, so the chunk
+        // bounds and the per-element sample path are both exercised.
+        cfg.sample_period = 997;
+        tiersim::core::Machine::new(cfg).expect("machine")
+    };
+    let (mut chunked, mut looped) = (machine(), machine());
+    let mut vc = SimVec::new(&mut chunked, "v", 1 << 15, 0u64);
+    let mut vl = SimVec::new(&mut looped, "v", 1 << 15, 0u64);
+    // Fault every page in the same way on both machines.
+    for (m, v) in [(&mut chunked, &mut vc), (&mut looped, &mut vl)] {
+        for i in 0..v.len() {
+            v.set(m, i, 1);
+        }
+    }
+    let ticks = (chunked.os_ticks(), looped.os_ticks());
+    let sampled = chunked.samples().len();
+    vc.fill(&mut chunked, 2);
+    for i in 0..vl.len() {
+        vl.set(&mut looped, i, 2);
+    }
+    assert_eq!((chunked.os_ticks(), looped.os_ticks()), ticks, "an OS tick landed in the run");
+    assert_eq!(vc.host(), vl.host());
+    assert_eq!(chunked.mem().stats(), looped.mem().stats());
+    assert_eq!(chunked.mem().tlb_stats(), looped.mem().tlb_stats());
+    assert_eq!(chunked.mem().cache_stats(), looped.mem().cache_stats());
+    assert_eq!(chunked.now_cycles(), looped.now_cycles());
+    assert_eq!(chunked.busy_cycles(), looped.busy_cycles());
+    assert_eq!(chunked.sampler_observed(), looped.sampler_observed());
+    assert_eq!(chunked.os().counters(), looped.os().counters());
+    assert!(chunked.samples().len() > sampled, "no sample was due inside the run");
+    assert_eq!(chunked.samples(), looped.samples());
 }

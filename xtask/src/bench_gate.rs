@@ -13,11 +13,7 @@
 pub const MIN_RATIO: f64 = 0.8;
 
 /// Keys compared by the gate, in report order.
-pub const GATED_KEYS: &[&str] = &[
-    "per_element_accesses_per_sec",
-    "fast_lane_accesses_per_sec",
-    "demand_paged_accesses_per_sec",
-];
+pub const GATED_KEYS: &[&str] = &["per_element_accesses_per_sec", "demand_paged_accesses_per_sec"];
 
 /// One key's comparison outcome.
 #[derive(Debug, PartialEq)]
@@ -78,15 +74,13 @@ mod tests {
     const BASE: &str = r#"{
   "access_path": {
     "per_element_accesses_per_sec": 1000000,
-    "fast_lane_accesses_per_sec": 30000000,
     "demand_paged_accesses_per_sec": 500000
   }
 }"#;
 
-    fn with_rates(per: f64, lane: f64, demand: f64) -> String {
+    fn with_rates(per: f64, demand: f64) -> String {
         format!(
-            "{{\"per_element_accesses_per_sec\": {per}, \"fast_lane_accesses_per_sec\": {lane}, \
-             \"demand_paged_accesses_per_sec\": {demand}}}"
+            "{{\"per_element_accesses_per_sec\": {per}, \"demand_paged_accesses_per_sec\": {demand}}}"
         )
     }
 
@@ -101,18 +95,18 @@ mod tests {
 
     #[test]
     fn passes_at_or_above_tolerance() {
-        let cur = with_rates(800_000.0, 24_000_000.0, 400_000.0);
+        let cur = with_rates(800_000.0, 400_000.0);
         let cmp = compare(BASE, &cur).unwrap();
-        assert_eq!(cmp.len(), 3);
+        assert_eq!(cmp.len(), 2);
         assert!(cmp.iter().all(|c| c.pass));
     }
 
     #[test]
     fn fails_below_tolerance() {
-        let cur = with_rates(799_999.0, 30_000_000.0, 500_000.0);
+        let cur = with_rates(799_999.0, 500_000.0);
         let cmp = compare(BASE, &cur).unwrap();
         assert!(!cmp[0].pass);
-        assert!(cmp[1].pass && cmp[2].pass);
+        assert!(cmp[1].pass);
     }
 
     #[test]
@@ -120,10 +114,10 @@ mod tests {
         // A baseline that predates a gated lane must be regenerated, not
         // silently skipped — that is how a lane regression would hide.
         let base = "{\"per_element_accesses_per_sec\": 1000000}";
-        let cur = with_rates(1_000_000.0, 1.0, 1.0);
+        let cur = with_rates(1_000_000.0, 1.0);
         let err = compare(base, &cur).unwrap_err();
         assert!(err.contains("baseline is missing gated key"));
-        assert!(err.contains("fast_lane_accesses_per_sec"));
+        assert!(err.contains("demand_paged_accesses_per_sec"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::lexer::{self, is_ident_char, CodeLine};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// What kind of item a model entry describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,22 +97,12 @@ impl Project {
     /// trace-coverage pass can read the `trace-check` schema). `vendor/`
     /// and `target/` are never scanned.
     pub fn load(root: &Path) -> Result<Project, String> {
-        let mut paths = Vec::new();
-        let crates = root.join("crates");
-        if let Ok(entries) = std::fs::read_dir(&crates) {
-            let mut dirs: Vec<PathBuf> = entries.filter_map(|e| e.ok()).map(|e| e.path()).collect();
-            dirs.sort();
-            for dir in dirs {
-                walk(&dir.join("src"), &mut paths);
-            }
-        }
-        walk(&root.join("src"), &mut paths);
-        walk(&root.join("tests"), &mut paths);
-        walk(&root.join("xtask").join("src"), &mut paths);
+        let mut paths = crate::collect_sources(root);
+        crate::walk(&root.join("xtask").join("src"), &mut paths);
         paths.sort();
         let mut sources = Vec::with_capacity(paths.len());
         for path in paths {
-            let rel = relative(&path, root);
+            let rel = crate::relative(&path, root);
             let raw =
                 std::fs::read_to_string(&path).map_err(|e| format!("cannot read {rel}: {e}"))?;
             sources.push((rel, raw));
@@ -628,26 +618,6 @@ fn enum_variants(tokens: &[Token]) -> Vec<String> {
         }
     }
     variants
-}
-
-/// Recursively gathers `.rs` files under `dir`, depth-first, sorted.
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok()).map(|e| e.path()).collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            walk(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-/// Workspace-relative path with forward slashes.
-fn relative(file: &Path, root: &Path) -> String {
-    let rel = file.strip_prefix(root).unwrap_or(file);
-    rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
 }
 
 #[cfg(test)]

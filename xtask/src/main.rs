@@ -338,7 +338,7 @@ fn workspace_root() -> PathBuf {
 /// All lintable `.rs` files: `crates/*/src`, root `src/`, and root `tests/`
 /// (tests are scanned so the wall-clock rule covers them; per-rule scopes
 /// narrow further). `vendor/` and `target/` are never scanned.
-fn collect_sources(root: &Path) -> Vec<PathBuf> {
+pub(crate) fn collect_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     let crates = root.join("crates");
     if let Ok(entries) = std::fs::read_dir(&crates) {
@@ -355,7 +355,7 @@ fn collect_sources(root: &Path) -> Vec<PathBuf> {
 }
 
 /// Recursively gathers `.rs` files under `dir`, depth-first, sorted.
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+pub(crate) fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
     let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok()).map(|e| e.path()).collect();
     paths.sort();
@@ -370,7 +370,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Workspace-relative path with forward slashes (stable lint output on
 /// every platform).
-fn relative(file: &Path, root: &Path) -> String {
+pub(crate) fn relative(file: &Path, root: &Path) -> String {
     let rel = file.strip_prefix(root).unwrap_or(file);
     rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
 }
