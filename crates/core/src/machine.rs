@@ -442,7 +442,7 @@ impl Machine {
         result.expect("fresh mapping accepts policy");
     }
 
-    #[inline]
+    #[inline(always)]
     fn op(&mut self, addr: VirtAddr, kind: AccessKind) {
         let outcome = loop {
             match self.mem.access(addr, kind, self.clock_cycles) {

@@ -61,28 +61,31 @@ impl KroneckerGenerator {
             let j = rng.gen_range(0..=i);
             perm.swap(i, j);
         }
+        let (a, ab) = (self.a, self.a + self.b);
+        let abc = ab + self.c;
         let mut edges = Vec::with_capacity(num_edges);
         for _ in 0..num_edges {
             let (mut u, mut v) = (0usize, 0usize);
             for _ in 0..self.scale {
-                u <<= 1;
-                v <<= 1;
-                let r: f64 = rng.gen();
-                if r < self.a {
-                    // quadrant A: (0, 0)
-                } else if r < self.a + self.b {
-                    v |= 1; // B: (0, 1)
-                } else if r < self.a + self.b + self.c {
-                    u |= 1; // C: (1, 0)
-                } else {
-                    u |= 1;
-                    v |= 1; // D: (1, 1)
-                }
+                let (u_bit, v_bit) = quadrant(rng.gen(), a, ab, abc);
+                u = u << 1 | u_bit;
+                v = v << 1 | v_bit;
             }
             edges.push((perm[u], perm[v]));
         }
         EdgeList::new(n, edges)
     }
+}
+
+/// The RMAT quadrant `(u_bit, v_bit)` a draw `r` in `[0, 1)` selects:
+/// A `(0, 0)` below `a`, B `(0, 1)` below `ab = a + b`, C `(1, 0)` below
+/// `abc = ab + c`, D `(1, 1)` above. Compares instead of an `if` chain,
+/// which mispredicts on most of the `scale` draws per edge.
+#[inline]
+fn quadrant(r: f64, a: f64, ab: f64, abc: f64) -> (usize, usize) {
+    let u_bit = r >= ab;
+    let v_bit = (r >= a) & (r < ab) | (r >= abc);
+    (usize::from(u_bit), usize::from(v_bit))
 }
 
 /// Uniform-random (Erdős–Rényi-style) generator: GAPBS `-u`.
@@ -184,7 +187,65 @@ mod tests {
         }
     }
 
+    /// The quadrant `if` chain [`quadrant`] replaced, kept as its oracle.
+    fn quadrant_if_chain(r: f64, a: f64, b: f64, c: f64) -> (usize, usize) {
+        if r < a {
+            (0, 0)
+        } else if r < a + b {
+            (0, 1)
+        } else if r < a + b + c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// [`KroneckerGenerator::generate`] drawing quadrants through the
+    /// `if` chain.
+    fn kron_if_chain(g: &KroneckerGenerator) -> EdgeList {
+        let n = 1usize << g.scale;
+        let mut rng = SmallRng::seed_from_u64(g.seed);
+        let mut perm: Vec<NodeId> = (0..n as NodeId).collect();
+        for i in (1..n).rev() {
+            let j = rng.gen_range(0..=i);
+            perm.swap(i, j);
+        }
+        let mut edges = Vec::with_capacity(g.degree * n);
+        for _ in 0..g.degree * n {
+            let (mut u, mut v) = (0usize, 0usize);
+            for _ in 0..g.scale {
+                let (u_bit, v_bit) = quadrant_if_chain(rng.gen(), g.a, g.b, g.c);
+                u = u << 1 | u_bit;
+                v = v << 1 | v_bit;
+            }
+            edges.push((perm[u], perm[v]));
+        }
+        EdgeList::new(n, edges)
+    }
+
+    #[test]
+    fn quadrant_matches_the_if_chain_at_every_boundary() {
+        let g = KroneckerGenerator::new(4, 1);
+        let (a, ab) = (g.a, g.a + g.b);
+        let abc = ab + g.c;
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut draws = vec![0.0, below(1.0)];
+        for edge in [a, ab, abc] {
+            draws.extend([below(edge), edge, above(edge)]);
+        }
+        for r in draws {
+            assert_eq!(quadrant(r, a, ab, abc), quadrant_if_chain(r, g.a, g.b, g.c), "r = {r}");
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn prop_kron_matches_the_if_chain(scale in 1u32..12, degree in 1usize..8, seed in 0u64..1000) {
+            let g = KroneckerGenerator::new(scale, degree).seed(seed);
+            proptest::prop_assert_eq!(g.generate(), kron_if_chain(&g));
+        }
+
         #[test]
         fn prop_edge_counts_match_parameters(scale in 3u32..10, degree in 1usize..8, seed in 0u64..1000) {
             let el = UniformGenerator::new(scale, degree).seed(seed).generate();

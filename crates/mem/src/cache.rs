@@ -136,7 +136,7 @@ impl SetAssocCache {
     /// Looks up `line`; on a miss the line is filled, evicting the LRU way.
     ///
     /// `write` marks the line dirty (write-allocate, write-back).
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, line: u64, write: bool) -> CacheOutcome {
         debug_assert!(line < INVALID >> 1);
         let base = self.set_of(line) * self.ways;

@@ -81,7 +81,7 @@ impl PageTable {
     }
 
     /// [`PageTable::slot`] through the one-entry last-translation cache.
-    #[inline]
+    #[inline(always)]
     fn slot_cached(&mut self, pn: PageNum) -> Option<usize> {
         if let Some((last_pn, slot)) = self.last {
             if last_pn == pn.index() {
@@ -146,7 +146,7 @@ impl PageTable {
     /// pending HINT flag, and returns
     /// `(tier, hint_consumed, scan_time, huge)`.
     /// Returns `None` if the page is not resident.
-    #[inline]
+    #[inline(always)]
     pub fn access_touch(&mut self, pn: PageNum, now: u64) -> Option<(Tier, bool, u64, bool)> {
         let slot = self.slot_cached(pn)?;
         let tier = byte_tier(*self.tiers.get(slot)?)?;

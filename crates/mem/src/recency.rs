@@ -30,7 +30,7 @@
 ///
 /// Panics if `pos` is not a slot of `set`; every caller passes a slot it
 /// just found or the tail of a non-empty set.
-#[inline]
+#[inline(always)]
 pub(crate) fn shift_in(set: &mut [u64], pos: usize, entry: u64) -> u64 {
     if let Ok(set) = <&mut [u64; 4]>::try_from(&mut *set) {
         return shift_fixed(set, pos, entry);

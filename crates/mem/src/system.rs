@@ -434,6 +434,7 @@ impl MemorySystem {
     /// Runs `line` through the cache hierarchy; on a full miss the data is
     /// fetched from `tier`'s device. Returns the satisfying level and the
     /// cycles spent.
+    #[inline(always)]
     fn cache_path(&mut self, line: u64, is_store: bool, tier: Tier) -> (MemLevel, u64) {
         match self.l1.access(line, is_store) {
             CacheOutcome::Hit => return (MemLevel::L1, self.l1.latency()),
@@ -503,7 +504,7 @@ impl MemorySystem {
     ///   (the caller services it via [`MemorySystem::map_page`] and
     ///   retries).
     /// - [`AccessError::Segfault`] if no VMA covers `addr`.
-    #[inline]
+    #[inline(always)]
     pub fn access(
         &mut self,
         addr: VirtAddr,
@@ -552,8 +553,10 @@ impl MemorySystem {
 
     /// The error for an access to the non-resident page holding `addr`:
     /// a page fault inside a VMA, a segfault outside every VMA. Out of
-    /// line, so the resident path [`MemorySystem::access`] inlines into
-    /// its callers without the VMA lookup.
+    /// line, so the resident path stays free of the VMA lookup: it is
+    /// `#[inline(always)]` from `Machine::op` through
+    /// [`MemorySystem::access`] and `cache_path` down to the TLB and cache
+    /// tag scans, and this function is the one call it makes on a miss.
     #[cold]
     #[inline(never)]
     fn non_resident(&self, addr: VirtAddr) -> AccessError {

@@ -81,7 +81,7 @@ impl TlbLevel {
     }
 
     /// Looks `pn` up, moving it to the front of its set on a hit.
-    #[inline]
+    #[inline(always)]
     fn lookup(&mut self, pn: u64) -> bool {
         let base = self.base(pn);
         let set = &mut self.tags[base..base + self.ways];
@@ -97,7 +97,7 @@ impl TlbLevel {
     /// Installs `pn`, which the caller has just seen miss, at the front of
     /// its set. The tail falls out: an invalid slot while any remain, the
     /// least recently used entry afterwards.
-    #[inline]
+    #[inline(always)]
     fn insert(&mut self, pn: u64) {
         let base = self.base(pn);
         let set = &mut self.tags[base..base + self.ways];
@@ -172,7 +172,7 @@ impl Tlb {
     /// entry is already installed at the front of both levels: the walk
     /// never reads the TLB, so filling here leaves the same state as a
     /// fill after it, without scanning both sets a second time.
-    #[inline]
+    #[inline(always)]
     pub fn lookup(&mut self, pn: PageNum) -> TlbOutcome {
         let pn = pn.index();
         if self.l1.lookup(pn) {

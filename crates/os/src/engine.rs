@@ -380,7 +380,8 @@ impl AutoNuma {
 
     /// Services a NUMA hint fault: the rare half of
     /// [`AutoNuma::on_access`], out of line so the common no-fault check
-    /// inlines into every access.
+    /// stays two compares. That check inlines into `Machine::op`, whose
+    /// resident path is `#[inline(always)]` down to the tag scans.
     #[cold]
     #[inline(never)]
     fn on_hint_fault(&mut self, mem: &mut MemorySystem, outcome: &AccessOutcome, now: u64) -> u64 {

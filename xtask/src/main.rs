@@ -9,7 +9,10 @@
 //! - `journal-check` — schema + checksum validation for the crash-safe
 //!   sweep journal written by `repro_all --resume` (DESIGN.md §13);
 //! - `bench-gate` — throughput regression gate over
-//!   `BENCH_access_path.json` (DESIGN.md §12).
+//!   `BENCH_access_path.json` (DESIGN.md §12);
+//! - `hot-path` — checks that a release binary inlines the resident
+//!   access chain and keeps its cold halves out of line (DESIGN.md,
+//!   "The per-access chain").
 //!
 //! All are dependency-free on purpose — CI runs them on an offline
 //! toolchain before anything else. `lint` and `analyze` report through
@@ -18,6 +21,7 @@
 mod analyze;
 mod bench_gate;
 mod diag;
+mod hot_path;
 mod item_model;
 mod journal_check;
 mod lexer;
@@ -36,6 +40,7 @@ fn main() -> ExitCode {
         Some("trace-check") => trace_check_cmd(&args[1..]),
         Some("journal-check") => journal_check_cmd(&args[1..]),
         Some("bench-gate") => bench_gate_cmd(&args[1..]),
+        Some("hot-path") => hot_path_cmd(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             ExitCode::SUCCESS
@@ -52,7 +57,7 @@ fn print_usage() {
     eprintln!(
         "usage: cargo xtask <lint [--list] [--format F] | analyze [--list] [--format F] \
          [--baseline FILE] [--write-baseline] | trace-check FILE.jsonl | \
-         journal-check FILE.jsonl | bench-gate BASELINE CURRENT>"
+         journal-check FILE.jsonl | bench-gate BASELINE CURRENT | hot-path BINARY>"
     );
     eprintln!();
     eprintln!("tasks:");
@@ -66,6 +71,8 @@ fn print_usage() {
     eprintln!("  journal-check FILE           validate a `repro_all --resume` sweep journal");
     eprintln!("  bench-gate BASELINE CURRENT  fail if access-path throughput in CURRENT");
     eprintln!("                               drops >20% below the BASELINE json");
+    eprintln!("  hot-path BINARY              fail if BINARY has an out-of-line resident-access");
+    eprintln!("                               function or lacks a cold anchor (needs `nm`)");
     eprintln!();
     eprintln!("  --format human|json|sarif    output format for lint and analyze (default human)");
 }
@@ -203,6 +210,52 @@ fn bench_gate_cmd(args: &[String]) -> ExitCode {
             eprintln!("xtask bench-gate: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+fn hot_path_cmd(args: &[String]) -> ExitCode {
+    let [binary] = args else {
+        eprintln!("xtask hot-path: expected exactly one binary argument");
+        return ExitCode::FAILURE;
+    };
+    let output = match std::process::Command::new("nm")
+        .args(["-C", "--defined-only"])
+        .arg(binary)
+        .output()
+    {
+        Ok(out) if out.status.success() => out,
+        Ok(out) => {
+            eprintln!(
+                "xtask hot-path: nm failed on {binary}: {}",
+                String::from_utf8_lossy(&out.stderr).trim()
+            );
+            return ExitCode::FAILURE;
+        }
+        Err(e) => {
+            eprintln!("xtask hot-path: cannot run nm: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let violations = hot_path::check(&String::from_utf8_lossy(&output.stdout));
+    for v in &violations {
+        match v.expect {
+            hot_path::Expect::Inlined => {
+                println!("xtask hot-path: {}: {} out-of-line copies", v.symbol, v.copies)
+            }
+            hot_path::Expect::OutOfLine => {
+                println!("xtask hot-path: {}: cold anchor missing", v.symbol)
+            }
+        }
+    }
+    if violations.is_empty() {
+        println!(
+            "xtask hot-path: {binary}: resident chain inlined, {} symbols checked",
+            hot_path::SYMBOLS.len()
+        );
+        ExitCode::SUCCESS
+    } else {
+        println!("xtask hot-path: {binary}: {} violation(s)", violations.len());
+        ExitCode::FAILURE
     }
 }
 
