@@ -16,14 +16,16 @@
 //! completed experiment, and produce byte-identical reports to an
 //! uninterrupted run.
 //!
-//! Two subcommands run instead of the suite: `repro_all dump ...` writes
-//! the paper artifact's per-workload trace CSVs (see
-//! `tiersim_bench::run_dump_cli`), and `repro_all tune ...` runs the
+//! Three subcommands run instead of the suite: `repro_all dump ...`
+//! writes the paper artifact's per-workload trace CSVs (see
+//! `tiersim_bench::run_dump_cli`), `repro_all tune ...` runs the
 //! AutoNUMA knob auto-tuner service (DESIGN.md §16; see
-//! `tiersim_bench::tune_cli`).
+//! `tiersim_bench::tune_cli`), and `repro_all ablate ...` prints the
+//! DESIGN.md §5 ablations and the extension experiments (see
+//! `tiersim_bench::run_ablate`).
 
 use tiersim_bench::{
-    banner, run_dump_cli, run_repro_suite, run_suite_journaled, run_tune_cli, Cli,
+    banner, run_ablate_cli, run_dump_cli, run_repro_suite, run_suite_journaled, run_tune_cli, Cli,
 };
 
 fn main() {
@@ -31,6 +33,7 @@ fn main() {
     match args.peek().map(String::as_str) {
         Some("dump") => std::process::exit(run_dump_cli(args.skip(1))),
         Some("tune") => std::process::exit(run_tune_cli(args.skip(1))),
+        Some("ablate") => std::process::exit(run_ablate_cli(args.skip(1))),
         _ => {}
     }
     let cli = Cli::from_env();

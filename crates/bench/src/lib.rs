@@ -3,12 +3,13 @@
 //! One front end, `repro_all`, prints every paper table and figure as a
 //! named section, from one shared set of AutoNUMA runs
 //! ([`run_repro_suite`]). Its subcommands write the paper artifact's
-//! per-workload trace CSVs (`repro_all dump`, [`run_dump_cli`]) and run
-//! the knob auto-tuner (`repro_all tune`). Two extension binaries
-//! (`ext_dynamic_object`, `ext_dataset_locality`) and Criterion micro/macro
-//! benchmarks under `benches/` complete the crate.
+//! per-workload trace CSVs (`repro_all dump`, [`run_dump_cli`]), run
+//! the knob auto-tuner (`repro_all tune`) and print the DESIGN.md §5
+//! ablations and the extension experiments as tables of simulated time
+//! and counters (`repro_all ablate`, [`run_ablate`]).
 //!
-//! `repro_all`, `repro_all dump` and the extension binaries accept:
+//! `repro_all`, `repro_all dump` and `repro_all ablate` accept (`ablate`
+//! rejects `--trace`):
 //!
 //! ```text
 //! --scale N         graph scale (default 16; paper used 30/31)
@@ -27,7 +28,7 @@
 //!                   machine (DESIGN.md §15)
 //! ```
 //!
-//! `repro_all` additionally accepts the crash-safe sweep flags
+//! The suite additionally accepts the crash-safe sweep flags
 //! (DESIGN.md §13):
 //!
 //! ```text
@@ -46,8 +47,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod ablate;
 pub mod tune_cli;
 
+pub use ablate::{run_ablate, run_ablate_cli};
 pub use tune_cli::{run_tune_cli, TuneCli, TUNE_USAGE};
 
 use std::path::{Path, PathBuf};
@@ -67,7 +70,8 @@ use tiersim_mem::Tier;
 use tiersim_policy::TieringMode;
 use tiersim_profile::export;
 
-/// Parsed command-line options shared by all reproduction binaries.
+/// Parsed command-line options shared by `repro_all` and its `dump` and
+/// `ablate` subcommands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
     /// Experiment parameters.
@@ -232,7 +236,8 @@ impl Cli {
     }
 }
 
-/// Usage text shared by the binaries.
+/// Usage text shared by `repro_all` and its `dump` and `ablate`
+/// subcommands.
 pub const USAGE: &str = "usage: <bin> [--scale N] [--degree N] [--trials N] [--jobs N] \
      [--out PATH] [--trace PATH] [--tick-budget N] [--thp] [--inject-failure] \
      [--resume PATH] [--kill-at N] [--max-attempts N]";

@@ -2,7 +2,7 @@
 //!
 //! Each experiment runs scaled-down versions of the paper's six workloads
 //! (BC/BFS/CC × kron/urand) and derives the corresponding table or figure
-//! series. The `tiersim-bench` crate exposes one binary per experiment.
+//! series. `tiersim-bench`'s `repro_all` prints each as a named section.
 //!
 //! Every experiment takes its AutoNUMA runs from an [`AutonumaRuns`]
 //! store: `Foo::run(cfg)` uses a fresh one, `Foo::run_with(&runs)` shares

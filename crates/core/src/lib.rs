@@ -10,8 +10,8 @@
 //!   cache, CSR build, kernel trials — and produces a [`RunReport`] with
 //!   samples, allocations, counters and per-second timelines.
 //! - [`experiments`] derives every table and figure of the paper's
-//!   evaluation from those reports; `tiersim-bench` exposes one
-//!   reproduction binary per experiment.
+//!   evaluation from those reports; `tiersim-bench`'s `repro_all`
+//!   prints each as a named section.
 //!
 //! ## Quickstart
 //!

@@ -4,7 +4,8 @@
 //! DRAM is not a NUMA node but a hardware-managed, direct-mapped cache of
 //! the (large) NVM, invisible to the OS. The paper chooses App Direct mode
 //! because Memory Mode offers no placement control; this model exists so
-//! that choice can be quantified (see the `ablations` benches).
+//! that choice can be quantified (see `repro_all ablate`'s tiering-mode
+//! section).
 
 use crate::cache::CacheStats;
 

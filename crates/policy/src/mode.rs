@@ -29,7 +29,8 @@ pub enum TieringMode {
     /// Optane *Memory Mode* (paper §2.1): DRAM becomes a transparent
     /// hardware-managed cache of NVM; no software placement exists. The
     /// paper rejects this mode for lack of control — modelled here so the
-    /// rejection can be quantified (see the `ablations` benches).
+    /// rejection can be quantified (see `repro_all ablate`'s tiering-mode
+    /// section).
     MemoryMode,
 }
 

@@ -32,7 +32,7 @@
 //! ```
 //!
 //! See `examples/` for runnable scenarios and the `tiersim-bench` crate
-//! for the per-table/figure reproduction binaries.
+//! for `repro_all`, which prints every table, figure and ablation.
 
 #![warn(missing_docs)]
 

@@ -4,13 +4,16 @@
 //! cell — and with `--thp` the archived `results/repro_scale11_thp.txt`.
 //! Replacement policy, OS model and rendering all feed those bytes, so any
 //! behaviour change in them fails here; the THP archive also pins the
-//! huge-page TLB key, fault-around and collapse paths.
+//! huge-page TLB key, fault-around and collapse paths. `repro_all ablate`
+//! at the same arguments must reproduce `results/ablate_scale11.txt`,
+//! which pins every knob the ablations turn.
 //!
 //! A deliberate output change regenerates the archives with
-//! `repro_all --scale 11 --degree 8 --trials 1 --out results/repro_scale11.txt`
-//! and the same command with `--thp --out results/repro_scale11_thp.txt`.
+//! `repro_all --scale 11 --degree 8 --trials 1 --out results/repro_scale11.txt`,
+//! the same command with `--thp --out results/repro_scale11_thp.txt`, and
+//! `repro_all ablate --scale 11 --degree 8 --trials 1 --out results/ablate_scale11.txt`.
 
-use tiersim_bench::{run_repro_suite, run_suite_journaled, Cli, ExperimentSuite};
+use tiersim_bench::{run_ablate, run_repro_suite, run_suite_journaled, Cli, ExperimentSuite};
 use tiersim_core::journal::RunnerOptions;
 use tiersim_core::ExperimentConfig;
 
@@ -75,4 +78,26 @@ fn scale11_thp_suite_reproduces_the_archived_output() {
         include_str!("../results/repro_scale11_thp.txt"),
         "results/repro_scale11_thp.txt",
     );
+}
+
+#[test]
+fn scale11_ablate_reproduces_the_archived_output() {
+    let suite = run_ablate(&smoke(&["--jobs", "2"]));
+    assert_eq!(suite.summary(), "== 10/10 experiments completed ==\n");
+    assert_output(
+        &suite,
+        include_str!("../results/ablate_scale11.txt"),
+        "results/ablate_scale11.txt",
+    );
+}
+
+#[test]
+fn ablate_quarantines_only_the_sections_whose_runs_fail() {
+    // A one-tick watchdog stops the BFS and extension runs; the bc_kron
+    // knob runs finish inside it.
+    let suite = run_ablate(&smoke(&["--tick-budget", "1", "--jobs", "2"]));
+    assert_eq!(suite.exit_code(), 1);
+    let summary = suite.summary();
+    assert!(summary.starts_with("== 7/10 experiments completed ==\n"), "{summary}");
+    assert!(summary.contains("FAILED Extension: dataset locality"), "{summary}");
 }

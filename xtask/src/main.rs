@@ -8,8 +8,6 @@
 //!   artifacts (DESIGN.md §11);
 //! - `journal-check` — schema + checksum validation for the crash-safe
 //!   sweep journal written by `repro_all --resume` (DESIGN.md §13);
-//! - `bench-gate` — throughput regression gate over
-//!   `BENCH_access_path.json` (DESIGN.md §12);
 //! - `hot-path` — checks that a release binary inlines the resident
 //!   access chain and keeps its cold halves out of line (DESIGN.md,
 //!   "The per-access chain").
@@ -19,7 +17,6 @@
 //! the shared `diag` reporter (`--format human|json|sarif`).
 
 mod analyze;
-mod bench_gate;
 mod diag;
 mod hot_path;
 mod item_model;
@@ -39,7 +36,6 @@ fn main() -> ExitCode {
         Some("analyze") => analyze_cmd(&args[1..]),
         Some("trace-check") => trace_check_cmd(&args[1..]),
         Some("journal-check") => journal_check_cmd(&args[1..]),
-        Some("bench-gate") => bench_gate_cmd(&args[1..]),
         Some("hot-path") => hot_path_cmd(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
@@ -57,7 +53,7 @@ fn print_usage() {
     eprintln!(
         "usage: cargo xtask <lint [--list] [--format F] | analyze [--list] [--format F] \
          [--baseline FILE] [--write-baseline] | trace-check FILE.jsonl | \
-         journal-check FILE.jsonl | bench-gate BASELINE CURRENT | hot-path BINARY>"
+         journal-check FILE.jsonl | hot-path BINARY>"
     );
     eprintln!();
     eprintln!("tasks:");
@@ -69,8 +65,6 @@ fn print_usage() {
     eprintln!("  analyze --write-baseline     regenerate the baseline from current findings");
     eprintln!("  trace-check FILE             validate a `repro_all --trace` JSONL artifact");
     eprintln!("  journal-check FILE           validate a `repro_all --resume` sweep journal");
-    eprintln!("  bench-gate BASELINE CURRENT  fail if access-path throughput in CURRENT");
-    eprintln!("                               drops >20% below the BASELINE json");
     eprintln!("  hot-path BINARY              fail if BINARY has an out-of-line resident-access");
     eprintln!("                               function or lacks a cold anchor (needs `nm`)");
     eprintln!();
@@ -165,51 +159,6 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-fn bench_gate_cmd(args: &[String]) -> ExitCode {
-    let [baseline_path, current_path] = args else {
-        eprintln!("xtask bench-gate: expected exactly two file arguments (baseline, current)");
-        return ExitCode::FAILURE;
-    };
-    let read = |path: &String| match std::fs::read_to_string(path) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("xtask bench-gate: cannot read {path}: {e}");
-            None
-        }
-    };
-    let (Some(baseline), Some(current)) = (read(baseline_path), read(current_path)) else {
-        return ExitCode::FAILURE;
-    };
-    match bench_gate::compare(&baseline, &current) {
-        Ok(comparisons) => {
-            let mut failed = 0usize;
-            for c in &comparisons {
-                let verdict = if c.pass { "ok" } else { "REGRESSION" };
-                failed += usize::from(!c.pass);
-                println!(
-                    "xtask bench-gate: {}: {:.0} -> {:.0} ({:.2}x) {verdict}",
-                    c.key, c.baseline, c.current, c.ratio
-                );
-            }
-            if failed == 0 {
-                println!(
-                    "xtask bench-gate: {} key(s) within {:.0}% of baseline",
-                    comparisons.len(),
-                    (1.0 - bench_gate::MIN_RATIO) * 100.0
-                );
-                ExitCode::SUCCESS
-            } else {
-                println!("xtask bench-gate: {failed} key(s) regressed");
-                ExitCode::FAILURE
-            }
-        }
-        Err(msg) => {
-            eprintln!("xtask bench-gate: {msg}");
-            ExitCode::FAILURE
-        }
     }
 }
 
