@@ -19,7 +19,7 @@ use tiersim_mem::TlbGeometry;
 use tiersim_policy::{DynamicObjectConfig, TieringMode};
 use tiersim_profile::TouchHistogram;
 
-use crate::{assemble, banner, encode_payload, run_unjournaled, Cli, ExperimentSuite};
+use crate::{assemble, encode_payload, run_unjournaled, ExperimentSuite};
 
 /// One table row, computed as one sweep cell.
 type Row = Box<dyn Fn() -> Result<Vec<String>, String> + Send + Sync>;
@@ -241,29 +241,4 @@ pub fn run_ablate(experiment: &ExperimentConfig) -> ExperimentSuite {
         }),
     });
     assemble(jobs, &run_unjournaled(&cells.collect::<Vec<_>>()))
-}
-
-/// `repro_all ablate`: takes the suite's flags (everything after the
-/// `ablate` token), prints every section and returns the process exit
-/// code: 0 on success, 1 if a section failed, 2 on bad arguments —
-/// including `--resume` (so `--kill-at`), `--trace` and
-/// `--inject-failure`, which this subcommand cannot honour.
-pub fn run_ablate_cli(args: impl IntoIterator<Item = String>) -> i32 {
-    let cli = Cli::parse(args).and_then(|cli| match cli {
-        Cli { resume: None, trace_out: None, inject_failure: false, .. } => Ok(cli),
-        _ => Err("repro_all ablate does not support --resume, --trace or --inject-failure".into()),
-    });
-    let cli = match cli {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
-    };
-    banner("ablations and extensions", &cli);
-    eprintln!("jobs: {}", cli.experiment.jobs);
-    let suite = run_ablate(&cli.experiment);
-    print!("{}", suite.summary());
-    cli.maybe_write_out(suite.output());
-    suite.exit_code()
 }

@@ -3,244 +3,187 @@
 //! One front end, `repro_all`, prints every paper table and figure as a
 //! named section, from one shared set of AutoNUMA runs
 //! ([`run_repro_suite`]). Its subcommands write the paper artifact's
-//! per-workload trace CSVs (`repro_all dump`, [`run_dump_cli`]), run
-//! the knob auto-tuner (`repro_all tune`) and print the DESIGN.md §5
+//! per-workload trace CSVs (`repro_all dump`), run the knob auto-tuner
+//! (`repro_all tune`, DESIGN.md §16) and print the DESIGN.md §5
 //! ablations and the extension experiments as tables of simulated time
-//! and counters (`repro_all ablate`, [`run_ablate`]).
+//! and counters (`repro_all ablate`, [`run_ablate`]). [`repro_all`] is the
+//! whole command line: one [`Cli`], parsed from one flag table, and one
+//! dispatch.
 //!
-//! `repro_all`, `repro_all dump` and `repro_all ablate` accept (`ablate`
-//! rejects `--trace`):
+//! Which command honours which flag (✓). Every other pair exits 2 before
+//! any simulation or file write, and `repro_all [COMMAND] --help` lists
+//! the flags of one command.
 //!
-//! ```text
-//! --scale N         graph scale (default 16; paper used 30/31)
-//! --degree N        average degree (default 16)
-//! --trials N        kernel trials (default 4)
-//! --jobs N          worker threads for independent experiment cells
-//!                   (default: available parallelism; output bytes are
-//!                   identical for every value)
-//! --out PATH        also write the printed output to a file
-//! --trace PATH      record the AutoNUMA event trace and write it here as
-//!                   JSONL (or CSV when PATH ends in .csv); see DESIGN.md §11
-//! --tick-budget N   quarantine any cell whose run exceeds N OS engine
-//!                   ticks (0 = off); deterministic, no wall clock
-//! --thp             enable transparent huge pages: khugepaged-style 2 MiB
-//!                   collapse plus a 16-page fault-around window on every
-//!                   machine (DESIGN.md §15)
-//! ```
-//!
-//! The suite additionally accepts the crash-safe sweep flags
-//! (DESIGN.md §13):
-//!
-//! ```text
-//! --resume PATH       run the suite against the durable journal at PATH:
-//!                     created if absent, replayed if present — completed
-//!                     cells are never re-executed
-//! --kill-at N         die (exit 137) instead of performing the Nth
-//!                     journal append; requires --resume
-//! --max-attempts N    attempts per cell per session before quarantine
-//!                     (default 3)
-//! ```
-//!
-//! `repro_all tune` runs the AutoNUMA knob auto-tuner service instead
-//! of the reproduction suite; see [`tune_cli`] and DESIGN.md §16.
+//! | flag | suite | `dump` | `ablate` | `tune` |
+//! |---|---|---|---|---|
+//! | `--scale` `--degree` `--trials` `--jobs` | ✓ | ✓ | ✓ | ✓ |
+//! | `--tick-budget` `--thp` | ✓ | ✓ | ✓ | |
+//! | `--out` | ✓ | | ✓ | |
+//! | `--trace` `--resume` `--kill-at` | ✓ | | | ✓ |
+//! | `--inject-failure` `--max-attempts` | ✓ | | | |
+//! | `--workload` `--grid` `--rung-budget` `--finalists` `--seed` `--out-json` `--out-csv` | | | | ✓ |
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod ablate;
-pub mod tune_cli;
+mod cli;
 
-pub use ablate::{run_ablate, run_ablate_cli};
-pub use tune_cli::{run_tune_cli, TuneCli, TUNE_USAGE};
+pub use ablate::run_ablate;
+pub use cli::{Cli, Command};
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use tiersim_core::experiments::{
     AutonumaRuns, AutonumaTrace, Characterization, Comparison, ObjectAnalysis,
 };
 use tiersim_core::journal::{
     atomic_write, run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalError,
-    JournalStats, KillMode, KillSpec, RunnerOptions,
+    JournalStats, RunnerOptions,
 };
 use tiersim_core::sweep::{run_cells_fallible, CellFailure};
-use tiersim_core::{
-    CoreError, Dataset, ExperimentConfig, Kernel, RunError, TraceConfig, TraceLog, WorkloadConfig,
-};
+use tiersim_core::tune::run_tune;
+use tiersim_core::{CoreError, ExperimentConfig, RunError, RunReport, TraceLog, WorkloadConfig};
 use tiersim_mem::Tier;
-use tiersim_policy::TieringMode;
 use tiersim_profile::export;
 
-/// Parsed command-line options shared by `repro_all` and its `dump` and
-/// `ablate` subcommands.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cli {
-    /// Experiment parameters.
-    pub experiment: ExperimentConfig,
-    /// Optional output-file path.
-    pub out: Option<PathBuf>,
-    /// Optional event-trace output path; setting it also enables tracing
-    /// in [`Cli::experiment`].
-    pub trace_out: Option<PathBuf>,
-    /// Injects a deliberately failing experiment into `repro_all`, to
-    /// exercise the continue-on-failure path end to end.
-    pub inject_failure: bool,
-    /// Journal path for the crash-safe sweep lane (`--resume`).
-    pub resume: Option<PathBuf>,
-    /// Deterministic kill-point: die instead of performing the Nth
-    /// journal append (`--kill-at`; requires `--resume`).
-    pub kill_at: Option<u64>,
-    /// Attempts per cell per session before quarantine (`--max-attempts`).
-    pub max_attempts: u64,
-}
-
-impl Cli {
-    /// Parses `args` (without the program name).
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage string on unknown flags or malformed values.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
-        let mut cli = Cli {
-            experiment: ExperimentConfig::default(),
-            out: None,
-            trace_out: None,
-            inject_failure: false,
-            resume: None,
-            kill_at: None,
-            max_attempts: 3,
-        };
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let mut value =
-                |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-            match arg.as_str() {
-                "--scale" => {
-                    cli.experiment.scale =
-                        value("--scale")?.parse().map_err(|e| format!("bad --scale: {e}"))?;
-                }
-                "--degree" => {
-                    cli.experiment.degree =
-                        value("--degree")?.parse().map_err(|e| format!("bad --degree: {e}"))?;
-                }
-                "--trials" => {
-                    cli.experiment.trials =
-                        value("--trials")?.parse().map_err(|e| format!("bad --trials: {e}"))?;
-                }
-                "--jobs" => {
-                    cli.experiment.jobs =
-                        value("--jobs")?.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-                }
-                "--tick-budget" => {
-                    cli.experiment.tick_budget = value("--tick-budget")?
-                        .parse()
-                        .map_err(|e| format!("bad --tick-budget: {e}"))?;
-                }
-                "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
-                "--trace" => {
-                    cli.trace_out = Some(PathBuf::from(value("--trace")?));
-                    cli.experiment.trace = TraceConfig::on();
-                }
-                "--thp" => cli.experiment.thp = true,
-                "--inject-failure" => cli.inject_failure = true,
-                "--resume" => cli.resume = Some(PathBuf::from(value("--resume")?)),
-                "--kill-at" => {
-                    cli.kill_at = Some(
-                        value("--kill-at")?.parse().map_err(|e| format!("bad --kill-at: {e}"))?,
-                    );
-                }
-                "--max-attempts" => {
-                    cli.max_attempts = value("--max-attempts")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-attempts: {e}"))?;
-                }
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                other => return Err(format!("unknown argument: {other}\n{USAGE}")),
-            }
+/// Runs `repro_all` on `args` (without the program name) and returns the
+/// process exit code: 0 on success, 1 if a run, a cell or a file write
+/// failed, 2 on bad arguments (before any simulation or file write), and
+/// 137 from an armed `--kill-at`, which exits the process itself.
+pub fn repro_all(args: impl IntoIterator<Item = String>) -> i32 {
+    let cli = match Cli::parse(args) {
+        Ok(cli) => cli,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return 2;
         }
-        if cli.experiment.scale < 4 || cli.experiment.scale > 28 {
-            return Err("--scale must be in 4..=28".to_string());
-        }
-        if cli.experiment.jobs == 0 {
-            return Err("--jobs must be at least 1".to_string());
-        }
-        if cli.max_attempts == 0 {
-            return Err("--max-attempts must be at least 1".to_string());
-        }
-        if cli.kill_at.is_some() && cli.resume.is_none() {
-            return Err("--kill-at requires --resume".to_string());
-        }
-        if cli.kill_at == Some(0) {
-            return Err("--kill-at must be at least 1".to_string());
-        }
-        Ok(cli)
-    }
-
-    /// Parses the process arguments, exiting with usage on error.
-    pub fn from_env() -> Cli {
-        match Cli::parse(std::env::args().skip(1)) {
-            Ok(cli) => cli,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The journal runner knobs these options imply. Suite-level cells
-    /// run serially (their inner sweeps use `experiment.jobs`); a
-    /// `--kill-at` becomes a hard `exit(137)` kill-point, mimicking
-    /// SIGKILL for the recovery smoke tests.
-    pub fn runner_options(&self) -> RunnerOptions {
-        RunnerOptions {
-            jobs: 1,
-            max_attempts: self.max_attempts,
-            kill: self.kill_at.map(|n| KillSpec {
-                at_append: n,
-                torn: false,
-                mode: KillMode::Exit,
-            }),
-        }
-    }
-
-    /// Writes `text` to the `--out` path if one was given.
-    pub fn maybe_write_out(&self, text: &str) {
-        if let Some(path) = &self.out {
-            if let Err(e) = atomic_write(path, text.as_bytes()) {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
+    };
+    quiet_run_errors();
+    let finished = match cli.command {
+        Command::Suite => suite(&cli),
+        Command::Dump => dump(&cli),
+        Command::Ablate => ablate(&cli),
+        Command::Tune => tune(&cli),
+    };
+    let written = finished.and_then(|(code, files)| {
+        for (path, text) in files {
+            let failed = |e| format!("failed to write {}: {e}", path.display());
+            atomic_write(&path, text.as_bytes()).map_err(failed)?;
             eprintln!("wrote {}", path.display());
         }
-    }
-
-    /// Writes the trace exports to the `--trace` path if one was given:
-    /// JSONL by default, CSV when the path ends in `.csv`. A `--trace`
-    /// flag with no exports to write (the traced experiment failed) is an
-    /// error.
-    pub fn maybe_write_trace(&self, exports: Option<&TraceExports>) {
-        let Some(path) = &self.trace_out else { return };
-        let Some(exports) = exports else {
-            eprintln!("--trace given but no trace was recorded (traced experiment failed?)");
-            std::process::exit(1);
-        };
-        let text = if path.extension().is_some_and(|e| e == "csv") {
-            &exports.csv
-        } else {
-            &exports.jsonl
-        };
-        if let Err(e) = atomic_write(path, text.as_bytes()) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote {} ({} bytes)", path.display(), text.len());
-    }
+        Ok(code)
+    });
+    written.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        1
+    })
 }
 
-/// Usage text shared by `repro_all` and its `dump` and `ablate`
-/// subcommands.
-pub const USAGE: &str = "usage: <bin> [--scale N] [--degree N] [--trials N] [--jobs N] \
-     [--out PATH] [--trace PATH] [--tick-budget N] [--thp] [--inject-failure] \
-     [--resume PATH] [--kill-at N] [--max-attempts N]";
+/// A command's exit code and the files its flags ask for, as
+/// `(path, contents)` in writing order; `Err` is a message and exit 1.
+type Finished = Result<(i32, Vec<(PathBuf, String)>), String>;
+
+/// Keeps panics with a [`RunError`] payload off the default panic hook,
+/// once per process. The runs raise them on purpose (a budget-exceeded
+/// cell panics with `RunError::Stuck`), the sweep lanes catch them and
+/// record a typed failure, so the hook's message would only be noise.
+/// Every other payload still reaches the default hook untouched.
+fn quiet_run_errors() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<RunError>().is_none() {
+                default_hook(info);
+            }
+        }));
+    });
+}
+
+/// Prints the experiment banner on stdout and the worker count on
+/// stderr, which keeps stdout byte-identical across `--jobs` values and
+/// kill/resume splits.
+fn banner(what: &str, cli: &Cli) {
+    let e = &cli.experiment;
+    println!("== {what} (scale {}, degree {}, trials {}) ==", e.scale, e.degree, e.trials);
+    eprintln!("jobs: {}", e.jobs);
+}
+
+/// The `--out` file of a suite-shaped command: its printed sections.
+fn out_file(cli: &Cli, suite: &ExperimentSuite) -> Vec<(PathBuf, String)> {
+    cli.out.iter().map(|path| (path.clone(), suite.output().to_string())).collect()
+}
+
+/// The `--trace` file: JSONL, or CSV when the path ends in `.csv`.
+fn trace_file(path: &Path, exports: &TraceExports) -> (PathBuf, String) {
+    let csv = path.extension().is_some_and(|e| e == "csv");
+    (path.to_path_buf(), if csv { exports.csv.clone() } else { exports.jsonl.clone() })
+}
+
+/// The reproduction suite, journaled under `--resume`.
+fn suite(cli: &Cli) -> Finished {
+    banner("full paper reproduction", cli);
+    let suite = match &cli.resume {
+        Some(journal) => {
+            let opts = cli.runner_options();
+            run_suite_journaled(&cli.experiment, journal, opts, cli.inject_failure)
+                .map_err(|e| format!("journal error: {e}"))?
+        }
+        None => run_repro_suite(&cli.experiment, cli.inject_failure),
+    };
+    print!("{}", suite.summary());
+    if let Some(stats) = suite.cell_stats() {
+        // Session-relative counters are stderr-only; the recovery tests
+        // read them to prove completed cells never re-run.
+        eprintln!("journal: {} cells executed, {} replayed", stats.executed, stats.replayed);
+    }
+    let mut code = suite.exit_code();
+    let mut files = out_file(cli, &suite);
+    if let Some(path) = &cli.trace_out {
+        match suite.trace_exports() {
+            Some(exports) => files.push(trace_file(path, exports)),
+            None => {
+                eprintln!("--trace given but no trace was recorded (traced experiment failed?)");
+                code = 1;
+            }
+        }
+    }
+    Ok((code, files))
+}
+
+/// `repro_all ablate`: every ablation and extension section.
+fn ablate(cli: &Cli) -> Finished {
+    banner("ablations and extensions", cli);
+    let suite = run_ablate(&cli.experiment);
+    print!("{}", suite.summary());
+    Ok((suite.exit_code(), out_file(cli, &suite)))
+}
+
+/// `repro_all tune`: one crash-safe search against its journal; stdout
+/// carries only the deterministic report, session-relative counts go to
+/// stderr.
+fn tune(cli: &Cli) -> Finished {
+    let cfg = &cli.tune;
+    let journal = cli.resume.as_deref().ok_or("tune needs a journal")?;
+    eprintln!(
+        "tune: {} on {} grid, journal {}, jobs {}",
+        cfg.experiment.workload(cfg.kernel, cfg.dataset).name(),
+        cfg.grid.name(),
+        journal.display(),
+        cfg.experiment.jobs
+    );
+    let outcome =
+        run_tune(cfg, journal, cli.runner_options()).map_err(|e| format!("tune error: {e}"))?;
+    print!("{}", outcome.report.render());
+    eprintln!("journal: {} cells executed, {} replayed", outcome.executed, outcome.replayed);
+    let report = &outcome.report;
+    let json = cli.out_json.iter().map(|path| (path.clone(), report.to_json() + "\n"));
+    let csv = cli.out_csv.iter().map(|path| (path.clone(), report.to_csv()));
+    let trace =
+        cli.trace_out.iter().map(|p| trace_file(p, &TraceExports::from_log(&outcome.trace)));
+    Ok((0, json.chain(csv).chain(trace).collect()))
+}
 
 /// The traced run's rendered exports, precomputed so a resumed suite can
 /// reproduce `--trace` output from the journal without re-running the
@@ -361,11 +304,6 @@ impl ExperimentSuite {
         self.cell_stats.as_ref()
     }
 
-    /// The recorded `(experiment, error)` pairs.
-    pub fn failures(&self) -> &[(String, String)] {
-        &self.failures
-    }
-
     /// End-of-run report: which experiments completed and, for each
     /// failure, what went wrong. A journaled suite adds the degraded-mode
     /// cell columns; only final-state counters appear here, so the bytes
@@ -390,14 +328,6 @@ impl ExperimentSuite {
     pub fn exit_code(&self) -> i32 {
         i32::from(!self.failures.is_empty())
     }
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(what: &str, cli: &Cli) {
-    println!(
-        "== {what} (scale {}, degree {}, trials {}) ==",
-        cli.experiment.scale, cli.experiment.degree, cli.experiment.trials
-    );
 }
 
 /// Rendered `(title, body)` pairs for one experiment's sections.
@@ -653,7 +583,8 @@ pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> E
 /// # Panics
 ///
 /// Raises [`tiersim_core::sweep::SweepAbort`] when an armed kill-point
-/// with [`KillMode::Panic`] fires ([`KillMode::Exit`] terminates the
+/// with [`KillMode::Panic`](tiersim_core::journal::KillMode::Panic) fires
+/// ([`KillMode::Exit`](tiersim_core::journal::KillMode::Exit) terminates the
 /// process instead).
 pub fn run_suite_journaled(
     experiment: &ExperimentConfig,
@@ -675,35 +606,23 @@ pub fn run_suite_journaled(
 /// `perfmem_trace_mapped_PMEM.csv`, the outputs of the artifact's
 /// `start_post_process.sh` + `start_mapping.sh` pipeline and the inputs
 /// of its plotting scripts (Figure 7 reads the mmap/munmap traces,
-/// Figure 8 the PMEM trace).
-///
-/// Takes the suite's flags (everything after the `dump` token) and
-/// returns the process exit code: 0 on success, 1 if a run or a file
-/// write fails, 2 on bad arguments.
-pub fn run_dump_cli(args: impl IntoIterator<Item = String>) -> i32 {
-    let cli = match Cli::parse(args) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
-    };
-    banner("trace dump (artifact CSV layout)", &cli);
-    for kernel in Kernel::PAPER {
-        for dataset in Dataset::ALL {
-            let w = cli.experiment.workload(kernel, dataset);
-            if let Err(e) = dump_workload(&cli.experiment, w) {
-                eprintln!("dump {}: {e}", w.name());
-                return 1;
-            }
-        }
+/// Figure 8 the PMEM trace). The runs share the suite's store, on
+/// `--jobs` workers; the files are written in workload order, up to the
+/// first failed run.
+fn dump(cli: &Cli) -> Finished {
+    banner("trace dump (artifact CSV layout)", cli);
+    let workloads = cli.experiment.workloads();
+    let runs = AutonumaRuns::new(&cli.experiment).get_all(&workloads);
+    for (w, run) in workloads.into_iter().zip(runs) {
+        run.map_err(|e| e.to_string())
+            .and_then(|r| dump_workload(w, &r))
+            .map_err(|e| format!("dump {}: {e}", w.name()))?;
     }
-    0
+    Ok((0, Vec::new()))
 }
 
-/// Runs `w` under AutoNUMA and writes its five artifact CSVs.
-fn dump_workload(cfg: &ExperimentConfig, w: WorkloadConfig) -> Result<(), String> {
-    let r = cfg.run(w, TieringMode::AutoNuma).map_err(|e| e.to_string())?;
+/// Writes `w`'s five artifact CSVs from its AutoNUMA run `r`.
+fn dump_workload(w: WorkloadConfig, r: &RunReport) -> Result<(), String> {
     let dir = PathBuf::from(w.name()).join("autonuma");
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let write = |name: &str, csv: &dyn Fn(&mut Vec<u8>) -> std::io::Result<()>| {
@@ -736,92 +655,6 @@ fn dump_workload(cfg: &ExperimentConfig, w: WorkloadConfig) -> Result<(), String
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Cli, String> {
-        Cli::parse(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn defaults_when_no_args() {
-        let cli = parse(&[]).unwrap();
-        assert_eq!(cli.experiment, ExperimentConfig::default());
-        assert!(cli.out.is_none());
-        assert!(cli.resume.is_none());
-        assert!(cli.kill_at.is_none());
-        assert_eq!(cli.max_attempts, 3);
-    }
-
-    #[test]
-    fn parses_all_flags() {
-        let cli =
-            parse(&["--scale", "14", "--degree", "8", "--trials", "2", "--out", "/tmp/x.txt"])
-                .unwrap();
-        assert_eq!(cli.experiment.scale, 14);
-        assert_eq!(cli.experiment.degree, 8);
-        assert_eq!(cli.experiment.trials, 2);
-        assert_eq!(cli.out.as_deref(), Some(std::path::Path::new("/tmp/x.txt")));
-    }
-
-    #[test]
-    fn rejects_unknown_and_invalid() {
-        assert!(parse(&["--bogus"]).is_err());
-        assert!(parse(&["--scale", "abc"]).is_err());
-        assert!(parse(&["--scale"]).is_err());
-        assert!(parse(&["--scale", "40"]).is_err());
-        assert!(parse(&["--help"]).is_err());
-    }
-
-    #[test]
-    fn parses_inject_failure_flag() {
-        assert!(!parse(&[]).unwrap().inject_failure);
-        assert!(parse(&["--inject-failure"]).unwrap().inject_failure);
-    }
-
-    #[test]
-    fn parses_thp_flag() {
-        assert!(!parse(&[]).unwrap().experiment.thp);
-        assert!(parse(&["--thp"]).unwrap().experiment.thp);
-    }
-
-    #[test]
-    fn trace_flag_sets_path_and_enables_tracing() {
-        let off = parse(&[]).unwrap();
-        assert!(off.trace_out.is_none());
-        assert_eq!(off.experiment.trace, TraceConfig::off());
-
-        let on = parse(&["--trace", "/tmp/t.jsonl"]).unwrap();
-        assert_eq!(on.trace_out.as_deref(), Some(std::path::Path::new("/tmp/t.jsonl")));
-        assert_eq!(on.experiment.trace, TraceConfig::on());
-        assert!(parse(&["--trace"]).is_err());
-    }
-
-    #[test]
-    fn parses_and_validates_jobs() {
-        assert_eq!(parse(&["--jobs", "4"]).unwrap().experiment.jobs, 4);
-        assert_eq!(parse(&[]).unwrap().experiment.jobs, tiersim_core::sweep::default_jobs());
-        assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--jobs", "many"]).is_err());
-        assert!(parse(&["--jobs"]).is_err());
-    }
-
-    #[test]
-    fn parses_and_validates_journal_flags() {
-        let cli =
-            parse(&["--resume", "/tmp/j.jsonl", "--kill-at", "3", "--max-attempts", "2"]).unwrap();
-        assert_eq!(cli.resume.as_deref(), Some(std::path::Path::new("/tmp/j.jsonl")));
-        assert_eq!(cli.kill_at, Some(3));
-        assert_eq!(cli.max_attempts, 2);
-        let opts = cli.runner_options();
-        assert_eq!(opts.jobs, 1);
-        assert_eq!(opts.max_attempts, 2);
-        assert_eq!(opts.kill, Some(KillSpec { at_append: 3, torn: false, mode: KillMode::Exit }));
-
-        assert!(parse(&["--kill-at", "3"]).is_err(), "--kill-at requires --resume");
-        assert!(parse(&["--resume", "/tmp/j", "--kill-at", "0"]).is_err());
-        assert!(parse(&["--max-attempts", "0"]).is_err());
-        assert!(parse(&["--tick-budget", "many"]).is_err());
-        assert_eq!(parse(&["--tick-budget", "5000"]).unwrap().experiment.tick_budget, 5000);
-    }
-
     #[test]
     fn suite_carries_jobs_knob() {
         assert_eq!(ExperimentSuite::new().jobs(), tiersim_core::sweep::default_jobs());
@@ -853,7 +686,6 @@ mod tests {
             "--- one ---\n1\n\n--- three ---\n3\n\n",
             "a failure does not stop later cells"
         );
-        assert_eq!(suite.failures().len(), 1);
         assert_eq!(suite.exit_code(), 1);
         let s = suite.summary();
         assert_eq!(s, "== 2/3 experiments completed ==\nFAILED second: quarantined: boom\n");

@@ -4,13 +4,12 @@
 //! data: hand-emitted JSON (machine-readable, schema below), CSV (one
 //! row per finalist) and a [`TextTable`] summary for stdout. All three
 //! are pure functions of the search inputs — byte-identical across
-//! `--jobs` values and kill/resume splits — and the file writers go
-//! through [`crate::journal::atomic_write`], so a crash mid-report
-//! never leaves a truncated artifact.
+//! `--jobs` values and kill/resume splits. `repro_all tune` writes the
+//! JSON and CSV files through [`crate::journal::atomic_write`], so a
+//! crash mid-report never leaves a truncated artifact.
 
-use crate::journal::{atomic_write, codec::escape_json};
+use crate::journal::codec::escape_json;
 use crate::render::TextTable;
-use std::path::Path;
 
 /// One successive-halving rung, as run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,26 +178,6 @@ impl TuneReport {
             self.dominating_default().len()
         ));
         out
-    }
-
-    /// Writes `to_json()` to `path` atomically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the atomic writer.
-    pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
-        let mut text = self.to_json();
-        text.push('\n');
-        atomic_write(path, text.as_bytes())
-    }
-
-    /// Writes `to_csv()` to `path` atomically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the atomic writer.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        atomic_write(path, self.to_csv().as_bytes())
     }
 
     fn table(&self) -> TextTable {

@@ -169,17 +169,6 @@ impl WorkloadConfig {
         // (BC's five arrays are the largest at ~36n; use 40n).
         8 * m + 48 * n
     }
-
-    /// The six paper workloads at the given scale/trials.
-    pub fn paper_grid(scale: u32, trials: usize) -> Vec<WorkloadConfig> {
-        let mut v = Vec::new();
-        for kernel in Kernel::PAPER {
-            for dataset in Dataset::ALL {
-                v.push(WorkloadConfig::new(kernel, dataset).scale(scale).trials(trials));
-            }
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -191,15 +180,6 @@ mod tests {
         let w = WorkloadConfig::new(Kernel::Bc, Dataset::Kron);
         assert_eq!(w.name(), "bc_kron");
         assert_eq!(WorkloadConfig::new(Kernel::Cc, Dataset::Urand).name(), "cc_urand");
-    }
-
-    #[test]
-    fn grid_has_six_workloads() {
-        let grid = WorkloadConfig::paper_grid(12, 2);
-        assert_eq!(grid.len(), 6);
-        let names: Vec<String> = grid.iter().map(|w| w.name()).collect();
-        assert!(names.contains(&"bfs_urand".to_string()));
-        assert!(grid.iter().all(|w| w.scale == 12 && w.trials == 2));
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl EdgeList {
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
-
-    /// Removes self-loops in place (GAPBS builder squish step).
-    pub fn remove_self_loops(&mut self) {
-        self.edges.retain(|&(u, v)| u != v);
-    }
 }
 
 #[cfg(test)]
@@ -62,13 +57,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         let _ = EdgeList::new(2, vec![(0, 2)]);
-    }
-
-    #[test]
-    fn self_loop_removal() {
-        let mut el = EdgeList::new(3, vec![(0, 0), (0, 1), (2, 2)]);
-        el.remove_self_loops();
-        assert_eq!(el.edges, vec![(0, 1)]);
-        assert!(!el.is_empty());
     }
 }

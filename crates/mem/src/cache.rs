@@ -123,11 +123,6 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// Resets the statistics (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     #[inline]
     fn set_of(&self, line: u64) -> usize {
         (line & self.set_mask) as usize

@@ -213,11 +213,6 @@ impl MemConfig {
     pub fn cycles_to_secs(&self, cycles: u64) -> f64 {
         cycles as f64 / self.freq_hz as f64
     }
-
-    /// Converts seconds to cycles at the configured frequency.
-    pub fn secs_to_cycles(&self, secs: f64) -> u64 {
-        (secs * self.freq_hz as f64) as u64
-    }
 }
 
 impl Default for MemConfig {
@@ -305,18 +300,6 @@ impl MemConfigBuilder {
         self
     }
 
-    /// Sets the DRAM device timings.
-    pub fn dram_timings(mut self, timings: DramTimings) -> Self {
-        self.cfg.dram = timings;
-        self
-    }
-
-    /// Sets the NVM device timings.
-    pub fn nvm_timings(mut self, timings: NvmTimings) -> Self {
-        self.cfg.nvm = timings;
-        self
-    }
-
     /// Sets the CPU frequency in Hz.
     pub fn freq_hz(mut self, hz: u64) -> Self {
         self.cfg.freq_hz = hz;
@@ -393,12 +376,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, MemError::InvalidConfig { what: "fault nvm spike multiplier", .. }));
-    }
-
-    #[test]
-    fn cycle_second_roundtrip() {
-        let cfg = MemConfig::default();
-        let c = cfg.secs_to_cycles(1.5);
-        assert!((cfg.cycles_to_secs(c) - 1.5).abs() < 1e-9);
     }
 }

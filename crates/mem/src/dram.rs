@@ -21,11 +21,6 @@ pub struct DeviceStats {
 }
 
 impl DeviceStats {
-    /// Bytes read (64 B per request).
-    pub fn bytes_read(&self) -> u64 {
-        self.reads * crate::addr::LINE_SIZE
-    }
-
     /// Bytes written (64 B per request).
     pub fn bytes_written(&self) -> u64 {
         self.writes * crate::addr::LINE_SIZE
@@ -124,11 +119,6 @@ impl DramModel {
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> DeviceStats {
         self.stats
-    }
-
-    /// Resets statistics (row-buffer state kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = DeviceStats::default();
     }
 }
 

@@ -82,11 +82,6 @@ impl MemoryModeCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Resets statistics (contents kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]

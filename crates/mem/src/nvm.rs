@@ -122,12 +122,6 @@ impl NvmModel {
     pub fn stats(&self) -> DeviceStats {
         self.stats
     }
-
-    /// Resets statistics (buffer contents kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = DeviceStats::default();
-        self.media_blocks_written = 0;
-    }
 }
 
 #[cfg(test)]

@@ -140,12 +140,6 @@ impl<T: Copy> SimVec<T> {
         &self.data
     }
 
-    /// Mutable host-side view, free of simulation charges. Use for test
-    /// setup only — workload code must go through [`SimVec::set`].
-    pub fn host_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consumes the vector, unmapping its region and returning the host
     /// data.
     pub fn into_host<B: MemBackend>(self, backend: &mut B) -> Vec<T> {

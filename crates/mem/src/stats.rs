@@ -76,11 +76,6 @@ impl AccessStats {
         }
     }
 
-    /// External accesses that hit the given tier.
-    pub fn external_on(&self, tier: Tier) -> u64 {
-        self.level_counts[MemLevel::from(tier).index()]
-    }
-
     /// Mean external latency in cycles for `(tier, tlb_miss)`; `None` if
     /// no such access occurred.
     pub fn mean_external_cycles(&self, tier: Tier, tlb_miss: bool) -> Option<f64> {
@@ -120,7 +115,6 @@ mod tests {
         assert_eq!(s.loads, 2);
         assert_eq!(s.external(), 2);
         assert!((s.external_fraction() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.external_on(Tier::Nvm), 1);
         assert_eq!(s.tlb_misses, 1);
     }
 

@@ -614,11 +614,6 @@ impl MemorySystem {
         self.nvm.stats()
     }
 
-    /// Memory-Mode DRAM-cache statistics, if Memory Mode is enabled.
-    pub fn memory_mode_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.mm_cache.as_ref().map(|c| c.stats())
-    }
-
     /// NVM write amplification factor so far.
     pub fn nvm_write_amplification(&self) -> f64 {
         self.nvm.write_amplification()
@@ -649,17 +644,6 @@ impl MemorySystem {
     /// events into it and feeds it the clock.
     pub fn trace_mut(&mut self) -> &mut TraceState {
         &mut self.trace
-    }
-
-    /// Resets all statistics (state — caches, TLB, placements — is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = AccessStats::default();
-        self.tlb.reset_stats();
-        self.l1.reset_stats();
-        self.l2.reset_stats();
-        self.l3.reset_stats();
-        self.dram.reset_stats();
-        self.nvm.reset_stats();
     }
 }
 

@@ -40,15 +40,6 @@ impl TlbStats {
     pub fn lookups(&self) -> u64 {
         self.l1_hits + self.l2_hits + self.misses
     }
-
-    /// Fraction of lookups that required a page walk.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.lookups() as f64
-        }
-    }
 }
 
 /// One TLB level, true LRU per set.
@@ -226,11 +217,6 @@ impl Tlb {
     /// Accumulated statistics.
     pub fn stats(&self) -> TlbStats {
         self.stats
-    }
-
-    /// Resets statistics (contents kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
     }
 }
 
@@ -620,6 +606,5 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!(s.l1_hits, 1);
         assert_eq!(s.lookups(), 2);
-        assert!((s.miss_ratio() - 0.5).abs() < 1e-12);
     }
 }

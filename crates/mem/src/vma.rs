@@ -274,11 +274,6 @@ impl VmaTable {
     pub fn is_empty(&self) -> bool {
         self.vmas.is_empty()
     }
-
-    /// Total mapped bytes.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.vmas.values().map(|v| v.len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -385,13 +380,5 @@ mod tests {
         let a = t.map(2 * PAGE_SIZE, MemPolicy::Default, "a").unwrap();
         assert!(t.set_policy_range(a + 1, PAGE_SIZE, MemPolicy::Default).is_err());
         assert!(t.set_policy_range(a, PAGE_SIZE - 1, MemPolicy::Default).is_err());
-    }
-
-    #[test]
-    fn mapped_bytes_accumulates() {
-        let mut t = VmaTable::new();
-        t.map(PAGE_SIZE, MemPolicy::Default, "a").unwrap();
-        t.map(3 * PAGE_SIZE, MemPolicy::Default, "b").unwrap();
-        assert_eq!(t.mapped_bytes(), 4 * PAGE_SIZE);
     }
 }

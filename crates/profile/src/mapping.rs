@@ -92,22 +92,9 @@ impl MappedProfile {
         v
     }
 
-    /// Profiles ordered by access density, descending — the input order of
-    /// the object-level static mapper.
-    pub fn by_density(&self) -> Vec<&ObjectProfile> {
-        let mut v: Vec<&ObjectProfile> = self.objects.iter().collect();
-        v.sort_by(|a, b| b.density().total_cmp(&a.density()).then(a.id.cmp(&b.id)));
-        v
-    }
-
     /// The object with the most NVM samples, if any has one.
     pub fn hottest_nvm_object(&self) -> Option<&ObjectProfile> {
         self.objects.iter().filter(|o| o.nvm_samples > 0).max_by_key(|o| o.nvm_samples)
-    }
-
-    /// Total external load samples across objects.
-    pub fn total_external(&self) -> u64 {
-        self.objects.iter().map(|o| o.external_samples()).sum()
     }
 }
 
@@ -244,9 +231,6 @@ mod tests {
         assert_eq!(m.top_by_nvm()[0].id, ObjectId(1));
         assert_eq!(m.top_by_dram()[0].id, ObjectId(0));
         assert_eq!(m.hottest_nvm_object().unwrap().id, ObjectId(1));
-        // b: 3 samples / 2 pages; a: 3 samples / 4 pages → b denser.
-        assert_eq!(m.by_density()[0].id, ObjectId(1));
-        assert_eq!(m.total_external(), 5);
     }
 
     #[test]
