@@ -1,8 +1,8 @@
 //! Dependency-free encoding primitives for the journal: FNV-1a64
 //! checksums, JSON string escaping, and a minimal flat-object JSONL
-//! parser. Mirrors the hand-rolled style of `tiersim-trace`'s exporters
-//! and `xtask`'s validators — the journal must be writable and checkable
-//! on an offline toolchain.
+//! parser, in the hand-rolled style of `tiersim-trace`'s exporters.
+//! The reference-vector test below pins the checksum independently of
+//! the writer; `xtask`'s diagnostics reuse [`escape_json`].
 
 use std::collections::BTreeMap;
 

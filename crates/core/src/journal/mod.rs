@@ -21,9 +21,10 @@
 //! tests assert that resuming produces byte-identical output to an
 //! uninterrupted run. See DESIGN.md §13 for the record schema.
 //!
-//! Like the trace exporters and the `xtask` validators, everything here
-//! is dependency-free by construction (hand-rolled JSON, FNV-1a64
-//! checksums) so it runs on the offline CI toolchain.
+//! Like the trace exporters, everything here is dependency-free by
+//! construction (hand-rolled JSON, FNV-1a64 checksums). [`replay`] is
+//! the format's only reader: `--resume` folds a journal with it and
+//! `cargo xtask journal-check` validates one with it.
 
 pub mod codec;
 mod runner;
@@ -267,24 +268,15 @@ impl Record {
     }
 }
 
-/// Splits a raw line into its checksummed core and its recorded crc,
-/// verifying the two agree. Shared shape with `xtask journal-check`'s
-/// standalone copy.
+/// Checks a raw line's recorded crc against its core bytes and returns
+/// the core.
 fn verify_crc(line: &str) -> Option<&str> {
-    let line = line.trim_end_matches(['\r']);
-    let rest = line.strip_prefix('{')?;
+    let rest = line.trim_end_matches(['\r']).strip_prefix('{')?;
     let marker = ",\"crc\":\"";
     let pos = rest.rfind(marker)?;
     let core = &rest[..pos];
     let crc_part = rest[pos + marker.len()..].strip_suffix("\"}")?;
-    if crc_part.len() != 16 {
-        return None;
-    }
-    if hex16(fnv1a64(core.as_bytes())) == crc_part {
-        Some(core)
-    } else {
-        None
-    }
+    (hex16(fnv1a64(core.as_bytes())) == crc_part).then_some(core)
 }
 
 /// Replayed per-cell state: the fold of every journal record that names
@@ -326,106 +318,101 @@ pub struct Replay {
     pub torn_tail: bool,
 }
 
-/// Folds journal `text` into per-cell state.
+/// Folds journal `text` into per-cell state. This is the one reader of
+/// the journal format: `--resume` and `cargo xtask journal-check` both
+/// call it, so a journal one accepts the other accepts too.
 ///
-/// A torn *final* line — the worst a mid-append crash can leave — is
-/// tolerated and reported via [`Replay::torn_tail`]; the resume path
-/// truncates it before appending. Any invalid line *before* a valid one
-/// is real corruption and refuses to replay.
+/// Every complete line must carry a matching crc, `v` = 1, a `seq`
+/// above the previous line's, and the fields its kind needs; `meta`
+/// comes first and only there. A torn *final* line — the worst a
+/// mid-append crash can leave — is tolerated and reported via
+/// [`Replay::torn_tail`]; the resume path truncates it before appending.
 ///
 /// # Errors
 ///
-/// [`JournalError::Corrupt`] on mid-file corruption, a missing or
-/// malformed meta record, or an unknown record kind.
+/// [`JournalError::Corrupt`] naming the first line that breaks a rule,
+/// or line 1 when the journal holds no complete record.
 pub fn replay(text: &str) -> Result<Replay, JournalError> {
     let mut cells: BTreeMap<CellId, CellState> = BTreeMap::new();
     let mut fingerprint: Option<String> = None;
     let mut records = 0usize;
-    let mut next_seq = 0u64;
+    let mut last_seq: Option<u64> = None;
     let mut valid_len = 0usize;
     let mut torn_tail = false;
-    let mut offset = 0usize;
     for (idx, line) in text.split_inclusive('\n').enumerate() {
-        let line_no = idx + 1;
-        let start_offset = offset;
-        offset += line.len();
-        let complete = line.ends_with('\n');
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            if complete {
-                valid_len = offset;
-            }
-            continue;
-        }
-        let parsed = verify_crc(trimmed).and_then(|_| parse_flat_object(trimmed));
-        let Some(obj) = parsed.filter(|_| complete) else {
+        let corrupt = |what: String| JournalError::Corrupt { line: idx + 1, what };
+        let parsed =
+            line.strip_suffix('\n').and_then(|l| verify_crc(l).and_then(|_| parse_flat_object(l)));
+        let Some(obj) = parsed else {
             // Only the final line may be torn; everything else is
-            // corruption. (`start_offset + line.len() == text.len()`
-            // means nothing follows this line.)
-            if start_offset + line.len() == text.len() {
+            // corruption. (Every earlier line was valid, so `valid_len`
+            // is where this one starts.)
+            if valid_len + line.len() == text.len() {
                 torn_tail = true;
                 break;
             }
-            return Err(JournalError::Corrupt {
-                line: line_no,
-                what: "bad checksum or malformed record followed by valid data".to_string(),
-            });
+            return Err(corrupt("bad checksum or malformed record followed by valid data".into()));
         };
-        let field_str = |k: &str| obj.get(k).and_then(Value::as_str).map(str::to_string);
-        let field_u64 = |k: &str| obj.get(k).and_then(Value::as_u64);
-        let corrupt = |what: &str| JournalError::Corrupt { line: line_no, what: what.to_string() };
-        if field_u64("v") != Some(JOURNAL_VERSION) {
-            return Err(corrupt("unsupported journal version"));
+        let string = |k: &str| {
+            obj.get(k)
+                .and_then(Value::as_str)
+                .ok_or_else(|| corrupt(format!("missing string `{k}`")))
+        };
+        let number = |k: &str| {
+            obj.get(k)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| corrupt(format!("missing number `{k}`")))
+        };
+        let version = number("v")?;
+        if version != JOURNAL_VERSION {
+            return Err(corrupt(format!("unsupported journal version {version}")));
         }
-        let seq = field_u64("seq").ok_or_else(|| corrupt("missing seq"))?;
-        next_seq = next_seq.max(seq + 1);
-        let kind = field_str("kind").ok_or_else(|| corrupt("missing kind"))?;
-        if records == 0 && kind != "meta" {
-            return Err(corrupt("first record must be meta"));
+        let seq = number("seq")?;
+        if let Some(prev) = last_seq.filter(|&prev| seq <= prev) {
+            return Err(corrupt(format!("seq went {prev} -> {seq}, must strictly increase")));
         }
-        match kind.as_str() {
-            "meta" => {
-                let fp =
-                    field_str("fingerprint").ok_or_else(|| corrupt("meta lacks fingerprint"))?;
-                if fingerprint.is_some() {
-                    return Err(corrupt("duplicate meta record"));
-                }
-                fingerprint = Some(fp);
-            }
+        last_seq = Some(seq);
+        let kind = string("kind")?;
+        if (kind == "meta") != (records == 0) {
+            return Err(corrupt("meta must be exactly the first record".into()));
+        }
+        match kind {
+            "meta" => fingerprint = Some(string("fingerprint")?.to_string()),
             "start" | "done" | "fail" | "quarantine" => {
-                let cell =
-                    CellId(field_str("cell").ok_or_else(|| corrupt("record lacks cell id"))?);
-                let state = cells.entry(cell).or_default();
-                match kind.as_str() {
+                let state = cells.entry(CellId(string("cell")?.to_string())).or_default();
+                match kind {
                     "start" => {
+                        number("attempt")?;
+                        state.name = Some(string("name")?.to_string());
                         state.started = true;
-                        if let Some(name) = field_str("name") {
-                            state.name = Some(name);
-                        }
                     }
                     "done" => {
-                        state.payload = Some(
-                            field_str("payload").ok_or_else(|| corrupt("done lacks payload"))?,
-                        );
-                        state.done_attempt = field_u64("attempt").unwrap_or(1);
+                        state.done_attempt = number("attempt")?;
+                        state.payload = Some(string("payload")?.to_string());
                     }
                     "fail" => {
+                        number("attempt")?;
+                        string("class")?;
+                        state.last_error = Some(string("error")?.to_string());
                         state.fails += 1;
-                        state.last_error = field_str("error");
                     }
                     _ => {
+                        number("attempts")?;
+                        state.last_error = Some(string("error")?.to_string());
                         state.quarantined = true;
-                        state.last_error = field_str("error").or_else(|| state.last_error.take());
                     }
                 }
             }
-            other => return Err(corrupt(&format!("unknown record kind `{other}`"))),
+            other => return Err(corrupt(format!("unknown record kind `{other}`"))),
         }
         records += 1;
-        valid_len = offset;
+        valid_len += line.len();
     }
-    let fingerprint = fingerprint
-        .ok_or(JournalError::Corrupt { line: 1, what: "journal has no meta record".to_string() })?;
+    let fingerprint = fingerprint.ok_or(JournalError::Corrupt {
+        line: 1,
+        what: "journal has no complete record".to_string(),
+    })?;
+    let next_seq = last_seq.map_or(0, |s| s.saturating_add(1));
     Ok(Replay { fingerprint, cells, records, next_seq, valid_len, torn_tail })
 }
 
@@ -499,7 +486,9 @@ impl JournalWriter {
     }
 
     /// Appends one record, fsyncing before returning — once this returns,
-    /// the record survives any crash.
+    /// the record survives any crash. The record's `seq` is taken and its
+    /// line written under one lock, so at any worker count the file's
+    /// `seq`s strictly increase, as [`replay`] requires.
     ///
     /// # Panics
     ///
@@ -645,6 +634,51 @@ mod tests {
         let tampered = lines.join("\n") + "\n";
         assert!(matches!(replay(&tampered), Err(JournalError::Corrupt { line: 2, .. })));
         std::fs::remove_file(&path).unwrap();
+
+        // Schema violations under valid checksums, each refused at the
+        // line that commits it.
+        let line =
+            |core: &str| format!("{{{core},\"crc\":\"{}\"}}\n", hex16(fnv1a64(core.as_bytes())));
+        let meta = line("\"v\":1,\"seq\":0,\"kind\":\"meta\",\"fingerprint\":\"f\"");
+        let start = line(
+            "\"v\":1,\"seq\":1,\"kind\":\"start\",\"cell\":\"a\",\"name\":\"n\",\"attempt\":1",
+        );
+        let cases = [
+            (String::new(), 1, "no complete record"),
+            (start.clone(), 1, "meta"),
+            (
+                meta.clone() + &line("\"v\":1,\"seq\":1,\"kind\":\"meta\",\"fingerprint\":\"g\""),
+                2,
+                "meta",
+            ),
+            (meta.clone() + &start + &start, 3, "strictly increase"),
+            (
+                meta.clone() + &line("\"v\":1,\"seq\":1,\"kind\":\"mystery\",\"cell\":\"a\""),
+                2,
+                "unknown record kind",
+            ),
+            (
+                line("\"v\":2,\"seq\":0,\"kind\":\"meta\",\"fingerprint\":\"f\"") + "{\"v\":1",
+                1,
+                "version",
+            ),
+            (
+                meta.clone()
+                    + &line("\"v\":1,\"seq\":1,\"kind\":\"done\",\"cell\":\"a\",\"attempt\":1")
+                    + &start,
+                2,
+                "payload",
+            ),
+        ];
+        for (text, at, what) in cases {
+            match replay(&text) {
+                Err(JournalError::Corrupt { line, what: got }) => {
+                    assert_eq!(line, at, "{got}");
+                    assert!(got.contains(what), "{got} lacks {what}");
+                }
+                other => panic!("accepted {text:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

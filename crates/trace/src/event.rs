@@ -253,6 +253,44 @@ impl TraceEvent {
     }
 }
 
+/// The JSONL exporter's per-interval metrics line.
+pub(crate) const METRICS_SNAPSHOT: &str = "metrics_snapshot";
+/// The JSONL exporter's final line, carrying `recorded`/`dropped`.
+pub(crate) const TRACE_SUMMARY: &str = "trace_summary";
+
+/// Every `event` name a JSONL trace may carry: each [`TraceEvent::name`]
+/// plus the exporter's two synthetic lines. `cargo xtask analyze`'s
+/// trace-coverage pass flags a variant whose name is missing here.
+pub(crate) const EVENT_NAMES: &[&str] = &[
+    "hint_fault",
+    "promote_candidate",
+    "promote_accept",
+    "promote_reject",
+    "demote_kswapd",
+    "demote_direct",
+    "promote_demoted",
+    "migrate_retry",
+    "migrate_fail",
+    "threshold_adjust",
+    "rate_limit_consume",
+    "rate_limit_deny",
+    "fault_injected",
+    "reclaim_stall",
+    "page_cache_drop",
+    "thp_collapse",
+    "thp_split",
+    "fault_around",
+    "cell_start",
+    "cell_done",
+    "cell_retry",
+    "cell_quarantine",
+    "rung_start",
+    "cell_scored",
+    "pareto_update",
+    METRICS_SNAPSHOT,
+    TRACE_SUMMARY,
+];
+
 /// One recorded event with its simulated timestamp and global sequence
 /// number. `seq` counts *every* recorded event, including those later
 /// evicted from the ring, so gaps in an exported trace are detectable.

@@ -1,9 +1,11 @@
-//! Trace exporters: JSONL (one flat object per line) and CSV.
+//! Trace exporters, JSONL (one flat object per line) and CSV, and
+//! [`check_jsonl`], the one reader of the JSONL layout.
 //!
 //! Both formats are emitted by hand — the schema is small, flat, and
-//! fixed, and hand emission keeps the crate dependency-free so the
-//! `xtask trace-check` validator can mirror it without pulling a JSON
-//! parser into the offline build.
+//! fixed, and hand emission keeps the crate dependency-free. The reader
+//! sits beside the writer and takes its event vocabulary from
+//! `event.rs`, so the two cannot drift apart; `cargo xtask trace-check`
+//! is a thin call into it.
 //!
 //! JSONL layout (see DESIGN.md §11):
 //! - one line per surviving [`TraceRecord`], keys `t`, `seq`, `event`,
@@ -12,8 +14,9 @@
 //! - a final `"event":"trace_summary"` line carrying `recorded` and
 //!   `dropped`, so truncation by the ring is never silent.
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::{TraceEvent, TraceRecord, EVENT_NAMES, METRICS_SNAPSHOT, TRACE_SUMMARY};
 use crate::state::TraceLog;
+use std::fmt;
 
 /// Serializes `log` as JSON Lines.
 pub fn to_jsonl(log: &TraceLog) -> String {
@@ -26,7 +29,7 @@ pub fn to_jsonl(log: &TraceLog) -> String {
     let mut seq = log.recorded;
     for snap in &log.snapshots {
         out.push_str(&format!(
-            "{{\"t\":{},\"seq\":{},\"event\":\"metrics_snapshot\",\"metrics\":{{",
+            "{{\"t\":{},\"seq\":{},\"event\":\"{METRICS_SNAPSHOT}\",\"metrics\":{{",
             snap.now, seq
         ));
         for (i, (name, value)) in snap.values.iter().enumerate() {
@@ -40,10 +43,95 @@ pub fn to_jsonl(log: &TraceLog) -> String {
         seq += 1;
     }
     out.push_str(&format!(
-        "{{\"t\":{},\"seq\":{},\"event\":\"trace_summary\",\"recorded\":{},\"dropped\":{}}}\n",
+        "{{\"t\":{},\"seq\":{},\"event\":\"{TRACE_SUMMARY}\",\"recorded\":{},\"dropped\":{}}}\n",
         last_now, seq, log.recorded, log.dropped
     ));
     out
+}
+
+/// Why [`check_jsonl`] refused a trace.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonlError {
+    /// 1-based line of the first problem; 0 for an empty trace.
+    pub line: usize,
+    /// What is wrong with that line.
+    pub reason: String,
+}
+
+impl fmt::Display for JsonlError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.reason)
+    }
+}
+
+impl std::error::Error for JsonlError {}
+
+/// Validates a JSONL trace laid out as [`to_jsonl`] writes it and returns
+/// its line count.
+///
+/// Every line is a flat object with numeric `t` and `seq` keys and a known
+/// `event`; `seq` strictly increases; the last line, and only it, is a
+/// `trace_summary` with `recorded` and `dropped`. Record lines number
+/// `0..recorded` and snapshots and the summary continue the count, so the
+/// summary's `seq` is at least `recorded`.
+///
+/// # Errors
+///
+/// [`JsonlError`] naming the first line that breaks a rule.
+pub fn check_jsonl(text: &str) -> Result<usize, JsonlError> {
+    let lines: Vec<&str> = text.lines().collect();
+    if lines.is_empty() {
+        return Err(JsonlError { line: 0, reason: "empty trace file".to_string() });
+    }
+    let mut prev_seq: Option<u64> = None;
+    for (idx, line) in lines.iter().enumerate() {
+        let err = |reason: String| JsonlError { line: idx + 1, reason };
+        if !(line.starts_with('{') && line.ends_with('}')) {
+            return Err(err("line is not a flat JSON object".to_string()));
+        }
+        let number =
+            |key: &str| u64_field(line, key).ok_or_else(|| err(format!("missing numeric `{key}`")));
+        number("t")?;
+        let seq = number("seq")?;
+        let event = str_field(line, "event").ok_or_else(|| err("missing string `event`".into()))?;
+        if !EVENT_NAMES.contains(&event) {
+            return Err(err(format!("unknown event `{event}`")));
+        }
+        if let Some(prev) = prev_seq.filter(|&prev| seq <= prev) {
+            return Err(err(format!("seq went {prev} -> {seq}, must strictly increase")));
+        }
+        prev_seq = Some(seq);
+        let is_last = idx + 1 == lines.len();
+        if (event == TRACE_SUMMARY) != is_last {
+            return Err(err(format!("{TRACE_SUMMARY} must be exactly the final line")));
+        }
+        if is_last {
+            let recorded = number("recorded")?;
+            number("dropped")?;
+            if seq < recorded {
+                return Err(err(format!("summary seq {seq} < recorded {recorded}")));
+            }
+        }
+    }
+    Ok(lines.len())
+}
+
+/// The text after the first `"key":` of a flat JSON line. Quotes inside
+/// string values are escaped, so a raw match is always a key.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    Some(&line[at..])
+}
+
+fn u64_field(line: &str, key: &str) -> Option<u64> {
+    let rest = field(line, key)?;
+    rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().ok()
+}
+
+/// A string value up to its first quote: enough for event names, which
+/// never hold a quote or a backslash.
+fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    field(line, key)?.strip_prefix('"')?.split_once('"').map(|(value, _)| value)
 }
 
 fn push_record_json(out: &mut String, rec: &TraceRecord) {
@@ -133,7 +221,7 @@ pub fn to_csv(log: &TraceLog) -> String {
         last_now = rec.now;
     }
     out.push_str(&format!(
-        "{},{},trace_summary,,,,,,,,,,,,,,,,,,,,,{},{}\n",
+        "{},{},{TRACE_SUMMARY},,,,,,,,,,,,,,,,,,,,,{},{}\n",
         last_now, log.recorded, log.recorded, log.dropped
     ));
     out
@@ -260,6 +348,24 @@ mod tests {
         let summary = lines.last().unwrap();
         assert!(summary.contains("\"event\":\"trace_summary\""), "{summary}");
         assert!(summary.contains("\"recorded\":7,\"dropped\":0"), "{summary}");
+
+        // The reader accepts the export and refuses each broken copy at
+        // the first line that breaks a rule.
+        assert_eq!(check_jsonl(&text), Ok(9));
+        let headless: String = lines[..8].iter().map(|l| format!("{l}\n")).collect();
+        for (bad, line, reason) in [
+            (String::new(), 0, "empty"),
+            ("not json\n".to_string(), 1, "flat JSON object"),
+            ("{\"t\":1,\"event\":\"hint_fault\"}\n".to_string(), 1, "`seq`"),
+            (text.replacen("hint_fault", "mystery_event", 1), 1, "unknown event"),
+            (text.replacen("\"seq\":1", "\"seq\":0", 1), 2, "strictly increase"),
+            (headless, 8, "final line"),
+            (text.replacen("metrics_snapshot", "trace_summary", 1), 8, "final line"),
+            (text.replacen("\"recorded\":7", "\"recorded\":9", 1), 9, "summary seq"),
+        ] {
+            let err = check_jsonl(&bad).unwrap_err();
+            assert!(err.line == line && err.reason.contains(reason), "{err} for {bad:?}");
+        }
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //! - **Deterministic.** Events are stamped with simulated cycles fed by
 //!   the callers, never wall time; per-run recording is single-threaded
 //!   inside one `Machine`, so traces are byte-identical across `--jobs`.
+//! - **One reader.** [`check_jsonl`] validates the layout [`to_jsonl`]
+//!   writes, against the same event vocabulary; it is the only JSONL
+//!   reader (`cargo xtask trace-check` calls it).
 //!
 //! ```
 //! use tiersim_trace::{to_jsonl, TraceConfig, TraceEvent, TraceState};
@@ -40,6 +43,6 @@ mod state;
 
 pub use buffer::TraceBuffer;
 pub use event::{FaultSite, RejectReason, TraceEvent, TraceRecord};
-pub use export::{to_csv, to_jsonl, CSV_HEADER};
+pub use export::{check_jsonl, to_csv, to_jsonl, JsonlError, CSV_HEADER};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use state::{TraceConfig, TraceLog, TraceState, DEFAULT_TRACE_CAPACITY};

@@ -18,10 +18,11 @@ use tiersim::core::{run_workload, CoreError, ExperimentConfig, RunError, TraceCo
 use tiersim::policy::TieringMode;
 use tiersim_bench::run_suite_journaled;
 use tiersim_core::journal::{
-    run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalOutcome, KillMode,
-    KillSpec, RunnerOptions,
+    replay, run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalOutcome,
+    KillMode, KillSpec, RunnerOptions,
 };
 use tiersim_core::sweep::SweepAbort;
+use tiersim_trace::check_jsonl;
 
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -167,7 +168,9 @@ fn suite_config(jobs: usize) -> ExperimentConfig {
 /// summary, and trace exports are byte-identical to an uninterrupted run
 /// — without re-executing the experiments the journal already completed.
 /// The resume leg runs with a different `--jobs` value on purpose: the
-/// journal fingerprint excludes worker count.
+/// journal fingerprint excludes worker count. Every journal, killed,
+/// resumed or clean, passes the strict `journal::replay`, and the trace
+/// export passes `check_jsonl`.
 #[test]
 fn killed_and_resumed_repro_suite_is_byte_identical() {
     let clean_path = scratch("suite-clean");
@@ -176,6 +179,14 @@ fn killed_and_resumed_repro_suite_is_byte_identical() {
     assert_eq!(clean.exit_code(), 0);
     let clean_stats = *clean.cell_stats().expect("journaled suite has cell stats");
     assert_eq!(clean_stats.completed, 4);
+    // The one reader of each on-disk format accepts what the writers wrote.
+    let strictly_replays = |path: &PathBuf| {
+        let text = std::fs::read_to_string(path).expect("journal exists");
+        replay(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    strictly_replays(&clean_path);
+    let jsonl = &clean.trace_exports().expect("suite traced").jsonl;
+    check_jsonl(jsonl).expect("trace export passes the JSONL reader");
 
     // Kill before any cell completes (append 2 = the first cell's start),
     // mid-suite after two cells completed (append 6), and at the last
@@ -193,6 +204,7 @@ fn killed_and_resumed_repro_suite_is_byte_identical() {
             aborted.expect_err("kill-point aborts the suite").is::<SweepAbort>(),
             "kill at append {kill_at} raises SweepAbort"
         );
+        assert_eq!(strictly_replays(&path).records as u64, kill_at - 1, "kill at {kill_at}");
 
         let resumed = run_suite_journaled(&suite_config(4), &path, RunnerOptions::default(), false)
             .expect("resumed suite");
@@ -206,6 +218,7 @@ fn killed_and_resumed_repro_suite_is_byte_identical() {
         let stats = resumed.cell_stats().expect("cell stats");
         assert_eq!(stats.replayed, expect_replayed, "kill at {kill_at}");
         assert_eq!(stats.executed, 4 - expect_replayed, "kill at {kill_at}");
+        assert!(!strictly_replays(&path).torn_tail, "kill at {kill_at}");
         let _ = std::fs::remove_file(&path);
     }
     let _ = std::fs::remove_file(&clean_path);

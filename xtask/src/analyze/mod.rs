@@ -7,7 +7,7 @@
 //! - [`counter_conservation`] — every mutated `VmCounters` field has an
 //!   audit law, and every law term has a mutation site;
 //! - [`trace_coverage`] — every `TraceEvent` variant is emitted,
-//!   replayed, and present in the `trace-check` schema;
+//!   replayed, and named in the JSONL event vocabulary (`EVENT_NAMES`);
 //! - [`panic_reachability`] — no panic or slice-index in library code
 //!   reachable from `Machine::run` / `run_cells`.
 //!
@@ -39,7 +39,7 @@ pub const PASSES: &[(&str, &str)] = &[
     ),
     (
         trace_coverage::NAME,
-        "every TraceEvent variant is emitted, handled in replay.rs, and in the trace-check schema",
+        "every TraceEvent variant is emitted, handled in replay.rs, and in EVENT_NAMES",
     ),
     (
         panic_reachability::NAME,

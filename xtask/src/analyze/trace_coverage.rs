@@ -4,22 +4,22 @@
 //! *total* — every `TraceEvent` variant must actually be emitted by the
 //! engine/reclaim/fault/sweep code, must have a handling arm in
 //! `replay.rs` (so replaying a trace reconstructs the vmstat deltas), and
-//! its `name()` string must be in `trace_check.rs`'s `KNOWN_EVENTS`
-//! schema (so exported JSONL validates). A variant missing any leg is a
-//! finding:
+//! its `name()` string must be in the `EVENT_NAMES` vocabulary beside it
+//! in the enum's file (so `check_jsonl` accepts exported JSONL). A variant
+//! missing any leg is a finding:
 //!
 //! - **no emission site** — the variant is dead vocabulary, or worse,
 //!   the decision it should record is untraced;
 //! - **no replay arm** — replay silently drops it and the trace↔vmstat
 //!   conservation property can no longer hold by construction;
-//! - **not in schema** — `cargo xtask trace-check` would reject real
-//!   traces containing it.
+//! - **not in the vocabulary** — `check_jsonl` (and so
+//!   `cargo xtask trace-check`) would reject real traces containing it.
 //!
 //! Emission sites are `TraceEvent::Variant` constructions in non-test
 //! functions under `crates/os`, `crates/mem`, `crates/core` — except
 //! `replay.rs`, whose constructions are *handling*, counted separately.
-//! The `name()` strings are read from the raw text of the enum's file
-//! (the lexer blanks string literals), as is the schema file.
+//! The `name()` strings and the vocabulary are read from the raw text of
+//! the enum's file (the lexer blanks string literals).
 
 use crate::diag::Diagnostic;
 use crate::item_model::{Item, ItemKind, Project};
@@ -31,6 +31,10 @@ pub const NAME: &str = "trace-coverage";
 
 /// The traced-event enum.
 const EVENT_ENUM: &str = "TraceEvent";
+
+/// The const array, in the enum's file, of every name a JSONL trace may
+/// carry.
+const VOCABULARY: &str = "EVENT_NAMES";
 
 /// Crates whose non-test code counts as emission sites.
 fn emission_scope(path: &str) -> bool {
@@ -68,8 +72,7 @@ pub fn run(project: &Project) -> Vec<Diagnostic> {
         .find(|i| i.kind == ItemKind::Fn && i.qual == format!("{EVENT_ENUM}::name"))
         .map(|i| (i.start_line, i.end_line));
     let names = name_strings(&enum_file.raw, name_span);
-    let schema =
-        project.files.iter().find(|f| f.path.ends_with("trace_check.rs")).map(|f| f.raw.as_str());
+    let vocabulary = vocabulary(&enum_file.raw);
 
     // Where is each variant constructed (`TraceEvent :: Variant`)?
     let mut emitted: BTreeSet<&str> = BTreeSet::new();
@@ -116,21 +119,22 @@ pub fn run(project: &Project) -> Vec<Diagnostic> {
                 ),
             ));
         }
-        match (names.get(*v), schema) {
+        match (names.get(*v), &vocabulary) {
             (None, _) => out.push(diag(
                 &enum_file.path,
                 line,
                 v,
                 format!("variant `{v}` has no `name()` mapping — exporters cannot serialize it"),
             )),
-            (Some(name), Some(schema_raw)) if !schema_raw.contains(&format!("\"{name}\"")) => {
+            (Some(name), Some(known)) if !known.contains(name.as_str()) => {
                 out.push(diag(
                     &enum_file.path,
                     line,
                     v,
                     format!(
-                        "variant `{v}`'s name `{name}` is missing from the trace-check schema \
-                         (KNOWN_EVENTS) — exported traces containing it would fail validation"
+                        "variant `{v}`'s name `{name}` is missing from the JSONL event \
+                         vocabulary ({VOCABULARY}) — exported traces containing it would fail \
+                         validation"
                     ),
                 ));
             }
@@ -166,6 +170,15 @@ fn name_strings(raw: &str, span: Option<(usize, usize)>) -> BTreeMap<String, Str
     out
 }
 
+/// The quoted strings of the `EVENT_NAMES` array in the enum file's raw
+/// text, or `None` when the file declares no such array.
+fn vocabulary(raw: &str) -> Option<BTreeSet<&str>> {
+    let start = raw.find(&format!("const {VOCABULARY}"))?;
+    let body = &raw[start..];
+    let body = &body[..body.find("];").unwrap_or(body.len())];
+    Some(body.split('"').skip(1).step_by(2).collect())
+}
+
 /// Declaration line of a variant inside the enum item.
 fn variant_line(enum_item: &Item, variant: &str) -> usize {
     enum_item
@@ -181,34 +194,32 @@ mod tests {
     use super::*;
     use crate::item_model::Project;
 
-    /// A miniature trace stack: enum + name() in one file, an engine
-    /// emitter, a replay handler, and the trace-check schema.
-    fn fixture(engine: &str, replay: &str, schema: &str) -> Vec<Diagnostic> {
+    /// A miniature trace stack: enum + name() + the `vocabulary` array in
+    /// one file, an engine emitter, and a replay handler.
+    fn fixture(engine: &str, replay: &str, vocabulary: &str) -> Vec<Diagnostic> {
         let event = "pub enum TraceEvent {\n    HintFault { page: u64 },\n    PromoteAccept { page: u64 },\n}\n\
                      impl TraceEvent {\n    pub fn name(self) -> &'static str {\n        match self {\n            TraceEvent::HintFault { .. } => \"hint_fault\",\n            TraceEvent::PromoteAccept { .. } => \"promote_accept\",\n        }\n    }\n}\n";
         let project = Project::from_sources(vec![
-            ("crates/trace/src/event.rs".to_string(), event.to_string()),
+            ("crates/trace/src/event.rs".to_string(), format!("{event}{vocabulary}")),
             ("crates/os/src/engine.rs".to_string(), engine.to_string()),
             ("crates/os/src/replay.rs".to_string(), replay.to_string()),
-            ("xtask/src/trace_check.rs".to_string(), schema.to_string()),
         ]);
         run(&project)
     }
 
     const FULL_ENGINE: &str = "pub fn step() {\n    record(TraceEvent::HintFault { page: 1 });\n    record(TraceEvent::PromoteAccept { page: 1 });\n}\n";
     const FULL_REPLAY: &str = "pub fn replay_counters(e: TraceEvent) {\n    match e {\n        TraceEvent::HintFault { .. } => {}\n        TraceEvent::PromoteAccept { .. } => {}\n    }\n}\n";
-    const FULL_SCHEMA: &str =
-        "pub const KNOWN_EVENTS: &[&str] = &[\"hint_fault\", \"promote_accept\"];\n";
+    const FULL_VOCABULARY: &str = "pub(crate) const EVENT_NAMES: &[&str] = &[\"hint_fault\", \"promote_accept\", TRACE_SUMMARY];\n";
 
     #[test]
     fn total_coverage_is_clean() {
-        assert_eq!(fixture(FULL_ENGINE, FULL_REPLAY, FULL_SCHEMA), Vec::new());
+        assert_eq!(fixture(FULL_ENGINE, FULL_REPLAY, FULL_VOCABULARY), Vec::new());
     }
 
     #[test]
     fn planted_unemitted_variant_is_flagged() {
         let engine = "pub fn step() {\n    record(TraceEvent::HintFault { page: 1 });\n}\n";
-        let diags = fixture(engine, FULL_REPLAY, FULL_SCHEMA);
+        let diags = fixture(engine, FULL_REPLAY, FULL_VOCABULARY);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].token, "PromoteAccept");
         assert!(diags[0].message.contains("never emitted"));
@@ -220,7 +231,7 @@ mod tests {
     #[test]
     fn planted_unreplayed_variant_is_flagged() {
         let replay = "pub fn replay_counters(e: TraceEvent) {\n    match e {\n        TraceEvent::HintFault { .. } => {}\n        _ => {}\n    }\n}\n";
-        let diags = fixture(FULL_ENGINE, replay, FULL_SCHEMA);
+        let diags = fixture(FULL_ENGINE, replay, FULL_VOCABULARY);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].token, "PromoteAccept");
         assert!(diags[0].message.contains("no handling arm in replay.rs"));
@@ -228,18 +239,19 @@ mod tests {
 
     #[test]
     fn planted_schema_gap_is_flagged() {
-        let schema = "pub const KNOWN_EVENTS: &[&str] = &[\"hint_fault\"];\n";
-        let diags = fixture(FULL_ENGINE, FULL_REPLAY, schema);
+        let vocabulary = "pub(crate) const EVENT_NAMES: &[&str] = &[\"hint_fault\"];\n";
+        let diags = fixture(FULL_ENGINE, FULL_REPLAY, vocabulary);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].token, "PromoteAccept");
-        assert!(diags[0].message.contains("missing from the trace-check schema"));
+        assert_eq!(diags[0].path, "crates/trace/src/event.rs");
+        assert!(diags[0].message.contains("missing from the JSONL event vocabulary"));
     }
 
     #[test]
     fn replay_construction_does_not_count_as_emission() {
         // Only replay.rs constructs PromoteAccept: still unemitted.
         let engine = "pub fn step() {\n    record(TraceEvent::HintFault { page: 1 });\n}\n";
-        let diags = fixture(engine, FULL_REPLAY, FULL_SCHEMA);
+        let diags = fixture(engine, FULL_REPLAY, FULL_VOCABULARY);
         assert!(diags.iter().any(|d| d.message.contains("never emitted")));
     }
 
@@ -247,7 +259,7 @@ mod tests {
     fn test_code_emission_does_not_count() {
         let engine = "pub fn step() {\n    record(TraceEvent::HintFault { page: 1 });\n}\n\
                       #[cfg(test)]\nmod tests {\n    fn t() { record(TraceEvent::PromoteAccept { page: 1 }); }\n}\n";
-        let diags = fixture(engine, FULL_REPLAY, FULL_SCHEMA);
+        let diags = fixture(engine, FULL_REPLAY, FULL_VOCABULARY);
         assert_eq!(diags.len(), 1, "test-only emission must not satisfy the contract");
         assert!(diags[0].message.contains("never emitted"));
     }
@@ -262,7 +274,6 @@ mod tests {
             ("crates/trace/src/event.rs".to_string(), event.to_string()),
             ("crates/os/src/engine.rs".to_string(), engine.to_string()),
             ("crates/os/src/replay.rs".to_string(), replay.to_string()),
-            ("xtask/src/trace_check.rs".to_string(), "&[]".to_string()),
         ]);
         let diags = run(&project);
         assert_eq!(diags.len(), 1);

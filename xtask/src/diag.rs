@@ -7,12 +7,12 @@
 //!
 //! - `human` — `path:line: [tool/rule] message`, the terminal default;
 //! - `json` — one flat JSON object per line (JSONL), same shape for
-//!   both tools, parseable with the `minijson` helpers;
+//!   both tools, strings escaped by the journal's `escape_json`;
 //! - `sarif` — minimal SARIF 2.1.0 for code-scanning UIs; baselined
 //!   findings are emitted at level `note`, active ones at `error`.
 
-use crate::minijson::escape;
 use std::collections::BTreeSet;
+use tiersim_core::journal::codec::escape_json;
 
 /// One finding from any checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,13 +84,13 @@ fn render_json(diags: &[Diagnostic]) -> String {
     for d in diags {
         out.push_str(&format!(
             "{{\"tool\":\"{}\",\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"item\":\"{}\",\"token\":\"{}\",\"message\":\"{}\",\"baselined\":{}}}\n",
-            escape(d.tool),
-            escape(&d.rule),
-            escape(&d.path),
+            escape_json(d.tool),
+            escape_json(&d.rule),
+            escape_json(&d.path),
             d.line,
-            escape(&d.item),
-            escape(&d.token),
-            escape(&d.message),
+            escape_json(&d.item),
+            escape_json(&d.token),
+            escape_json(&d.message),
             d.baselined,
         ));
     }
@@ -101,7 +101,7 @@ fn render_sarif(diags: &[Diagnostic]) -> String {
     let rule_ids: BTreeSet<&str> = diags.iter().map(|d| d.rule.as_str()).collect();
     let rules = rule_ids
         .iter()
-        .map(|id| format!("{{\"id\":\"{}\"}}", escape(id)))
+        .map(|id| format!("{{\"id\":\"{}\"}}", escape_json(id)))
         .collect::<Vec<_>>()
         .join(",");
     let results = diags
@@ -112,9 +112,9 @@ fn render_sarif(diags: &[Diagnostic]) -> String {
                 "{{\"ruleId\":\"{}\",\"level\":\"{level}\",\"message\":{{\"text\":\"{}\"}},\
                  \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
                  \"region\":{{\"startLine\":{}}}}}}}]}}",
-                escape(&d.rule),
-                escape(&d.message),
-                escape(&d.path),
+                escape_json(&d.rule),
+                escape_json(&d.message),
+                escape_json(&d.path),
                 d.line.max(1),
             )
         })
@@ -131,7 +131,6 @@ fn render_sarif(diags: &[Diagnostic]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minijson::{str_field, u64_field};
 
     fn sample() -> Vec<Diagnostic> {
         vec![
@@ -169,16 +168,21 @@ mod tests {
     }
 
     #[test]
-    fn json_format_is_parseable_jsonl() {
+    fn json_format_is_one_escaped_object_per_line() {
         let out = render(&sample(), Format::Json);
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(str_field(lines[0], "rule"), Some("counter-conservation"));
-        assert_eq!(u64_field(lines[0], "line"), Some(42));
-        assert_eq!(str_field(lines[1], "tool"), Some("lint"));
-        // Escaped quotes survive the round trip.
-        assert_eq!(str_field(lines[1], "message"), Some("say \\\"why\\\" instead"));
-        assert!(lines[1].contains("\"baselined\":true"));
+        assert_eq!(
+            lines,
+            [
+                "{\"tool\":\"analyze\",\"rule\":\"counter-conservation\",\
+                 \"path\":\"crates/os/src/engine.rs\",\"line\":42,\
+                 \"item\":\"AutoNuma::handle_fault\",\"token\":\"promo_no_space\",\
+                 \"message\":\"counter `promo_no_space` has no law\",\"baselined\":false}",
+                "{\"tool\":\"lint\",\"rule\":\"no-unwrap\",\"path\":\"src/main.rs\",\
+                 \"line\":7,\"item\":\"\",\"token\":\"unwrap\",\
+                 \"message\":\"say \\\"why\\\" instead\",\"baselined\":true}",
+            ]
+        );
     }
 
     #[test]

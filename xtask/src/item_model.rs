@@ -11,8 +11,8 @@
 //! path — the right default for the panic-reachability pass, where a
 //! false "unreachable" would hide a crash site.
 //!
-//! No `syn`, no dependencies: the model must build on the same offline
-//! toolchain as the rest of xtask (DESIGN.md §14).
+//! No `syn`, no registry dependencies: the model must build on the same
+//! offline toolchain as the rest of xtask (DESIGN.md §14).
 
 use crate::lexer::{self, is_ident_char, CodeLine};
 use std::collections::{BTreeMap, BTreeSet};
@@ -92,14 +92,11 @@ impl Project {
     }
 
     /// Loads and models every analyzable source under `root`: the crate
-    /// libraries (`crates/*/src`), the root crate (`src/`), integration
-    /// tests (`tests/`) and xtask itself (`xtask/src`, needed so the
-    /// trace-coverage pass can read the `trace-check` schema). `vendor/`
+    /// libraries (`crates/*/src`), the root crate (`src/`) and integration
+    /// tests (`tests/`), the same files `lint` scans. `vendor/`, `xtask/`
     /// and `target/` are never scanned.
     pub fn load(root: &Path) -> Result<Project, String> {
-        let mut paths = crate::collect_sources(root);
-        crate::walk(&root.join("xtask").join("src"), &mut paths);
-        paths.sort();
+        let paths = crate::collect_sources(root);
         let mut sources = Vec::with_capacity(paths.len());
         for path in paths {
             let rel = crate::relative(&path, root);

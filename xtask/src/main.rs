@@ -4,27 +4,26 @@
 //! - `lint` — the tiersim determinism lint pass (DESIGN.md §9);
 //! - `analyze` — the project-wide contract analyzer: counter-conservation,
 //!   trace-coverage and panic-reachability passes (DESIGN.md §14);
-//! - `trace-check` — schema validation for `repro_all --trace` JSONL
-//!   artifacts (DESIGN.md §11);
-//! - `journal-check` — schema + checksum validation for the crash-safe
-//!   sweep journal written by `repro_all --resume` (DESIGN.md §13);
+//! - `trace-check` — validates a `repro_all --trace` JSONL artifact with
+//!   `tiersim_trace::check_jsonl` (DESIGN.md §11);
+//! - `journal-check` — validates a crash-safe sweep journal written by
+//!   `repro_all --resume` with `tiersim_core::journal::replay`
+//!   (DESIGN.md §13);
 //! - `hot-path` — checks that a release binary inlines the resident
 //!   access chain and keeps its cold halves out of line (DESIGN.md,
 //!   "The per-access chain").
 //!
-//! All are dependency-free on purpose — CI runs them on an offline
-//! toolchain before anything else. `lint` and `analyze` report through
-//! the shared `diag` reporter (`--format human|json|sarif`).
+//! The two checkers are thin calls into the library reader of their
+//! format; `lint` and `analyze` are hand-rolled scanners with no registry
+//! dependency and report through the shared `diag` reporter
+//! (`--format human|json|sarif`).
 
 mod analyze;
 mod diag;
 mod hot_path;
 mod item_model;
-mod journal_check;
 mod lexer;
-mod minijson;
 mod rules;
-mod trace_check;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -34,8 +33,15 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
         Some("analyze") => analyze_cmd(&args[1..]),
-        Some("trace-check") => trace_check_cmd(&args[1..]),
-        Some("journal-check") => journal_check_cmd(&args[1..]),
+        Some("trace-check") => check_file("trace-check", &args[1..], |text| {
+            tiersim_trace::check_jsonl(text).map(|lines| format!("{lines} lines ok"))
+        }),
+        Some("journal-check") => check_file("journal-check", &args[1..], |text| {
+            tiersim_core::journal::replay(text).map(|r| {
+                let torn = if r.torn_tail { " (torn final line ignored)" } else { "" };
+                format!("{} records ok, fingerprint `{}`{torn}", r.records, r.fingerprint)
+            })
+        }),
         Some("hot-path") => hot_path_cmd(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
@@ -208,53 +214,29 @@ fn hot_path_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-fn journal_check_cmd(args: &[String]) -> ExitCode {
+/// Reads the one file argument of `trace-check` or `journal-check` and
+/// prints `check`'s verdict on it: its summary, or its error and a
+/// failing exit code.
+fn check_file<E: std::fmt::Display>(
+    task: &str,
+    args: &[String],
+    check: impl FnOnce(&str) -> Result<String, E>,
+) -> ExitCode {
     let [path] = args else {
-        eprintln!("xtask journal-check: expected exactly one file argument");
+        eprintln!("xtask {task}: expected exactly one file argument");
         return ExitCode::FAILURE;
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("xtask journal-check: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let verdict = match std::fs::read_to_string(path) {
+        Ok(text) => check(&text).map_err(|e| e.to_string()),
+        Err(e) => Err(format!("cannot read: {e}")),
     };
-    match journal_check::check_journal(&text) {
+    match verdict {
         Ok(summary) => {
-            let torn = if summary.torn_tail { " (torn final line ignored)" } else { "" };
-            println!(
-                "xtask journal-check: {path}: {} records ok, fingerprint `{}`{torn}",
-                summary.records, summary.fingerprint
-            );
+            println!("xtask {task}: {path}: {summary}");
             ExitCode::SUCCESS
         }
-        Err((line, msg)) => {
-            eprintln!("xtask journal-check: {path}:{line}: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn trace_check_cmd(args: &[String]) -> ExitCode {
-    let [path] = args else {
-        eprintln!("xtask trace-check: expected exactly one file argument");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(s) => s,
         Err(e) => {
-            eprintln!("xtask trace-check: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match trace_check::check_jsonl(&text) {
-        Ok(lines) => {
-            println!("xtask trace-check: {path}: {lines} lines ok");
-            ExitCode::SUCCESS
-        }
-        Err((line, msg)) => {
-            eprintln!("xtask trace-check: {path}:{line}: {msg}");
+            eprintln!("xtask {task}: {path}: {e}");
             ExitCode::FAILURE
         }
     }
