@@ -2,17 +2,21 @@
 //! two extension experiments, one named section each: a table of
 //! **simulated** time plus the counters its mechanism moves, read from
 //! each run's [`RunReport`]. Knob sections vary the testbed
-//! ([`ExperimentConfig::machine`]) on `bc_kron`; a setting equal to the
-//! testbed reuses its default AutoNUMA run.
+//! ([`ExperimentConfig::machine`]) on `bc_kron`. Every row takes its
+//! simulations from one [`Runs`] store keyed by machine and workload, so
+//! a setting equal to the testbed reads the default AutoNUMA run, and the
+//! tiering-mode section's static object row and the dynamic-object
+//! extension's `bc_kron` row read one static run whenever the whole and
+//! spill plans coincide.
 
 use std::sync::Arc;
-use tiersim_core::experiments::AutonumaRuns;
+use tiersim_core::experiments::{RunKey, Runs};
 use tiersim_core::journal::{CellError, FailureClass, JournalCell};
 use tiersim_core::render::{pct, TextTable};
 use tiersim_core::sweep::run_cells_fallible;
 use tiersim_core::{
-    generate, plan_from_report, run_workload, Dataset, ExperimentConfig, Kernel, Machine,
-    MachineConfig, RunReport, WorkloadConfig,
+    generate, plan_from_report, Dataset, ExperimentConfig, Kernel, Machine, MachineConfig,
+    RunReport, WorkloadConfig,
 };
 use tiersim_graph::{bfs, build_sim_csr, BfsParams, SourcePicker};
 use tiersim_mem::TlbGeometry;
@@ -30,7 +34,7 @@ type Tweak = fn(&mut MachineConfig, &RunReport);
 /// The report under construction: titled sections of `|`-separated
 /// column names and rows, in order.
 struct Report {
-    runs: Arc<AutonumaRuns>,
+    runs: Arc<Runs>,
     sections: Vec<(&'static str, String, Vec<Row>)>,
 }
 
@@ -53,12 +57,12 @@ impl Report {
         let runs = Arc::clone(&self.runs);
         let (_, _, rows) = self.sections.last_mut().expect("`knob` starts a section");
         rows.push(Box::new(move || {
-            let w = runs.config().workload(Kernel::Bc, Dataset::Kron);
-            let base = runs.get(w).map_err(|e| e.to_string())?;
-            let default = runs.config().machine(TieringMode::AutoNuma);
-            let mut machine = default.clone();
+            let cfg = runs.config();
+            let key = cfg.autonuma(cfg.workload(Kernel::Bc, Dataset::Kron));
+            let base = get(&runs, key.clone())?;
+            let (mut machine, w) = key;
             tweak(&mut machine, &base);
-            let r = if machine == default { Arc::clone(&base) } else { simulate(machine, w)? };
+            let r = get(&runs, (machine, w))?;
             let change = signed_pct(r.total_secs / base.total_secs - 1.0);
             // External counts and cycles are indexed by tier: [DRAM, NVM].
             let [_, nvm] = r.mem_stats.external_counts.map(|tier| tier.iter().sum::<u64>());
@@ -74,8 +78,9 @@ impl Report {
     }
 }
 
-fn simulate(machine: MachineConfig, w: WorkloadConfig) -> Result<Arc<RunReport>, String> {
-    run_workload(machine, w).map(Arc::new).map_err(|e| e.to_string())
+/// The run of `key` from `runs`, its error as a row error.
+fn get(runs: &Runs, key: RunKey) -> Result<Arc<RunReport>, String> {
+    runs.get(key).map_err(|e| e.to_string())
 }
 
 /// Simulated seconds as milliseconds.
@@ -120,17 +125,17 @@ fn bfs_row(cfg: ExperimentConfig, dataset: Dataset, label: &'static str, p: BfsP
 /// An extension row: `w` under AutoNUMA against the paper's static object
 /// mapping (spill variant), then the online object tierer if `dynamic`,
 /// else the AutoNUMA run's touch profile and promotions.
-fn object_row(runs: &Arc<AutonumaRuns>, w: WorkloadConfig, dynamic: bool) -> Row {
+fn object_row(runs: &Arc<Runs>, w: WorkloadConfig, dynamic: bool) -> Row {
     let runs = Arc::clone(runs);
     Box::new(move || {
-        let auto = runs.get(w).map_err(|e| e.to_string())?;
-        let mut machine = runs.config().machine(TieringMode::AutoNuma);
+        let (mut machine, w) = runs.config().autonuma(w);
+        let auto = get(&runs, (machine.clone(), w))?;
         static_object(&mut machine, &auto, true);
-        let stat = simulate(machine.clone(), w)?;
+        let stat = get(&runs, (machine.clone(), w))?;
         let gain = |r: &RunReport| signed_pct(1.0 - r.total_secs / auto.total_secs);
         if dynamic {
             machine.mode = TieringMode::DynamicObject(DynamicObjectConfig::default());
-            let dynr = simulate(machine, w)?;
+            let dynr = get(&runs, (machine, w))?;
             let times = [&auto, &stat, &dynr].map(|r| ms(r.total_secs)).to_vec();
             Ok([vec![w.name()], times, vec![gain(&stat), gain(&dynr)]].concat())
         } else {
@@ -163,7 +168,8 @@ fn sections(r: &mut Report) {
         [Dataset::Kron, Dataset::Urand, Dataset::Road].map(|d| cfg.workload(Kernel::Bfs, d));
     // Every default run the rows read (`bc_kron` included), simulated
     // once on `jobs` workers.
-    runs.get_all(&[&dynamic[..], &locality].concat());
+    let defaults: Vec<_> = dynamic.iter().chain(&locality).map(|&w| cfg.autonuma(w)).collect();
+    runs.get_all(&defaults);
     // Unbuffered, every NVM access pays the media latency.
     r.knob("Ablation: NVM XPBuffer (bc_kron)", "XPBuffer").set("buffered", |_, _| {}).set(
         "unbuffered",
@@ -226,7 +232,7 @@ fn sections(r: &mut Report) {
 /// ([`ExperimentSuite::output`]) are identical for every `jobs` value. A
 /// section with a failed row is quarantined; the others still render.
 pub fn run_ablate(experiment: &ExperimentConfig) -> ExperimentSuite {
-    let mut report = Report { runs: Arc::new(AutonumaRuns::new(experiment)), sections: Vec::new() };
+    let mut report = Report { runs: Arc::new(Runs::new(experiment)), sections: Vec::new() };
     sections(&mut report);
     let jobs = experiment.jobs;
     let cells = report.sections.into_iter().map(|(title, header, rows)| JournalCell {

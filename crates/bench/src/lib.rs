@@ -1,7 +1,7 @@
 //! # tiersim-bench — reproduction harness
 //!
 //! One front end, `repro_all`, prints every paper table and figure as a
-//! named section, from one shared set of AutoNUMA runs
+//! named section, from one shared store of simulations
 //! ([`run_repro_suite`]). Its subcommands write the paper artifact's
 //! per-workload trace CSVs (`repro_all dump`), run the knob auto-tuner
 //! (`repro_all tune`, DESIGN.md §16) and print the DESIGN.md §5
@@ -35,7 +35,7 @@ pub use cli::{Cli, Command};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Once};
 use tiersim_core::experiments::{
-    AutonumaRuns, AutonumaTrace, Characterization, Comparison, ObjectAnalysis,
+    AutonumaTrace, Characterization, Comparison, ObjectAnalysis, Runs,
 };
 use tiersim_core::journal::{
     atomic_write, run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalError,
@@ -339,7 +339,7 @@ type Sections = Vec<(String, String)>;
 /// # Errors
 ///
 /// The first failing AutoNUMA run's error.
-pub fn characterization_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
+pub fn characterization_sections(runs: &Runs) -> Result<Sections, CoreError> {
     let c = Characterization::run_with(runs)?;
     Ok(vec![
         ("Figure 3: sample distribution across levels".to_string(), c.render_fig3()),
@@ -356,7 +356,7 @@ pub fn characterization_sections(runs: &AutonumaRuns) -> Result<Sections, CoreEr
 /// # Errors
 ///
 /// The `bc_kron` AutoNUMA run's error.
-pub fn object_analysis_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
+pub fn object_analysis_sections(runs: &Runs) -> Result<Sections, CoreError> {
     let a = ObjectAnalysis::run_with(runs)?;
     let mut out = vec![(
         "Figure 6: top objects by external samples (bc_kron)".to_string(),
@@ -387,9 +387,7 @@ pub fn object_analysis_sections(runs: &AutonumaRuns) -> Result<Sections, CoreErr
 /// # Errors
 ///
 /// The `bc_kron` AutoNUMA run's error.
-pub fn autonuma_trace_sections(
-    runs: &AutonumaRuns,
-) -> Result<(Sections, Option<TraceLog>), CoreError> {
+pub fn autonuma_trace_sections(runs: &Runs) -> Result<(Sections, Option<TraceLog>), CoreError> {
     let tr = AutonumaTrace::run_with(runs)?;
     let sections = vec![
         ("Figure 9: memory usage and counters over time (bc_kron)".to_string(), tr.render_fig9()),
@@ -406,7 +404,7 @@ pub fn autonuma_trace_sections(
 /// # Errors
 ///
 /// The first failing row's error.
-pub fn comparison_sections(runs: &AutonumaRuns) -> Result<Sections, CoreError> {
+pub fn comparison_sections(runs: &Runs) -> Result<Sections, CoreError> {
     let cmp = Comparison::run_with(runs)?;
     Ok(vec![("Figure 11: object-level static mapping vs AutoNUMA".to_string(), cmp.render())])
 }
@@ -455,12 +453,11 @@ fn cell_error(e: CoreError) -> CellError {
 
 /// The suite's cells, in suite order: the `--inject-failure` cell when
 /// asked for, then the four reproduction experiments on one shared
-/// [`AutonumaRuns`] store, so each distinct AutoNUMA run is simulated
-/// once per suite. A cell's payload is its encoded sections; the traced
+/// [`Runs`] store, so each distinct simulation is run once per suite. A cell's payload is its encoded sections; the traced
 /// run's exports ride along as reserved sections, so a resumed suite
 /// reproduces `--trace` output from the journal alone.
 fn suite_cells(experiment: &ExperimentConfig, inject_failure: bool) -> Vec<JournalCell> {
-    type Experiment = fn(&AutonumaRuns) -> Result<Sections, CoreError>;
+    type Experiment = fn(&Runs) -> Result<Sections, CoreError>;
     let experiments: [(&str, Experiment); 4] = [
         ("characterization", characterization_sections),
         ("object analysis", object_analysis_sections),
@@ -484,7 +481,7 @@ fn suite_cells(experiment: &ExperimentConfig, inject_failure: bool) -> Vec<Journ
             run: Box::new(|| Err(cell_error(injected_failure()))),
         });
     }
-    let runs = Arc::new(AutonumaRuns::new(experiment));
+    let runs = Arc::new(Runs::new(experiment));
     for (name, sections) in experiments {
         let runs = Arc::clone(&runs);
         cells.push(JournalCell {
@@ -570,10 +567,10 @@ pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> E
 /// The assembled output, summary, and trace exports are byte-identical
 /// between an uninterrupted run and any kill+resume split of it.
 ///
-/// The cells share one [`AutonumaRuns`] store, so each distinct AutoNUMA
-/// run is simulated once per call. A resumed cell that finds a run
-/// missing (its producer was replayed from the journal) simulates it
-/// itself; determinism makes its payload the same bytes.
+/// The cells share one [`Runs`] store, so each distinct simulation is
+/// run once per call. A resumed cell that finds a run missing (its
+/// producer was replayed from the journal) simulates it itself;
+/// determinism makes its payload the same bytes.
 ///
 /// # Errors
 ///
@@ -611,11 +608,11 @@ pub fn run_suite_journaled(
 /// first failed run.
 fn dump(cli: &Cli) -> Finished {
     banner("trace dump (artifact CSV layout)", cli);
-    let workloads = cli.experiment.workloads();
-    let runs = AutonumaRuns::new(&cli.experiment).get_all(&workloads);
-    for (w, run) in workloads.into_iter().zip(runs) {
+    let e = &cli.experiment;
+    let keys: Vec<_> = e.workloads().into_iter().map(|w| e.autonuma(w)).collect();
+    for ((_, w), run) in keys.iter().zip(Runs::new(e).get_all(&keys)) {
         run.map_err(|e| e.to_string())
-            .and_then(|r| dump_workload(w, &r))
+            .and_then(|r| dump_workload(*w, &r))
             .map_err(|e| format!("dump {}: {e}", w.name()))?;
     }
     Ok((0, Vec::new()))

@@ -1,6 +1,6 @@
 //! AutoNUMA behavior over time (paper §6.5–6.7: Figures 9 and 10).
 
-use super::{AutonumaRuns, ExperimentConfig};
+use super::{ExperimentConfig, Runs};
 use crate::error::CoreError;
 use crate::render::TextTable;
 use crate::report::RunReport;
@@ -8,7 +8,6 @@ use crate::timeline::TimelineOps;
 use crate::workload::{Dataset, Kernel};
 use std::sync::Arc;
 use tiersim_mem::{MemLevel, Tier};
-use tiersim_policy::TieringMode;
 use tiersim_profile::binned_counts;
 
 /// One sampled second of Figure 9: memory usage, migration activity and
@@ -64,7 +63,7 @@ impl AutonumaTrace {
     ///
     /// Propagates run errors.
     pub fn run(cfg: &ExperimentConfig) -> Result<AutonumaTrace, CoreError> {
-        Self::run_with(&AutonumaRuns::new(cfg))
+        Self::run_with(&Runs::new(cfg))
     }
 
     /// Takes `bc_kron`'s AutoNUMA run from `runs`.
@@ -72,10 +71,9 @@ impl AutonumaTrace {
     /// # Errors
     ///
     /// Propagates run errors.
-    pub fn run_with(runs: &AutonumaRuns) -> Result<AutonumaTrace, CoreError> {
-        let cfg = runs.config();
-        let freq_hz = cfg.machine(TieringMode::AutoNuma).mem.freq_hz;
-        Ok(AutonumaTrace { report: runs.get(cfg.workload(Kernel::Bc, Dataset::Kron))?, freq_hz })
+    pub fn run_with(runs: &Runs) -> Result<AutonumaTrace, CoreError> {
+        let key = runs.config().autonuma(runs.config().workload(Kernel::Bc, Dataset::Kron));
+        Ok(AutonumaTrace { freq_hz: key.0.mem.freq_hz, report: runs.get(key)? })
     }
 
     /// Figure 9 rows, one per timeline snapshot.

@@ -1,7 +1,7 @@
 //! The six-workload characterization bundle: Figure 3, Figure 4,
 //! Figure 5, and Tables 1–3.
 
-use super::{AutonumaRuns, ExperimentConfig};
+use super::{ExperimentConfig, Runs};
 use crate::error::CoreError;
 use crate::render::{pct, TextTable};
 use crate::report::RunReport;
@@ -107,7 +107,7 @@ impl Characterization {
     ///
     /// Propagates the first run error.
     pub fn run(cfg: &ExperimentConfig) -> Result<Characterization, CoreError> {
-        Self::run_with(&AutonumaRuns::new(cfg))
+        Self::run_with(&Runs::new(cfg))
     }
 
     /// Takes the six paper workloads' AutoNUMA runs from `runs`.
@@ -115,10 +115,11 @@ impl Characterization {
     /// # Errors
     ///
     /// Propagates the first run error in grid order.
-    pub fn run_with(runs: &AutonumaRuns) -> Result<Characterization, CoreError> {
+    pub fn run_with(runs: &Runs) -> Result<Characterization, CoreError> {
         let cfg = runs.config();
         let freq_hz = cfg.machine(TieringMode::AutoNuma).mem.freq_hz;
-        let reports = runs.get_all(&cfg.workloads()).into_iter().collect::<Result<Vec<_>, _>>()?;
+        let keys: Vec<_> = cfg.workloads().into_iter().map(|w| cfg.autonuma(w)).collect();
+        let reports = runs.get_all(&keys).into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(Characterization { reports, freq_hz })
     }
 

@@ -1,12 +1,12 @@
 //! Object-level static mapping vs AutoNUMA (paper §7: Figure 11).
 
-use super::{AutonumaRuns, ExperimentConfig};
-use crate::config::MachineConfig;
+use super::{ExperimentConfig, RunKey, Runs};
 use crate::error::CoreError;
 use crate::render::{pct, secs, TextTable};
 use crate::report::RunReport;
-use crate::runner::{plan_from_report, run_workload};
+use crate::runner::plan_from_report;
 use crate::workload::{Kernel, WorkloadConfig};
+use std::sync::Arc;
 use tiersim_policy::TieringMode;
 
 /// One bar of Figure 11.
@@ -32,6 +32,21 @@ pub struct Fig11Row {
 }
 
 impl Fig11Row {
+    /// The bar of `workload` from its AutoNUMA run `auto` and its static
+    /// run `stat` under the plan profiled from `auto`.
+    fn new(workload: WorkloadConfig, spill: bool, auto: &RunReport, stat: &RunReport) -> Fig11Row {
+        Fig11Row {
+            workload: if spill { format!("{}*", workload.name()) } else { workload.name() },
+            autonuma_secs: auto.total_secs,
+            static_secs: stat.total_secs,
+            autonuma_trial_secs: auto.exec_secs(),
+            static_trial_secs: stat.exec_secs(),
+            autonuma_nvm_samples: auto.nvm_samples(),
+            static_nvm_samples: stat.nvm_samples(),
+            spill,
+        }
+    }
+
     /// Execution-time improvement over AutoNUMA (positive = static
     /// mapping is faster), as a fraction.
     pub fn improvement(&self) -> f64 {
@@ -66,81 +81,57 @@ impl Comparison {
     ///
     /// Propagates the first run error.
     pub fn run(cfg: &ExperimentConfig) -> Result<Comparison, CoreError> {
-        Self::run_with(&AutonumaRuns::new(cfg))
+        Self::run_with(&Runs::new(cfg))
     }
 
-    /// Runs the comparison on the AutoNUMA runs in `runs`: each workload's
-    /// AutoNUMA run is both its Figure 11 baseline and the profile its
-    /// static plans (whole-object and, for CC, spill) are built from, so
-    /// only the static halves are simulated here.
+    /// Runs the comparison on the runs in `runs`: each workload's AutoNUMA
+    /// run is both its Figure 11 baseline and the profile its static plans
+    /// (whole-object and, for CC, spill) are built from. The static halves
+    /// are store keys as well, so a spill plan equal to its whole-object
+    /// plan reads the same run.
     ///
     /// # Errors
     ///
     /// The first failing row's error in row order: its AutoNUMA run's,
     /// else its static run's.
-    pub fn run_with(runs: &AutonumaRuns) -> Result<Comparison, CoreError> {
+    pub fn run_with(runs: &Runs) -> Result<Comparison, CoreError> {
         let cfg = runs.config();
-        let workloads = cfg.workloads();
-        let autos = runs.get_all(&workloads);
-        // One (workload, spill) row per bar; the static halves of the rows
-        // whose AutoNUMA run succeeded go to the sweep executor together.
-        let mut specs = Vec::new();
-        for (w, auto) in workloads.into_iter().zip(autos) {
-            specs.push((w, false, auto.clone()));
-            if w.kernel == Kernel::Cc {
-                specs.push((w, true, auto));
+        let base = cfg.machine(TieringMode::AutoNuma);
+        let keys: Vec<_> = cfg.workloads().into_iter().map(|w| cfg.autonuma(w)).collect();
+        // One (workload, spill, AutoNUMA run) per bar, up to the first
+        // failed AutoNUMA run: no later row can change the result.
+        let mut bars = Vec::new();
+        let mut failed = None;
+        for ((_, w), auto) in keys.iter().zip(runs.get_all(&keys)) {
+            match auto {
+                Ok(auto) => {
+                    bars.push((*w, false, Arc::clone(&auto)));
+                    if w.kernel == Kernel::Cc {
+                        bars.push((*w, true, auto));
+                    }
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
             }
         }
-        let cells: Vec<_> = specs
-            .into_iter()
+        let statics: Vec<RunKey> = bars
+            .iter()
             .map(|(w, spill, auto)| {
-                let base = cfg.machine(TieringMode::AutoNuma);
-                move || Self::static_row(base, w, spill, &*auto?)
+                let mut machine = base.clone();
+                machine.mode = TieringMode::StaticObject(plan_from_report(auto, &base, *spill));
+                (machine, *w)
             })
             .collect();
-        let rows =
-            crate::sweep::run_cells(cfg.jobs, cells).into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(Comparison { rows })
-    }
-
-    /// Runs one workload pair (AutoNUMA + static) and builds its row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates run errors.
-    pub fn compare(
-        cfg: &ExperimentConfig,
-        workload: WorkloadConfig,
-        spill: bool,
-    ) -> Result<Fig11Row, CoreError> {
-        let base = cfg.machine(TieringMode::AutoNuma);
-        let auto = run_workload(base.clone(), workload)?;
-        Self::static_row(base, workload, spill, &auto)
-    }
-
-    /// Runs `workload` under the static plan profiled from its AutoNUMA
-    /// run `auto` on testbed `base`, and builds the row.
-    fn static_row(
-        base: MachineConfig,
-        workload: WorkloadConfig,
-        spill: bool,
-        auto: &RunReport,
-    ) -> Result<Fig11Row, CoreError> {
-        let plan = plan_from_report(auto, &base, spill);
-        let mut static_cfg = base;
-        static_cfg.mode = TieringMode::StaticObject(plan);
-        let stat = run_workload(static_cfg, workload)?;
-        let name = if spill { format!("{}*", workload.name()) } else { workload.name() };
-        Ok(Fig11Row {
-            workload: name,
-            autonuma_secs: auto.total_secs,
-            static_secs: stat.total_secs,
-            autonuma_trial_secs: auto.exec_secs(),
-            static_trial_secs: stat.exec_secs(),
-            autonuma_nvm_samples: auto.nvm_samples(),
-            static_nvm_samples: stat.nvm_samples(),
-            spill,
-        })
+        let mut rows = Vec::new();
+        for ((w, spill, auto), stat) in bars.iter().zip(runs.get_all(&statics)) {
+            rows.push(Fig11Row::new(*w, *spill, auto, &*stat?));
+        }
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(Comparison { rows }),
+        }
     }
 
     /// Mean improvement across non-spill rows (the paper reports 21%
@@ -197,39 +188,42 @@ impl Comparison {
 mod tests {
     use super::*;
     use crate::experiments::tiny_config;
+    use crate::runner::run_workload;
     use crate::workload::Dataset;
 
     #[test]
-    fn single_pair_comparison_runs() {
+    fn a_rows_static_half_runs_the_plan_profiled_from_its_autonuma_half() {
         let cfg = tiny_config();
-        let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
-        let row = Comparison::compare(&cfg, w, false).unwrap();
-        assert!(row.autonuma_secs > 0.0);
-        assert!(row.static_secs > 0.0);
-        assert!(!row.spill);
-        assert!(row.workload == "bfs_kron");
+        let runs = Runs::new(&cfg);
+        let cmp = Comparison::run_with(&runs).unwrap();
+        let names: Vec<_> = cmp.rows.iter().map(|r| r.workload.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "bc_kron",
+                "bc_urand",
+                "bfs_kron",
+                "bfs_urand",
+                "cc_kron",
+                "cc_kron*",
+                "cc_urand",
+                "cc_urand*"
+            ]
+        );
+        assert!(cmp.rows.iter().all(|r| r.spill == r.workload.ends_with('*')));
 
-        // The row's static half is a static-object run on the plan
-        // profiled from the AutoNUMA half, and it never migrates.
-        let base = cfg.machine(TieringMode::AutoNuma);
-        let auto = run_workload(base.clone(), w).unwrap();
+        let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
+        let auto = runs.get(cfg.autonuma(w)).unwrap();
         assert_eq!(auto.mode_name, "autonuma");
-        assert_eq!(row.autonuma_secs, auto.total_secs);
+        let base = cfg.machine(TieringMode::AutoNuma);
         let mut static_cfg = base.clone();
         static_cfg.mode = TieringMode::StaticObject(plan_from_report(&auto, &base, false));
         let stat = run_workload(static_cfg, w).unwrap();
         assert_eq!(stat.mode_name, "static_object");
         assert!(stat.counters.no_migrations(), "static mapping never migrates");
-        assert_eq!(row.static_secs, stat.total_secs);
-    }
-
-    #[test]
-    fn spill_row_is_labeled_with_asterisk() {
-        let cfg = tiny_config();
-        let w = cfg.workload(Kernel::Cc, Dataset::Urand);
-        let row = Comparison::compare(&cfg, w, true).unwrap();
-        assert_eq!(row.workload, "cc_urand*");
-        assert!(row.spill);
+        let row = cmp.row("bfs_kron").unwrap();
+        assert_eq!(*row, Fig11Row::new(w, false, &auto, &stat));
+        assert!(row.autonuma_secs > 0.0 && row.static_secs > 0.0);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! (BC/BFS/CC × kron/urand) and derives the corresponding table or figure
 //! series. `tiersim-bench`'s `repro_all` prints each as a named section.
 //!
-//! Every experiment takes its AutoNUMA runs from an [`AutonumaRuns`]
-//! store: `Foo::run(cfg)` uses a fresh one, `Foo::run_with(&runs)` shares
-//! `runs` with the other experiments, so a suite simulates each distinct
-//! workload once.
+//! Every experiment takes its simulations from a [`Runs`] store keyed by
+//! machine and workload: `Foo::run(cfg)` uses a fresh one,
+//! `Foo::run_with(&runs)` shares `runs` with the other experiments (and,
+//! in `tiersim-bench`, with `ablate` and `dump`), so a suite simulates
+//! each distinct (machine, workload) pair once, static runs included.
 
 mod autonuma_trace;
 mod characterization;
@@ -21,12 +22,9 @@ pub use characterization::{
 };
 pub use comparison::{Comparison, Fig11Row};
 pub use objects::{Fig6Row, ObjectAnalysis};
-pub use runs::{AutonumaRuns, SharedRun};
+pub use runs::{RunKey, Runs, SharedRun};
 
 use crate::config::MachineConfig;
-use crate::error::CoreError;
-use crate::report::RunReport;
-use crate::runner::run_workload;
 use crate::workload::{Dataset, Kernel, WorkloadConfig};
 use tiersim_mem::TraceConfig;
 use tiersim_policy::TieringMode;
@@ -147,13 +145,10 @@ impl ExperimentConfig {
         )
     }
 
-    /// Runs one workload under `mode`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration/OOM errors from the runner.
-    pub fn run(&self, workload: WorkloadConfig, mode: TieringMode) -> Result<RunReport, CoreError> {
-        run_workload(self.machine(mode), workload)
+    /// The store key of `workload` on the AutoNUMA testbed: the run every
+    /// experiment starts from.
+    pub fn autonuma(&self, workload: WorkloadConfig) -> RunKey {
+        (self.machine(TieringMode::AutoNuma), workload)
     }
 }
 

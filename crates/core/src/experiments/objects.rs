@@ -1,13 +1,12 @@
 //! Object-level analysis of one workload (paper §6.2–6.4: Figures 6–8).
 
-use super::{AutonumaRuns, ExperimentConfig};
+use super::{ExperimentConfig, Runs};
 use crate::error::CoreError;
 use crate::render::{pct, TextTable};
 use crate::report::RunReport;
 use crate::workload::{Dataset, Kernel};
 use std::sync::Arc;
 use tiersim_mem::Tier;
-use tiersim_policy::TieringMode;
 use tiersim_profile::{top_objects, AccessPattern, AllocTimeline};
 
 /// One bar of Figure 6 (top objects by samples on a tier).
@@ -42,7 +41,7 @@ impl ObjectAnalysis {
     ///
     /// Propagates run errors.
     pub fn run(cfg: &ExperimentConfig) -> Result<ObjectAnalysis, CoreError> {
-        Self::run_with(&AutonumaRuns::new(cfg))
+        Self::run_with(&Runs::new(cfg))
     }
 
     /// Takes `bc_kron`'s AutoNUMA run from `runs`.
@@ -50,7 +49,7 @@ impl ObjectAnalysis {
     /// # Errors
     ///
     /// Propagates run errors.
-    pub fn run_with(runs: &AutonumaRuns) -> Result<ObjectAnalysis, CoreError> {
+    pub fn run_with(runs: &Runs) -> Result<ObjectAnalysis, CoreError> {
         Self::run_workload_with(runs, Kernel::Bc, Dataset::Kron)
     }
 
@@ -64,7 +63,7 @@ impl ObjectAnalysis {
         kernel: Kernel,
         dataset: Dataset,
     ) -> Result<ObjectAnalysis, CoreError> {
-        Self::run_workload_with(&AutonumaRuns::new(cfg), kernel, dataset)
+        Self::run_workload_with(&Runs::new(cfg), kernel, dataset)
     }
 
     /// Takes any kernel × dataset's AutoNUMA run from `runs`.
@@ -73,13 +72,12 @@ impl ObjectAnalysis {
     ///
     /// Propagates run errors.
     pub fn run_workload_with(
-        runs: &AutonumaRuns,
+        runs: &Runs,
         kernel: Kernel,
         dataset: Dataset,
     ) -> Result<ObjectAnalysis, CoreError> {
-        let cfg = runs.config();
-        let freq_hz = cfg.machine(TieringMode::AutoNuma).mem.freq_hz;
-        Ok(ObjectAnalysis { report: runs.get(cfg.workload(kernel, dataset))?, freq_hz })
+        let key = runs.config().autonuma(runs.config().workload(kernel, dataset));
+        Ok(ObjectAnalysis { freq_hz: key.0.mem.freq_hz, report: runs.get(key)? })
     }
 
     /// Figure 6 rows: top `n` objects by samples on `tier`.

@@ -34,12 +34,13 @@ pub use runner::{
     RunnerOptions,
 };
 
-use codec::{escape_json, fnv1a64, hex16, parse_flat_object, Value};
+use codec::{escape_json, fnv1a64, hex16};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use tiersim_trace::json::{parse_object, Value};
 
 /// Journal format version; bumped on incompatible schema changes.
 pub const JOURNAL_VERSION: u64 = 1;
@@ -342,7 +343,7 @@ pub fn replay(text: &str) -> Result<Replay, JournalError> {
     for (idx, line) in text.split_inclusive('\n').enumerate() {
         let corrupt = |what: String| JournalError::Corrupt { line: idx + 1, what };
         let parsed =
-            line.strip_suffix('\n').and_then(|l| verify_crc(l).and_then(|_| parse_flat_object(l)));
+            line.strip_suffix('\n').and_then(|l| verify_crc(l).and_then(|_| parse_object(l)));
         let Some(obj) = parsed else {
             // Only the final line may be torn; everything else is
             // corruption. (Every earlier line was valid, so `valid_len`

@@ -112,6 +112,13 @@ fn run_trials(
 
 static RUNS_STARTED: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// [`runs_started`] for the calling thread only, so a unit test can
+    /// count its own simulations while other tests simulate beside it.
+    pub(crate) static THREAD_RUNS_STARTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// How many workload simulations ([`run_workload`] calls) this process
 /// has started: a deterministic work count, so a speedup from doing less
 /// work can be told apart from doing the same work faster.
@@ -141,6 +148,8 @@ pub fn run_workload(
 ) -> Result<RunReport, CoreError> {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     RUNS_STARTED.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_RUNS_STARTED.with(|c| c.set(c.get() + 1));
     match catch_unwind(AssertUnwindSafe(|| run_workload_inner(machine_cfg, workload))) {
         Ok(result) => result,
         Err(payload) => match payload.downcast::<crate::error::RunError>() {

@@ -258,37 +258,40 @@ pub(crate) const METRICS_SNAPSHOT: &str = "metrics_snapshot";
 /// The JSONL exporter's final line, carrying `recorded`/`dropped`.
 pub(crate) const TRACE_SUMMARY: &str = "trace_summary";
 
-/// Every `event` name a JSONL trace may carry: each [`TraceEvent::name`]
-/// plus the exporter's two synthetic lines. `cargo xtask analyze`'s
-/// trace-coverage pass flags a variant whose name is missing here.
-pub(crate) const EVENT_NAMES: &[&str] = &[
-    "hint_fault",
-    "promote_candidate",
-    "promote_accept",
-    "promote_reject",
-    "demote_kswapd",
-    "demote_direct",
-    "promote_demoted",
-    "migrate_retry",
-    "migrate_fail",
-    "threshold_adjust",
-    "rate_limit_consume",
-    "rate_limit_deny",
-    "fault_injected",
-    "reclaim_stall",
-    "page_cache_drop",
-    "thp_collapse",
-    "thp_split",
-    "fault_around",
-    "cell_start",
-    "cell_done",
-    "cell_retry",
-    "cell_quarantine",
-    "rung_start",
-    "cell_scored",
-    "pareto_update",
-    METRICS_SNAPSHOT,
-    TRACE_SUMMARY,
+/// Every `event` name a JSONL trace may carry (each [`TraceEvent::name`]
+/// plus the exporter's two synthetic lines), with the keys its line holds
+/// after `t`, `seq` and `event`, in the order the exporter writes them.
+/// [`crate::check_jsonl`] requires exactly these keys; `cargo xtask
+/// analyze`'s trace-coverage pass flags a variant whose name is missing
+/// here.
+pub(crate) const EVENT_NAMES: &[(&str, &[&str])] = &[
+    ("hint_fault", &["page"]),
+    ("promote_candidate", &["page", "latency"]),
+    ("promote_accept", &["page"]),
+    ("promote_reject", &["page", "reason"]),
+    ("demote_kswapd", &["page"]),
+    ("demote_direct", &["page"]),
+    ("promote_demoted", &["page"]),
+    ("migrate_retry", &["page"]),
+    ("migrate_fail", &["page"]),
+    ("threshold_adjust", &["before", "after", "candidate_bytes", "limit_bytes"]),
+    ("rate_limit_consume", &["bytes"]),
+    ("rate_limit_deny", &["bytes", "available"]),
+    ("fault_injected", &["site"]),
+    ("reclaim_stall", &["cycles"]),
+    ("page_cache_drop", &["page"]),
+    ("thp_collapse", &["page"]),
+    ("thp_split", &["page"]),
+    ("fault_around", &["page", "pages"]),
+    ("cell_start", &["cell", "attempt"]),
+    ("cell_done", &["cell", "attempt"]),
+    ("cell_retry", &["cell", "attempt"]),
+    ("cell_quarantine", &["cell", "attempt"]),
+    ("rung_start", &["rung", "cells", "budget_ticks"]),
+    ("cell_scored", &["cell", "ticks", "promo_bytes"]),
+    ("pareto_update", &["cell", "front"]),
+    (METRICS_SNAPSHOT, &["metrics"]),
+    (TRACE_SUMMARY, &["recorded", "dropped"]),
 ];
 
 /// One recorded event with its simulated timestamp and global sequence

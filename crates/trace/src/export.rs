@@ -1,11 +1,11 @@
-//! Trace exporters, JSONL (one flat object per line) and CSV, and
+//! Trace exporters, JSONL (one object per line) and CSV, and
 //! [`check_jsonl`], the one reader of the JSONL layout.
 //!
 //! Both formats are emitted by hand — the schema is small, flat, and
 //! fixed, and hand emission keeps the crate dependency-free. The reader
-//! sits beside the writer and takes its event vocabulary from
-//! `event.rs`, so the two cannot drift apart; `cargo xtask trace-check`
-//! is a thin call into it.
+//! sits beside the writer, parses each line with [`crate::json`] and
+//! takes each event's keys from the table in `event.rs`; `cargo xtask
+//! trace-check` is a thin call into it.
 //!
 //! JSONL layout (see DESIGN.md §11):
 //! - one line per surviving [`TraceRecord`], keys `t`, `seq`, `event`,
@@ -15,7 +15,9 @@
 //!   `dropped`, so truncation by the ring is never silent.
 
 use crate::event::{TraceEvent, TraceRecord, EVENT_NAMES, METRICS_SNAPSHOT, TRACE_SUMMARY};
+use crate::json::{parse_object, Value};
 use crate::state::TraceLog;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Serializes `log` as JSON Lines.
@@ -69,11 +71,13 @@ impl std::error::Error for JsonlError {}
 /// Validates a JSONL trace laid out as [`to_jsonl`] writes it and returns
 /// its line count.
 ///
-/// Every line is a flat object with numeric `t` and `seq` keys and a known
-/// `event`; `seq` strictly increases; the last line, and only it, is a
-/// `trace_summary` with `recorded` and `dropped`. Record lines number
-/// `0..recorded` and snapshots and the summary continue the count, so the
-/// summary's `seq` is at least `recorded`.
+/// Every line is one JSON object holding exactly `t`, `seq`, `event` and
+/// the keys [`to_jsonl`] writes for that event, with the writer's value
+/// types: unsigned integers, except the strings `event`, `reason` and
+/// `site` and the `metrics` object of unsigned integers. `seq` strictly
+/// increases; the last line, and only it, is a `trace_summary`. Record
+/// lines number `0..recorded` and snapshots and the summary continue the
+/// count, so the summary's `seq` is at least `recorded`.
 ///
 /// # Errors
 ///
@@ -86,52 +90,45 @@ pub fn check_jsonl(text: &str) -> Result<usize, JsonlError> {
     let mut prev_seq: Option<u64> = None;
     for (idx, line) in lines.iter().enumerate() {
         let err = |reason: String| JsonlError { line: idx + 1, reason };
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return Err(err("line is not a flat JSON object".to_string()));
-        }
-        let number =
-            |key: &str| u64_field(line, key).ok_or_else(|| err(format!("missing numeric `{key}`")));
-        number("t")?;
-        let seq = number("seq")?;
-        let event = str_field(line, "event").ok_or_else(|| err("missing string `event`".into()))?;
-        if !EVENT_NAMES.contains(&event) {
-            return Err(err(format!("unknown event `{event}`")));
-        }
-        if let Some(prev) = prev_seq.filter(|&prev| seq <= prev) {
-            return Err(err(format!("seq went {prev} -> {seq}, must strictly increase")));
-        }
-        prev_seq = Some(seq);
+        let obj = parse_object(line).ok_or_else(|| err("line is not one JSON object".into()))?;
+        let event = obj.get("event").and_then(Value::as_str);
+        let event = event.ok_or_else(|| err("missing string `event`".into()))?;
+        let (_, own) = EVENT_NAMES
+            .iter()
+            .find(|(name, _)| *name == event)
+            .ok_or_else(|| err(format!("unknown event `{event}`")))?;
         let is_last = idx + 1 == lines.len();
         if (event == TRACE_SUMMARY) != is_last {
             return Err(err(format!("{TRACE_SUMMARY} must be exactly the final line")));
         }
-        if is_last {
-            let recorded = number("recorded")?;
-            number("dropped")?;
-            if seq < recorded {
-                return Err(err(format!("summary seq {seq} < recorded {recorded}")));
+        let keys: BTreeSet<&str> = ["t", "seq", "event"].iter().chain(*own).copied().collect();
+        if !obj.keys().map(String::as_str).eq(keys.iter().copied()) {
+            return Err(err(format!("`{event}` line must hold exactly the keys {keys:?}")));
+        }
+        for (key, value) in &obj {
+            let typed = match key.as_str() {
+                "event" | "reason" | "site" => value.as_str().is_some(),
+                "metrics" => {
+                    value.as_object().is_some_and(|m| m.values().all(|v| v.as_u64().is_some()))
+                }
+                _ => value.as_u64().is_some(),
+            };
+            if !typed {
+                return Err(err(format!("`{key}` has the wrong type")));
             }
+        }
+        let number = |key: &str| obj.get(key).and_then(Value::as_u64).unwrap_or_default();
+        let seq = number("seq");
+        if let Some(prev) = prev_seq.filter(|&prev| seq <= prev) {
+            return Err(err(format!("seq went {prev} -> {seq}, must strictly increase")));
+        }
+        prev_seq = Some(seq);
+        let recorded = number("recorded");
+        if is_last && seq < recorded {
+            return Err(err(format!("summary seq {seq} < recorded {recorded}")));
         }
     }
     Ok(lines.len())
-}
-
-/// The text after the first `"key":` of a flat JSON line. Quotes inside
-/// string values are escaped, so a raw match is always a key.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
-    Some(&line[at..])
-}
-
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let rest = field(line, key)?;
-    rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().ok()
-}
-
-/// A string value up to its first quote: enough for event names, which
-/// never hold a quote or a backslash.
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    field(line, key)?.strip_prefix('"')?.split_once('"').map(|(value, _)| value)
 }
 
 fn push_record_json(out: &mut String, rec: &TraceRecord) {
@@ -355,8 +352,19 @@ mod tests {
         let headless: String = lines[..8].iter().map(|l| format!("{l}\n")).collect();
         for (bad, line, reason) in [
             (String::new(), 0, "empty"),
-            ("not json\n".to_string(), 1, "flat JSON object"),
-            ("{\"t\":1,\"event\":\"hint_fault\"}\n".to_string(), 1, "`seq`"),
+            ("not json\n".to_string(), 1, "one JSON object"),
+            (text.replacen("\"seq\":0,", "", 1), 1, "exactly the keys"),
+            (text.replacen("\"t\":10", "\"t\":1\"0", 1), 1, "one JSON object"),
+            (text.replacen(",\"page\":7}", ",\"pages\":7}", 1), 1, "exactly the keys"),
+            (text.replacen(",\"page\":7}", ",\"page\":7,\"x\":1}", 1), 1, "exactly the keys"),
+            (text.replacen("\"page\":7}", "\"page\":\"7\"}", 1), 1, "`page` has the wrong type"),
+            (text.replacen("\"rate_limited\"", "0", 1), 3, "`reason` has the wrong type"),
+            (text.replacen(":800}", ":\"800\"}", 1), 8, "`metrics` has the wrong type"),
+            (
+                text.replacen("\"dropped\":0", "\"dropped\":{}", 1),
+                9,
+                "`dropped` has the wrong type",
+            ),
             (text.replacen("hint_fault", "mystery_event", 1), 1, "unknown event"),
             (text.replacen("\"seq\":1", "\"seq\":0", 1), 2, "strictly increase"),
             (headless, 8, "final line"),

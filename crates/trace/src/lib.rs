@@ -38,6 +38,7 @@
 mod buffer;
 mod event;
 mod export;
+pub mod json;
 mod metrics;
 mod state;
 

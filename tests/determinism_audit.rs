@@ -8,7 +8,7 @@
 //! the `xtask lint` rules exist to protect.
 
 use proptest::prelude::*;
-use tiersim::core::{Dataset, ExperimentConfig, Kernel, Machine, MachineConfig};
+use tiersim::core::{run_workload, Dataset, ExperimentConfig, Kernel, Machine, MachineConfig};
 use tiersim::mem::{MemBackend, PAGE_SIZE};
 use tiersim::policy::TieringMode;
 
@@ -134,8 +134,8 @@ fn double_run_reports_are_byte_identical() {
         ..ExperimentConfig::default()
     };
     let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
-    let a = cfg.run(w, TieringMode::AutoNuma).expect("run a");
-    let b = cfg.run(w, TieringMode::AutoNuma).expect("run b");
+    let a = run_workload(cfg.machine(TieringMode::AutoNuma), w).expect("run a");
+    let b = run_workload(cfg.machine(TieringMode::AutoNuma), w).expect("run b");
     let (bytes_a, bytes_b) = (serialized(&a), serialized(&b));
     assert!(!bytes_a.is_empty());
     assert_eq!(bytes_a, bytes_b, "serialized RunReports diverged between identical runs");

@@ -1,7 +1,7 @@
 //! Integration tests asserting the paper's seven findings qualitatively,
 //! at reduced scale, across the whole stack.
 
-use tiersim::core::{Dataset, ExperimentConfig, Kernel, RunReport};
+use tiersim::core::{run_workload, Dataset, ExperimentConfig, Kernel, RunReport};
 use tiersim::mem::Tier;
 use tiersim::policy::TieringMode;
 use tiersim::profile::LevelDistribution;
@@ -20,7 +20,7 @@ fn config() -> ExperimentConfig {
 fn bc_kron_report() -> RunReport {
     let cfg = config();
     let w = cfg.workload(Kernel::Bc, Dataset::Kron);
-    cfg.run(w, TieringMode::AutoNuma).expect("bc_kron runs")
+    run_workload(cfg.machine(TieringMode::AutoNuma), w).expect("bc_kron runs")
 }
 
 /// Finding 1: external NVM accesses preceded by a TLB miss are several

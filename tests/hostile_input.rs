@@ -5,9 +5,11 @@
 //! Each input comes from the real writer. Every prefix and every
 //! single-byte substitution from a small ASCII alphabet must get a typed
 //! verdict, never a panic; for the journal it must be the verdict the
-//! torn-tail rule predicts. Deterministic: no clock, no random numbers.
+//! torn-tail rule predicts, and a trace the reader still accepts keeps
+//! every line's key set. Deterministic: no clock, no random numbers.
 
 use tiersim_core::journal::{replay, CellId, JournalError, JournalWriter, Record};
+use tiersim_trace::json::parse_object;
 use tiersim_trace::{
     check_jsonl, to_jsonl, FaultSite, RejectReason, TraceConfig, TraceEvent, TraceState,
 };
@@ -133,7 +135,20 @@ fn trace_prefixes_and_substitutions_never_panic() {
         // a complete summary line.
         assert_eq!(check_jsonl(&text[..cut]).is_ok(), cut + 1 >= text.len(), "cut at {cut}");
     }
-    for (_, _, mutated) in substitutions(&text) {
-        let _verdict = check_jsonl(&mutated);
+    // A substitution the reader still accepts may change a value or a
+    // metric's name, never which keys a line holds.
+    let keys = |text: &str| -> Vec<Vec<String>> {
+        text.lines()
+            .map(|line| parse_object(line).expect("accepted").into_keys().collect())
+            .collect()
+    };
+    let original = keys(&text);
+    let mut accepted = 0;
+    for (at, sub, mutated) in substitutions(&text) {
+        if check_jsonl(&mutated).is_ok() {
+            assert_eq!(keys(&mutated), original, "byte {at} -> {:?}", sub as char);
+            accepted += 1;
+        }
     }
+    assert!(accepted > 0, "digit substitutions in values stay valid");
 }

@@ -25,7 +25,7 @@ fn tiny() -> ExperimentConfig {
 fn autonuma_disabled_counters_stay_zero() {
     let cfg = tiny();
     let w = cfg.workload(Kernel::Cc, Dataset::Kron);
-    let r = cfg.run(w, TieringMode::FirstTouch).expect("run");
+    let r = run_workload(cfg.machine(TieringMode::FirstTouch), w).expect("run");
     assert!(r.counters.no_migrations());
     assert_eq!(r.counters.numa_hint_faults, 0);
 }
@@ -51,8 +51,8 @@ fn static_mapping_never_migrates() {
 fn runs_are_deterministic() {
     let cfg = tiny();
     let w = cfg.workload(Kernel::Bc, Dataset::Urand);
-    let a = cfg.run(w, TieringMode::AutoNuma).expect("run a");
-    let b = cfg.run(w, TieringMode::AutoNuma).expect("run b");
+    let a = run_workload(cfg.machine(TieringMode::AutoNuma), w).expect("run a");
+    let b = run_workload(cfg.machine(TieringMode::AutoNuma), w).expect("run b");
     assert_eq!(a.total_secs, b.total_secs);
     assert_eq!(a.counters, b.counters);
     assert_eq!(a.samples.len(), b.samples.len());
@@ -85,7 +85,7 @@ fn kernels_verified_through_full_machine() {
 fn csv_exports_are_consistent() {
     let cfg = tiny();
     let w = cfg.workload(Kernel::Bfs, Dataset::Urand);
-    let r = cfg.run(w, TieringMode::AutoNuma).expect("run");
+    let r = run_workload(cfg.machine(TieringMode::AutoNuma), w).expect("run");
 
     let mut mem_trace = Vec::new();
     tiersim::profile::export::write_memory_trace(&mut mem_trace, &r.samples).unwrap();
@@ -123,7 +123,7 @@ fn sampling_tracks_ground_truth() {
         ..ExperimentConfig::default()
     };
     let w = cfg.workload(Kernel::Cc, Dataset::Kron);
-    let r = cfg.run(w, TieringMode::AutoNuma).expect("run");
+    let r = run_workload(cfg.machine(TieringMode::AutoNuma), w).expect("run");
     let sampled = tiersim::profile::LevelDistribution::of(&r.samples);
     // Ground truth counts loads and stores; compare external fractions
     // loosely (stores shift the mix slightly).
@@ -148,7 +148,7 @@ fn baseline_modes_bracket_performance() {
     let mut nvm_cfg = big;
     nvm_cfg.mode = TieringMode::AllNvm;
     let all_nvm = run_workload(nvm_cfg, w).expect("all nvm");
-    let auto = cfg.run(w, TieringMode::AutoNuma).expect("autonuma");
+    let auto = run_workload(cfg.machine(TieringMode::AutoNuma), w).expect("autonuma");
     assert!(
         all_dram.total_secs < all_nvm.total_secs,
         "DRAM-only ({:.4}s) must beat NVM-only ({:.4}s)",

@@ -1,7 +1,8 @@
 //! Run sharing (DESIGN.md §13): the suite's four experiments take their
-//! AutoNUMA runs from one compute-once store, so each distinct simulation
-//! runs once, and the output is byte-identical to the four experiments
-//! each built on a store of its own.
+//! simulations from one compute-once store keyed by machine and workload,
+//! so each distinct simulation runs once, and the output is
+//! byte-identical to the four experiments each built on a store of its
+//! own. `repro_all ablate` draws from such a store too.
 //!
 //! The simulation counts come from the process-wide
 //! [`tiersim::core::runs_started`] counter, so the tests in this file take
@@ -10,12 +11,12 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use tiersim::core::experiments::{
-    AutonumaRuns, AutonumaTrace, Characterization, Comparison, ObjectAnalysis,
+    AutonumaTrace, Characterization, Comparison, ObjectAnalysis, Runs,
 };
 use tiersim::core::{runs_started, CoreError, ExperimentConfig};
 use tiersim_bench::{
     autonuma_trace_sections, characterization_sections, comparison_sections,
-    object_analysis_sections, run_suite_journaled, ExperimentSuite,
+    object_analysis_sections, run_ablate, run_suite_journaled, ExperimentSuite,
 };
 use tiersim_core::journal::{JournalStats, RunnerOptions};
 
@@ -40,7 +41,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, runs_started() - before)
 }
 
-type Experiment = fn(&AutonumaRuns) -> Result<Vec<(String, String)>, CoreError>;
+type Experiment = fn(&Runs) -> Result<Vec<(String, String)>, CoreError>;
 
 /// The unshared reference: the library's four section builders, each on
 /// a fresh store, assembled the way the journaled suite assembles its
@@ -57,7 +58,7 @@ fn unshared_reference(cfg: &ExperimentConfig) -> (ExperimentSuite, u64) {
             ("comparison", comparison_sections),
         ];
         for (name, sections) in experiments {
-            match sections(&AutonumaRuns::new(cfg)) {
+            match sections(&Runs::new(cfg)) {
                 Ok(sections) => {
                     stats.completed += 1;
                     suite.note_completed();
@@ -95,15 +96,23 @@ fn shared_suite_is_byte_identical_to_the_unshared_reference_in_fewer_runs() {
     assert_eq!(suite.output(), reference.output());
     assert_eq!(suite.summary(), reference.summary());
 
-    // Six AutoNUMA runs plus eight static halves (six whole-object rows,
-    // two CC spill rows). Unshared, the suite ran 24: characterization 6,
-    // object analysis 1, AutoNUMA trace 1, comparison 16.
-    assert_eq!(shared_runs, 14);
+    // Six AutoNUMA runs plus seven distinct static halves: six
+    // whole-object rows and two CC spill rows, where `cc_kron*`'s spill
+    // plan equals `cc_kron`'s whole-object plan (it fits in DRAM), so the
+    // two rows read one run. Was 14 while static runs were not shared;
+    // unshared, the suite ran 24: characterization 6, object analysis 1,
+    // AutoNUMA trace 1, comparison 16.
+    assert_eq!(shared_runs, 13);
     // The reference still repeats bc_kron across experiments, but its
-    // comparison already profiles each workload once.
-    assert_eq!(unshared_runs, 6 + 1 + 1 + 14);
+    // comparison profiles each workload once and shares `cc_kron`'s
+    // static run (was 6 + 1 + 1 + 14 = 22).
+    assert_eq!(unshared_runs, 6 + 1 + 1 + 13);
     let (standalone, comparison_runs) = counted(|| Comparison::run(&cfg).expect("comparison"));
-    assert_eq!(comparison_runs, 14, "was 16: one AutoNUMA run per CC spill row too");
+    assert_eq!(
+        comparison_runs, 13,
+        "was 16 with one AutoNUMA run per CC spill row, then 14 with `cc_kron*` simulating \
+         the static run `cc_kron` already had"
+    );
     assert_eq!(standalone.rows.len(), 8);
 }
 
@@ -129,7 +138,7 @@ fn one_workloads_failure_does_not_poison_the_others() {
 
     // On one store: the failed runs are not cached, the finished ones are
     // shared by every experiment that reads them.
-    let runs = AutonumaRuns::new(&cfg);
+    let runs = Runs::new(&cfg);
     let characterization = Characterization::run_with(&runs).expect_err("urand exceeds 1 tick");
     let objects = ObjectAnalysis::run_with(&runs).expect("bc_kron finishes");
     let trace = AutonumaTrace::run_with(&runs).expect("bc_kron finishes");
@@ -137,4 +146,20 @@ fn one_workloads_failure_does_not_poison_the_others() {
     let err = Comparison::run_with(&runs).expect_err("urand exceeds 1 tick");
     assert_eq!(err, Comparison::run(&cfg).expect_err("unshared comparison fails too"));
     assert_eq!(err, characterization);
+}
+
+#[test]
+fn ablate_reads_each_distinct_run_once_for_every_worker_count() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    for jobs in [1, 2] {
+        let (report, runs) = counted(|| run_ablate(&ExperimentConfig { jobs, ..tiny(0) }));
+        assert_eq!(report.exit_code(), 0, "{}", report.summary());
+        // Was 29: the tiering-mode section's static object row and the
+        // dynamic-object extension's `bc_kron` row each simulated
+        // `bc_kron`'s static run, though its whole-object and spill plans
+        // are equal at this scale. Rows equal to the testbed were already
+        // shared; the BFS direction rows drive a `Machine` directly and
+        // do not count.
+        assert_eq!(runs, 28, "jobs={jobs}");
+    }
 }

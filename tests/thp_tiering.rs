@@ -12,7 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tiersim::core::{ExperimentConfig, RunReport, TraceConfig};
+use tiersim::core::{run_workload, ExperimentConfig, RunReport, TraceConfig};
 use tiersim::policy::TieringMode;
 use tiersim_bench::run_suite_journaled;
 use tiersim_core::experiments::Characterization;
@@ -57,7 +57,7 @@ fn thp_changes_tlb_and_hint_fault_profiles() {
     let run = |thp: bool| {
         let exp = cfg(16, 1, thp);
         let w = exp.workload(Kernel::Bc, Dataset::Kron);
-        exp.run(w, TieringMode::AutoNuma).expect("bc/kron run")
+        run_workload(exp.machine(TieringMode::AutoNuma), w).expect("bc/kron run")
     };
     let off = run(false);
     let on = run(true);

@@ -14,9 +14,9 @@
 //!   the audit checkpoints rely on it);
 //! - slice indexing (`expr[...]`), which panics out of bounds.
 //!
-//! The call map is over-approximate (method calls edge to every function
-//! of that name), so a "reachable" verdict can be a false positive but
-//! an absent finding is trustworthy. Reviewed-and-intended sites carry a
+//! The call map is over-approximate where the type is unknown (a method
+//! call edges to every method of that name), so a "reachable" verdict
+//! can be a false positive but an absent finding is trustworthy. Reviewed-and-intended sites carry a
 //! `tiersim-analyze: allow(panic-reach)` annotation stating why the
 //! panic cannot fire; legacy sites live in the baseline.
 
@@ -189,13 +189,24 @@ mod tests {
 
     #[test]
     fn assert_in_reachable_method_call_chain_is_flagged() {
-        // run_cells -> x.check() resolves by name to Checker::check.
+        // run_cells -> c.check() resolves by name to the method Checker::check.
         let src = "pub fn run_cells(c: &Checker) { c.check(); }\n\
                    pub struct Checker;\n\
                    impl Checker {\n    pub fn check(&self) { assert!(false); }\n}\n";
         let found = diags(src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].item, "Checker::check");
+    }
+
+    #[test]
+    fn a_free_function_does_not_answer_a_method_call_of_its_name() {
+        // A front end's free `run` beside the `Cell::run` the hot path
+        // calls: the method call reaches only the method.
+        let src = "pub fn run_cells(cell: &Cell) { cell.run(); }\n\
+                   pub struct Cell;\n\
+                   impl Cell {\n    pub fn run(&self) {}\n}\n\
+                   pub fn run() { panic!(\"front end\"); }\n";
+        assert_eq!(diags(src), Vec::new());
     }
 
     #[test]

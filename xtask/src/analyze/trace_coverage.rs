@@ -170,13 +170,15 @@ fn name_strings(raw: &str, span: Option<(usize, usize)>) -> BTreeMap<String, Str
     out
 }
 
-/// The quoted strings of the `EVENT_NAMES` array in the enum file's raw
-/// text, or `None` when the file declares no such array.
+/// The event names of the `EVENT_NAMES` table in the enum file's raw
+/// text (the quoted string opening each `("name", &[keys])` entry), or
+/// `None` when the file declares no such table.
 fn vocabulary(raw: &str) -> Option<BTreeSet<&str>> {
     let start = raw.find(&format!("const {VOCABULARY}"))?;
     let body = &raw[start..];
     let body = &body[..body.find("];").unwrap_or(body.len())];
-    Some(body.split('"').skip(1).step_by(2).collect())
+    let names = body.split('(').filter_map(|entry| entry.trim_start().strip_prefix('"'));
+    Some(names.filter_map(|entry| entry.split_once('"')).map(|(name, _)| name).collect())
 }
 
 /// Declaration line of a variant inside the enum item.
@@ -209,7 +211,7 @@ mod tests {
 
     const FULL_ENGINE: &str = "pub fn step() {\n    record(TraceEvent::HintFault { page: 1 });\n    record(TraceEvent::PromoteAccept { page: 1 });\n}\n";
     const FULL_REPLAY: &str = "pub fn replay_counters(e: TraceEvent) {\n    match e {\n        TraceEvent::HintFault { .. } => {}\n        TraceEvent::PromoteAccept { .. } => {}\n    }\n}\n";
-    const FULL_VOCABULARY: &str = "pub(crate) const EVENT_NAMES: &[&str] = &[\"hint_fault\", \"promote_accept\", TRACE_SUMMARY];\n";
+    const FULL_VOCABULARY: &str = "pub(crate) const EVENT_NAMES: &[(&str, &[&str])] = &[(\"hint_fault\", &[\"page\"]), (\"promote_accept\", &[\"page\"]), (TRACE_SUMMARY, &[\"recorded\"])];\n";
 
     #[test]
     fn total_coverage_is_clean() {
@@ -239,7 +241,8 @@ mod tests {
 
     #[test]
     fn planted_schema_gap_is_flagged() {
-        let vocabulary = "pub(crate) const EVENT_NAMES: &[&str] = &[\"hint_fault\"];\n";
+        // `promote_accept` appears only as a key, which does not count.
+        let vocabulary = "pub(crate) const EVENT_NAMES: &[(&str, &[&str])] = &[(\"hint_fault\", &[\"promote_accept\"])];\n";
         let diags = fixture(FULL_ENGINE, FULL_REPLAY, vocabulary);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].token, "PromoteAccept");

@@ -6,10 +6,14 @@
 //! body token streams), structs (with field names), enums (with variant
 //! names), impl blocks (qualifying their methods as `Type::method`) and
 //! modules. On top of the item table sits a name-resolved call-adjacency
-//! map: deliberately *over*-approximate (a method call edges to every
-//! function of that name), so reachability queries never miss a real
-//! path — the right default for the panic-reachability pass, where a
-//! false "unreachable" would hide a crash site.
+//! map. It splits calls by syntax: `.b(…)` targets methods (functions in
+//! an `impl` or a `trait`) named `b`, trying the enclosing impl first for
+//! `self.b(…)`; a bare `b(…)` targets free functions named `b`; `A::b(…)`
+//! targets `A::b`. Where the type is unknown it stays *over*-approximate
+//! (a method call edges to every method of that name), so reachability
+//! queries never miss a real path — the right default for the
+//! panic-reachability pass, where a false "unreachable" would hide a
+//! crash site.
 //!
 //! No `syn`, no registry dependencies: the model must build on the same
 //! offline toolchain as the rest of xtask (DESIGN.md §14).
@@ -50,6 +54,9 @@ pub struct Item {
     pub end_line: usize,
     /// True when the item lives in `#[cfg(test)]`/`#[test]` code.
     pub in_test: bool,
+    /// True for a function inside an `impl` or a `trait` block: the
+    /// target of `.name(…)` calls, never of bare `name(…)` calls.
+    pub method: bool,
     /// The item's token stream (signature + body), blanked code only.
     pub tokens: Vec<Token>,
     /// Struct field names or enum variant names; empty for other kinds.
@@ -124,16 +131,24 @@ impl Project {
 
     /// Builds the call-adjacency map over all non-test functions: edges
     /// from a function's qualified name to the qualified names of every
-    /// function it may call (name-resolved, over-approximate).
+    /// function it may call (name-resolved, over-approximate where the
+    /// type is unknown).
     pub fn call_map(&self) -> CallMap {
         let mut by_name: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        let mut methods: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        let mut free: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
         let mut by_qual: BTreeSet<&str> = BTreeSet::new();
         for (_, item) in self.items() {
             if item.kind == ItemKind::Fn {
                 by_name.entry(&item.name).or_default().push(&item.qual);
+                let split = if item.method { &mut methods } else { &mut free };
+                split.entry(&item.name).or_default().push(&item.qual);
                 by_qual.insert(&item.qual);
             }
         }
+        let named = |map: &BTreeMap<&str, Vec<&str>>, name: &str| -> Vec<String> {
+            map.get(name).into_iter().flatten().map(|q| (*q).to_string()).collect()
+        };
         let mut edges: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for (_, item) in self.items() {
             if item.kind != ItemKind::Fn || item.in_test {
@@ -141,25 +156,30 @@ impl Project {
             }
             let out = edges.entry(item.qual.clone()).or_default();
             let impl_ty = item.qual.split("::").next().filter(|_| item.qual.contains("::"));
-            for callee in called_names(&item.tokens, impl_ty) {
-                match callee {
-                    Callee::Qualified(q) => {
+            for callee in called_names(&item.tokens) {
+                let targets = match callee {
+                    Callee::Qualified(recv, n) => {
+                        let recv = if recv == "Self" { impl_ty.unwrap_or(&recv) } else { &recv };
+                        let q = format!("{recv}::{n}");
+                        // Unknown receiver type (foreign crate path, a
+                        // trait): fall back to every function of that name.
                         if by_qual.contains(q.as_str()) {
-                            out.insert(q);
-                        } else if let Some(simple) = q.split("::").nth(1) {
-                            // Unknown receiver type (foreign crate path):
-                            // fall back to every function of that name.
-                            for target in by_name.get(simple).into_iter().flatten() {
-                                out.insert((*target).to_string());
-                            }
+                            vec![q]
+                        } else {
+                            named(&by_name, &n)
                         }
                     }
-                    Callee::Named(n) => {
-                        for target in by_name.get(n.as_str()).into_iter().flatten() {
-                            out.insert((*target).to_string());
+                    Callee::Named(n) => named(&by_name, &n),
+                    Callee::Method { name, on_self } => {
+                        let own = impl_ty.filter(|_| on_self).map(|ty| format!("{ty}::{name}"));
+                        match own.filter(|q| by_qual.contains(q.as_str())) {
+                            Some(q) => vec![q],
+                            None => named(&methods, &name),
                         }
                     }
-                }
+                    Callee::Free(n) => named(&free, &n),
+                };
+                out.extend(targets);
             }
         }
         CallMap { edges }
@@ -214,10 +234,15 @@ impl CallMap {
 
 /// How a call site names its target.
 enum Callee {
-    /// `A::b(...)` — receiver type known.
-    Qualified(String),
-    /// `b(...)` or `.b(...)` — resolved by simple name.
+    /// `A::b(...)`: receiver path segment and name.
+    Qualified(String, String),
+    /// `<T as Trait>::b(...)` and other paths without a plain segment:
+    /// any function named `b`.
     Named(String),
+    /// `.b(...)`: a method named `b`; `on_self` for `self.b(...)`.
+    Method { name: String, on_self: bool },
+    /// `b(...)`: a free function named `b`.
+    Free(String),
 }
 
 /// Rust keywords that can directly precede `(` without being calls.
@@ -233,9 +258,8 @@ pub fn is_keyword(word: &str) -> bool {
     KEYWORDS.contains(&word)
 }
 
-/// Extracts the names every call site in `tokens` may target.
-/// `impl_ty` resolves `Self::` and `self.`-free associated calls.
-fn called_names(tokens: &[Token], impl_ty: Option<&str>) -> Vec<Callee> {
+/// Extracts the call sites in `tokens`, classified by their syntax.
+fn called_names(tokens: &[Token]) -> Vec<Callee> {
     let mut out = Vec::new();
     for i in 0..tokens.len() {
         if tokens.get(i + 1).map(|t| t.text.as_str()) != Some("(") {
@@ -245,21 +269,17 @@ fn called_names(tokens: &[Token], impl_ty: Option<&str>) -> Vec<Callee> {
         if !name.chars().next().is_some_and(is_ident_char) || is_keyword(name) {
             continue;
         }
-        let prev = i.checked_sub(1).map(|j| tokens[j].text.as_str());
-        match prev {
-            Some("::") => {
-                let recv = i.checked_sub(2).map(|j| tokens[j].text.as_str()).unwrap_or("");
-                let recv = if recv == "Self" { impl_ty.unwrap_or(recv) } else { recv };
-                if recv.chars().next().is_some_and(is_ident_char) {
-                    out.push(Callee::Qualified(format!("{recv}::{name}")));
-                } else {
-                    out.push(Callee::Named(name.clone()));
-                }
+        let back = |n: usize| i.checked_sub(n).map_or("", |j| tokens[j].text.as_str());
+        match back(1) {
+            "::" if back(2).chars().next().is_some_and(is_ident_char) => {
+                out.push(Callee::Qualified(back(2).to_string(), name.clone()));
             }
-            // Macro invocations (`name!(`) are not function calls; the
-            // panic pass matches them separately.
-            Some("!") => {}
-            _ => out.push(Callee::Named(name.clone())),
+            "::" => out.push(Callee::Named(name.clone())),
+            "." => out.push(Callee::Method { name: name.clone(), on_self: back(2) == "self" }),
+            // A declaration (`fn name(`) is not a call, and macro
+            // invocations (`name!(`) are matched by the panic pass itself.
+            "fn" | "!" => {}
+            _ => out.push(Callee::Free(name.clone())),
         }
     }
     out
@@ -305,8 +325,19 @@ pub fn tokenize(lines: &[CodeLine]) -> Vec<Token> {
 fn extract_items(lines: &[CodeLine]) -> Vec<Item> {
     let tokens = tokenize(lines);
     let mut out = Vec::new();
-    scan_items(&tokens, &mut 0, tokens.len(), None, lines, &mut out);
+    scan_items(&tokens, &mut 0, tokens.len(), Scope::Module, lines, &mut out);
     out
+}
+
+/// The block `scan_items` is in: where a `fn` there belongs.
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    /// A file or `mod` body: free functions.
+    Module,
+    /// An `impl` body: methods qualified by the Self type.
+    Impl(&'a str),
+    /// A `trait` body: methods, unqualified.
+    Trait,
 }
 
 /// Scans `tokens[*i..end]` for items; recurses into impl/mod/trait
@@ -316,7 +347,7 @@ fn scan_items(
     tokens: &[Token],
     i: &mut usize,
     end: usize,
-    impl_ty: Option<&str>,
+    scope: Scope,
     lines: &[CodeLine],
     out: &mut Vec<Item>,
 ) {
@@ -324,7 +355,12 @@ fn scan_items(
         let t = &tokens[*i];
         match t.text.as_str() {
             "fn" => {
-                if let Some(item) = parse_fn(tokens, i, end, impl_ty, lines) {
+                let impl_ty = match scope {
+                    Scope::Impl(ty) => Some(ty),
+                    _ => None,
+                };
+                if let Some(mut item) = parse_fn(tokens, i, end, impl_ty, lines) {
+                    item.method = !matches!(scope, Scope::Module);
                     out.push(item);
                 } else {
                     *i += 1;
@@ -342,7 +378,7 @@ fn scan_items(
                 if let Some((name, body_start, body_end)) = parse_block_header(tokens, *i, end) {
                     out.push(mk_item(ItemKind::Impl, &name, None, tokens, *i, body_end, lines));
                     *i = body_start + 1;
-                    scan_items(tokens, i, body_end, Some(&name), lines, out);
+                    scan_items(tokens, i, body_end, Scope::Impl(&name), lines, out);
                     *i = body_end + 1;
                 } else {
                     *i += 1;
@@ -354,9 +390,10 @@ fn scan_items(
                         out.push(mk_item(ItemKind::Mod, &name, None, tokens, *i, body_end, lines));
                     }
                     *i = body_start + 1;
-                    // Items inside a mod/trait keep the enclosing impl
-                    // qualification (none).
-                    scan_items(tokens, i, body_end, None, lines, out);
+                    // Items inside a mod/trait carry no impl
+                    // qualification; a trait's functions are methods.
+                    let scope = if t.text == "mod" { Scope::Module } else { Scope::Trait };
+                    scan_items(tokens, i, body_end, scope, lines, out);
                     *i = body_end + 1;
                 } else {
                     *i += 1;
@@ -399,6 +436,7 @@ fn mk_item(
         start_line,
         end_line,
         in_test,
+        method: false,
         tokens: tokens[start..=end_idx.min(tokens.len() - 1)].to_vec(),
         fields: Vec::new(),
     }
@@ -713,6 +751,34 @@ mod tests {
             assert!(reach.contains(f), "{f} should be reachable: {reach:?}");
         }
         assert!(!reach.contains("unrelated"));
+    }
+
+    #[test]
+    fn call_map_splits_method_free_and_self_calls() {
+        let p = project(
+            "fn root(c: &Cell) { c.run(); step(); }\n\
+             struct Cell;\n\
+             impl Cell {\n    fn run(&self) { self.go(); }\n    fn go(&self) {}\n    fn step(&self) {}\n}\n\
+             impl Other {\n    fn go(&self) {}\n}\n\
+             trait T {\n    fn go(&self) {}\n}\n\
+             fn run() {}\n\
+             fn step() {}\n",
+        );
+        let map = p.call_map();
+        let reach = map.reachable(&["root"]);
+        let want = ["root", "Cell::run", "Cell::go", "step"];
+        assert_eq!(reach, want.iter().map(|s| s.to_string()).collect(), "{reach:?}");
+        // Without an own method, `self.go()` falls back to every `go`
+        // method, a trait's included.
+        let p = project(
+            "struct A;\nimpl A {\n    fn root(&self) { self.go(); }\n}\n\
+             impl Other {\n    fn go(&self) {}\n}\n\
+             trait T {\n    fn go(&self) {}\n}\n\
+             fn go() {}\n",
+        );
+        let reach = p.call_map().reachable(&["A::root"]);
+        let want = ["A::root", "Other::go", "go"];
+        assert_eq!(reach, want.iter().map(|s| s.to_string()).collect(), "{reach:?}");
     }
 
     #[test]
