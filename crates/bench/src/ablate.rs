@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 use tiersim_core::experiments::{RunKey, Runs};
-use tiersim_core::journal::{CellError, FailureClass, JournalCell};
+use tiersim_core::journal::{
+    CellError, FailureClass, Journal, JournalCell, JournalError, RunnerOptions,
+};
 use tiersim_core::render::{pct, TextTable};
 use tiersim_core::sweep::run_cells_fallible;
 use tiersim_core::{
@@ -23,7 +25,7 @@ use tiersim_mem::TlbGeometry;
 use tiersim_policy::{DynamicObjectConfig, TieringMode};
 use tiersim_profile::TouchHistogram;
 
-use crate::{assemble, encode_payload, run_unjournaled, ExperimentSuite};
+use crate::{assemble, encode_payload, ExperimentSuite};
 
 /// One table row, computed as one sweep cell.
 type Row = Box<dyn Fn() -> Result<Vec<String>, String> + Send + Sync>;
@@ -227,11 +229,17 @@ fn sections(r: &mut Report) {
     );
 }
 
-/// Runs every ablation and extension section, one suite cell each whose
-/// rows run on `experiment.jobs` workers, so the recorded bytes
-/// ([`ExperimentSuite::output`]) are identical for every `jobs` value. A
-/// section with a failed row is quarantined; the others still render.
-pub fn run_ablate(experiment: &ExperimentConfig) -> ExperimentSuite {
+/// Runs every ablation and extension section, one cell each on a
+/// file-less [`Journal`], whose rows run on `experiment.jobs` workers, so
+/// the recorded bytes ([`ExperimentSuite::output`]) are identical for
+/// every `jobs` value. A section with a failed row is quarantined after
+/// one attempt (its rows are deterministic simulations, so a retry would
+/// only repeat the failure); the others still render.
+///
+/// # Errors
+///
+/// [`JournalError::DuplicateCell`] if two sections shared a title.
+pub fn run_ablate(experiment: &ExperimentConfig) -> Result<ExperimentSuite, JournalError> {
     let mut report = Report { runs: Arc::new(Runs::new(experiment)), sections: Vec::new() };
     sections(&mut report);
     let jobs = experiment.jobs;
@@ -246,5 +254,7 @@ pub fn run_ablate(experiment: &ExperimentConfig) -> ExperimentSuite {
             Ok(encode_payload(&[(title.to_string(), t.render())]))
         }),
     });
-    assemble(jobs, &run_unjournaled(&cells.collect::<Vec<_>>()))
+    let opts = RunnerOptions { jobs: 1, max_attempts: 1, kill: None };
+    let outcome = Journal::without_file().run(cells.collect(), opts)?;
+    Ok(assemble(jobs, &outcome.cells))
 }

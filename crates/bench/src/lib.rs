@@ -38,10 +38,9 @@ use tiersim_core::experiments::{
     AutonumaTrace, Characterization, Comparison, ObjectAnalysis, Runs,
 };
 use tiersim_core::journal::{
-    atomic_write, run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalError,
-    JournalStats, RunnerOptions,
+    atomic_write, run_journaled, CellError, CellOutcome, FailureClass, Journal, JournalCell,
+    JournalError, JournalStats, RunnerOptions,
 };
-use tiersim_core::sweep::{run_cells_fallible, CellFailure};
 use tiersim_core::tune::run_tune;
 use tiersim_core::{CoreError, ExperimentConfig, RunError, RunReport, TraceLog, WorkloadConfig};
 use tiersim_mem::Tier;
@@ -124,14 +123,12 @@ fn trace_file(path: &Path, exports: &TraceExports) -> (PathBuf, String) {
 /// The reproduction suite, journaled under `--resume`.
 fn suite(cli: &Cli) -> Finished {
     banner("full paper reproduction", cli);
+    let opts = cli.runner_options();
     let suite = match &cli.resume {
-        Some(journal) => {
-            let opts = cli.runner_options();
-            run_suite_journaled(&cli.experiment, journal, opts, cli.inject_failure)
-                .map_err(|e| format!("journal error: {e}"))?
-        }
-        None => run_repro_suite(&cli.experiment, cli.inject_failure),
-    };
+        Some(journal) => run_suite_journaled(&cli.experiment, journal, opts, cli.inject_failure),
+        None => run_repro_suite(&cli.experiment, opts, cli.inject_failure),
+    }
+    .map_err(|e| format!("journal error: {e}"))?;
     print!("{}", suite.summary());
     if let Some(stats) = suite.cell_stats() {
         // Session-relative counters are stderr-only; the recovery tests
@@ -155,7 +152,7 @@ fn suite(cli: &Cli) -> Finished {
 /// `repro_all ablate`: every ablation and extension section.
 fn ablate(cli: &Cli) -> Finished {
     banner("ablations and extensions", cli);
-    let suite = run_ablate(&cli.experiment);
+    let suite = run_ablate(&cli.experiment).map_err(|e| format!("journal error: {e}"))?;
     print!("{}", suite.summary());
     Ok((suite.exit_code(), out_file(cli, &suite)))
 }
@@ -492,26 +489,6 @@ fn suite_cells(experiment: &ExperimentConfig, inject_failure: bool) -> Vec<Journ
     cells
 }
 
-/// Runs `cells` once each, in order, isolating failures: the suite
-/// without a journal. A failed cell is quarantined at once.
-fn run_unjournaled(cells: &[JournalCell]) -> Vec<(String, CellOutcome)> {
-    let results = run_cells_fallible(1, cells.iter().map(|cell| || (cell.run)()).collect());
-    cells
-        .iter()
-        .zip(results)
-        .map(|(cell, result)| {
-            let outcome = match result {
-                Ok(payload) => CellOutcome::Completed { payload, attempts: 1, replayed: false },
-                Err(
-                    CellFailure::Error(CellError { message: error, .. })
-                    | CellFailure::Panic(error),
-                ) => CellOutcome::Quarantined { error, attempts: 1 },
-            };
-            (cell.name.clone(), outcome)
-        })
-        .collect()
-}
-
 /// Puts the suite back together from its cells' outcomes, in cell order,
 /// printing each section to stdout.
 fn assemble(jobs: usize, outcomes: &[(String, CellOutcome)]) -> ExperimentSuite {
@@ -546,15 +523,28 @@ fn assemble(jobs: usize, outcomes: &[(String, CellOutcome)]) -> ExperimentSuite 
     suite
 }
 
-/// Runs the full `repro_all` experiment suite without a journal: each
-/// suite cell runs once, and one failure never kills the rest.
+/// Runs the full `repro_all` experiment suite without a journal: the
+/// suite's cells run on a file-less [`Journal`], under the same attempt
+/// rule as [`run_suite_journaled`] — a failed cell retries up to
+/// `opts.max_attempts` times, then is quarantined, and one failure never
+/// kills the rest. The summary carries no `cells:` line.
 ///
 /// Sections print to stdout once the suite finishes and accumulate in the
 /// returned suite ([`ExperimentSuite::output`]). The recorded bytes are
 /// identical for every `experiment.jobs` value — the byte-identity test
 /// in `tests/parallel_sweep.rs` holds this function to that contract.
-pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> ExperimentSuite {
-    assemble(experiment.jobs, &run_unjournaled(&suite_cells(experiment, inject_failure)))
+///
+/// # Errors
+///
+/// [`JournalError::DuplicateCell`] if two cells shared a name, which the
+/// suite's distinct experiment names rule out.
+pub fn run_repro_suite(
+    experiment: &ExperimentConfig,
+    opts: RunnerOptions,
+    inject_failure: bool,
+) -> Result<ExperimentSuite, JournalError> {
+    let outcome = Journal::without_file().run(suite_cells(experiment, inject_failure), opts)?;
+    Ok(assemble(experiment.jobs, &outcome.cells))
 }
 
 /// The journaled variant of [`run_repro_suite`]: every experiment is one
@@ -670,6 +660,11 @@ mod tests {
         CellError { class: FailureClass::Error, message: message.to_string() }
     }
 
+    /// Runs `cells` as the plain suite does: on a file-less journal.
+    fn run_plain(cells: Vec<JournalCell>) -> Vec<(String, CellOutcome)> {
+        Journal::without_file().run(cells, RunnerOptions::default()).unwrap().cells
+    }
+
     #[test]
     fn suite_continues_past_failures_and_reports() {
         let cells = vec![
@@ -677,7 +672,7 @@ mod tests {
             cell("second", || Err(error("boom"))),
             cell("third", || Ok(encode_payload(&[("three".to_string(), "3\n".to_string())]))),
         ];
-        let suite = assemble(1, &run_unjournaled(&cells));
+        let suite = assemble(1, &run_plain(cells));
         assert_eq!(
             suite.output(),
             "--- one ---\n1\n\n--- three ---\n3\n\n",
@@ -691,7 +686,7 @@ mod tests {
     #[test]
     fn suite_isolates_panics() {
         let cells = vec![cell("exploding", || panic!("unrecoverable fault at 0xdead"))];
-        let suite = assemble(1, &run_unjournaled(&cells));
+        let suite = assemble(1, &run_plain(cells));
         assert!(suite
             .summary()
             .contains("FAILED exploding: quarantined: unrecoverable fault at 0xdead"));

@@ -30,8 +30,8 @@ pub mod codec;
 mod runner;
 
 pub use runner::{
-    run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalOutcome, JournalStats,
-    RunnerOptions,
+    run_journaled, CellError, CellOutcome, FailureClass, Journal, JournalCell, JournalOutcome,
+    JournalStats, RunnerOptions,
 };
 
 use codec::{escape_json, fnv1a64, hex16};
@@ -280,12 +280,10 @@ fn verify_crc(line: &str) -> Option<&str> {
     (hex16(fnv1a64(core.as_bytes())) == crc_part).then_some(core)
 }
 
-/// Replayed per-cell state: the fold of every journal record that names
-/// one cell. Order-insensitive; the latest decisive record wins.
+/// Replayed per-cell state: what the runner reads of the records that
+/// name one cell. Order-insensitive; a `done` record wins.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellState {
-    /// Cell name from the latest `start` record, if any.
-    pub name: Option<String>,
     /// Payload from a `done` record — the cell is complete and must not
     /// re-execute.
     pub payload: Option<String>,
@@ -293,13 +291,6 @@ pub struct CellState {
     pub done_attempt: u64,
     /// Number of `fail` records (attempts already consumed).
     pub fails: u64,
-    /// The most recent failure message.
-    pub last_error: Option<String>,
-    /// Whether a `quarantine` record exists for the cell.
-    pub quarantined: bool,
-    /// Whether any `start` record exists (an attempt began; absence of an
-    /// outcome record means the runner died mid-cell).
-    pub started: bool,
 }
 
 /// The fold of an entire journal file.
@@ -384,8 +375,7 @@ pub fn replay(text: &str) -> Result<Replay, JournalError> {
                 match kind {
                     "start" => {
                         number("attempt")?;
-                        state.name = Some(string("name")?.to_string());
-                        state.started = true;
+                        string("name")?;
                     }
                     "done" => {
                         state.done_attempt = number("attempt")?;
@@ -394,13 +384,12 @@ pub fn replay(text: &str) -> Result<Replay, JournalError> {
                     "fail" => {
                         number("attempt")?;
                         string("class")?;
-                        state.last_error = Some(string("error")?.to_string());
+                        string("error")?;
                         state.fails += 1;
                     }
                     _ => {
                         number("attempts")?;
-                        state.last_error = Some(string("error")?.to_string());
-                        state.quarantined = true;
+                        string("error")?;
                     }
                 }
             }
@@ -532,12 +521,6 @@ impl JournalWriter {
             std::panic::panic_any(crate::sweep::SweepAbort("journal write failed"));
         }
     }
-
-    /// Total appends attempted so far (including one that died at a
-    /// kill-point).
-    pub fn appends(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).appends
-    }
 }
 
 #[cfg(test)]
@@ -567,7 +550,7 @@ mod tests {
         w.append(&Record::Done {
             cell: cell(1),
             attempt: 1,
-            payload: "line a\nline b".to_string(),
+            payload: "line a\nline \"b\"".to_string(),
         });
         w.append(&Record::Start { cell: cell(2), name: "beta".to_string(), attempt: 1 });
         w.append(&Record::Fail {
@@ -583,13 +566,16 @@ mod tests {
         assert_eq!(r.records, 6);
         assert!(!r.torn_tail);
         let one = &r.cells[&cell(1)];
-        assert_eq!(one.payload.as_deref(), Some("line a\nline b"));
-        assert_eq!(one.name.as_deref(), Some("alpha"));
+        assert_eq!(one.payload.as_deref(), Some("line a\nline \"b\""));
+        assert_eq!(one.done_attempt, 1);
         let two = &r.cells[&cell(2)];
         assert!(two.payload.is_none());
         assert_eq!(two.fails, 1);
-        assert_eq!(two.last_error.as_deref(), Some("boom \"quoted\""));
-        assert!(r.cells[&cell(3)].quarantined);
+        assert_eq!(
+            r.cells[&cell(3)],
+            CellState::default(),
+            "a lone quarantine record leaves nothing to replay"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

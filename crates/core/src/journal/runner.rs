@@ -1,7 +1,7 @@
-//! The journaled sweep runner: waves of fallible cells over a durable
-//! write-ahead journal.
+//! The journal session and its sweep runner: waves of fallible cells,
+//! over a durable write-ahead journal or over none.
 //!
-//! Each cell appends `start` before executing and `done` right after
+//! With a file, each cell appends `start` before executing and `done` right after
 //! producing its payload — from the worker thread, so a result is durable
 //! the moment it exists. Failures are classified and appended post-wave
 //! in cell-index order; cells with remaining attempt budget go into the
@@ -10,10 +10,10 @@
 //! cells come back from the journal without re-executing; everything else
 //! runs again.
 
-use super::{replay, CellId, JournalError, JournalWriter, KillSpec, Record};
+use super::{replay, CellId, CellState, JournalError, JournalWriter, KillSpec, Record};
 use crate::sweep::{run_cells_fallible, CellFailure};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use tiersim_trace::{TraceConfig, TraceEvent, TraceLog, TraceState};
 
 /// How a cell failed, as recorded in the journal's `class` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +64,7 @@ impl std::fmt::Debug for JournalCell {
     }
 }
 
-/// Knobs for [`run_journaled`].
+/// Knobs for [`Journal::run`] and [`run_journaled`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunnerOptions {
     /// Worker threads for each wave (see [`crate::sweep::run_cells`]).
@@ -72,7 +72,8 @@ pub struct RunnerOptions {
     /// Attempts per cell per session before quarantine (minimum 1).
     pub max_attempts: u64,
     /// Deterministic kill-point injector, for crash-recovery tests and
-    /// `repro_all --kill-at`.
+    /// `repro_all --kill-at`; [`run_journaled`] arms the session's
+    /// writer with it.
     pub kill: Option<KillSpec>,
 }
 
@@ -132,21 +133,223 @@ pub struct JournalOutcome {
     pub cells: Vec<(String, CellOutcome)>,
     /// Degraded-mode accounting.
     pub stats: JournalStats,
-    /// This session's cell lifecycle events (`cell_start`, `cell_done`,
-    /// `cell_retry`, `cell_quarantine`), recorded deterministically in
-    /// cell-index order per wave.
-    pub trace: TraceLog,
 }
 
-/// Runs `cells` against the journal at `path`: create it if absent,
-/// replay and resume it if present.
+/// One command's journal session: the writer (none without a file), the
+/// sweep fingerprint, and the cell state replayed once when the session
+/// opened. [`Journal::run`] is the one place that decides replay,
+/// attempts, waves and quarantine, for every batch the command runs.
 ///
-/// Completed cells found in the journal are returned without
-/// re-executing. Everything else runs in waves via the fallible sweep
-/// lane; a failing cell retries in the next wave until `max_attempts`,
-/// then is quarantined. The returned outcome's payload bytes are a pure
-/// function of the cells — identical for every `jobs` value and across
-/// any kill/resume split.
+/// A `--kill-at` kill point counts the writer's appends from the start
+/// of the session, across every [`Journal::run`] on it.
+#[derive(Debug)]
+pub struct Journal {
+    fingerprint: String,
+    writer: Option<JournalWriter>,
+    prior: BTreeMap<CellId, CellState>,
+}
+
+impl Journal {
+    /// Opens the journal at `path` for one session: creates it (writing
+    /// the meta record) if it holds no complete line, else replays it
+    /// once, checks its fingerprint and truncates a torn tail before the
+    /// session's first append. `kill` arms the session's writer.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError`] on I/O failure, a journal recorded under another
+    /// fingerprint, or a corrupt journal.
+    ///
+    /// # Panics
+    ///
+    /// Raises [`crate::sweep::SweepAbort`] when `kill` fires at the meta
+    /// append of a new journal.
+    pub fn open(
+        path: &Path,
+        fingerprint: &str,
+        kill: Option<KillSpec>,
+    ) -> Result<Journal, JournalError> {
+        // A journal with no complete line (absent, empty, or killed mid-meta)
+        // is indistinguishable from "never started": begin fresh.
+        let existing = if path.exists() { std::fs::read_to_string(path)? } else { String::new() };
+        let (writer, prior) = if existing.contains('\n') {
+            let rep = replay(&existing)?;
+            if rep.fingerprint != fingerprint {
+                return Err(JournalError::FingerprintMismatch {
+                    expected: fingerprint.to_string(),
+                    found: rep.fingerprint,
+                });
+            }
+            (JournalWriter::resume(path, &rep, kill)?, rep.cells)
+        } else {
+            (JournalWriter::create(path, fingerprint, kill)?, BTreeMap::new())
+        };
+        Ok(Journal { fingerprint: fingerprint.to_string(), writer: Some(writer), prior })
+    }
+
+    /// A session without a file: it appends nothing and replays nothing,
+    /// so every cell runs, under the same attempt and quarantine rules.
+    pub fn without_file() -> Journal {
+        Journal { fingerprint: String::new(), writer: None, prior: BTreeMap::new() }
+    }
+
+    /// Appends `record` when the session has a file.
+    fn append(&self, record: impl FnOnce() -> Record) {
+        if let Some(writer) = &self.writer {
+            writer.append(&record());
+        }
+    }
+
+    /// Runs `cells` in this session. Cells the journal completed before
+    /// the session opened return their payload without re-executing.
+    /// Everything else runs in waves on `opts.jobs` workers; a failing
+    /// cell retries in the next wave until `opts.max_attempts`, then is
+    /// quarantined. The payload bytes are a pure function of the cells —
+    /// identical for every `jobs` value and across any kill/resume
+    /// split. (`opts.kill` is the writer's, armed at [`Journal::open`].)
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::DuplicateCell`] when two cells share a name,
+    /// before any append.
+    ///
+    /// # Panics
+    ///
+    /// Raises [`crate::sweep::SweepAbort`] when an armed kill-point fires.
+    pub fn run(
+        &self,
+        cells: Vec<JournalCell>,
+        opts: RunnerOptions,
+    ) -> Result<JournalOutcome, JournalError> {
+        let ids: Vec<CellId> =
+            cells.iter().map(|c| CellId::derive(&c.name, &self.fingerprint)).collect();
+        let mut seen = BTreeSet::new();
+        if let Some(dup) = ids.iter().find(|id| !seen.insert(*id)) {
+            return Err(JournalError::DuplicateCell(dup.0.clone()));
+        }
+
+        let n = cells.len();
+        let max_attempts = opts.max_attempts.max(1);
+        let mut outcomes: Vec<Option<CellOutcome>> = (0..n).map(|_| None).collect();
+        let mut stats = JournalStats::default();
+        // Attempt numbers already consumed, per cell, for journal numbering.
+        // A quarantined cell's episode is closed: it re-runs with a fresh
+        // budget, its journal attempts simply continuing upward.
+        let mut base_attempts = vec![0u64; n];
+        let mut pending: Vec<usize> = Vec::new();
+        for i in 0..n {
+            match self.prior.get(&ids[i]) {
+                Some(CellState { payload: Some(payload), done_attempt, .. }) => {
+                    stats.replayed += 1;
+                    outcomes[i] = Some(CellOutcome::Completed {
+                        payload: payload.clone(),
+                        attempts: (*done_attempt).max(1),
+                        replayed: true,
+                    });
+                }
+                Some(state) => {
+                    // Journal attempt numbers continue upward across
+                    // sessions, even past a quarantine (the episode closes,
+                    // numbering does not reset — every record stays
+                    // unambiguous).
+                    base_attempts[i] = state.fails;
+                    pending.push(i);
+                }
+                None => pending.push(i),
+            }
+        }
+
+        let mut wave = 1u64;
+        let mut active = pending;
+        while !active.is_empty() {
+            let wave_cells: Vec<_> = active
+                .iter()
+                .map(|&i| {
+                    let id = &ids[i];
+                    let cell = &cells[i];
+                    let attempt = base_attempts[i] + wave;
+                    move || -> Result<String, CellError> {
+                        self.append(|| Record::Start {
+                            cell: id.clone(),
+                            name: cell.name.clone(),
+                            attempt,
+                        });
+                        let payload = (cell.run)()?;
+                        // Durable before the result is even collected: a
+                        // crash after this append replays the payload, not
+                        // the run.
+                        self.append(|| Record::Done {
+                            cell: id.clone(),
+                            attempt,
+                            payload: payload.clone(),
+                        });
+                        Ok(payload)
+                    }
+                })
+                .collect();
+            let results = run_cells_fallible(opts.jobs, wave_cells);
+            let mut next = Vec::new();
+            for (&i, result) in active.iter().zip(results) {
+                let attempt = base_attempts[i] + wave;
+                stats.executed += 1;
+                let (class, message) = match result {
+                    Ok(payload) => {
+                        outcomes[i] = Some(CellOutcome::Completed {
+                            payload,
+                            attempts: attempt,
+                            replayed: false,
+                        });
+                        continue;
+                    }
+                    Err(CellFailure::Error(e)) => (e.class, e.message),
+                    Err(CellFailure::Panic(msg)) => (FailureClass::Panic, msg),
+                };
+                self.append(|| Record::Fail {
+                    cell: ids[i].clone(),
+                    attempt,
+                    class: class.as_str().to_string(),
+                    error: message.clone(),
+                });
+                if wave < max_attempts {
+                    next.push(i);
+                } else {
+                    self.append(|| Record::Quarantine {
+                        cell: ids[i].clone(),
+                        attempts: attempt,
+                        error: message.clone(),
+                    });
+                    outcomes[i] =
+                        Some(CellOutcome::Quarantined { error: message, attempts: attempt });
+                }
+            }
+            active = next;
+            wave += 1;
+        }
+
+        let cells_out: Vec<(String, CellOutcome)> = cells
+            .iter()
+            .zip(outcomes)
+            .map(|(cell, outcome)| {
+                // Every index is either replayed or assigned by the wave
+                // loop above. tiersim-lint: allow(unwrap)
+                (cell.name.clone(), outcome.expect("cell has an outcome"))
+            })
+            .collect();
+        for (_, outcome) in &cells_out {
+            match outcome {
+                CellOutcome::Completed { attempts, .. } => {
+                    stats.completed += 1;
+                    stats.retried += u64::from(*attempts > 1);
+                }
+                CellOutcome::Quarantined { .. } => stats.quarantined += 1,
+            }
+        }
+        Ok(JournalOutcome { cells: cells_out, stats })
+    }
+}
+
+/// Runs `cells` against the journal at `path` in a session of their own:
+/// [`Journal::open`] with `opts.kill`, then [`Journal::run`].
 ///
 /// # Errors
 ///
@@ -162,155 +365,7 @@ pub fn run_journaled(
     cells: Vec<JournalCell>,
     opts: RunnerOptions,
 ) -> Result<JournalOutcome, JournalError> {
-    let ids: Vec<CellId> = cells.iter().map(|c| CellId::derive(&c.name, fingerprint)).collect();
-    {
-        let mut seen = std::collections::BTreeSet::new();
-        for id in &ids {
-            if !seen.insert(id) {
-                return Err(JournalError::DuplicateCell(id.0.clone()));
-            }
-        }
-    }
-    // A journal with no complete line (absent, empty, or killed mid-meta)
-    // is indistinguishable from "never started": begin fresh.
-    let existing = if path.exists() { std::fs::read_to_string(path)? } else { String::new() };
-    let (writer, prior) = if existing.contains('\n') {
-        let rep = replay(&existing)?;
-        if rep.fingerprint != fingerprint {
-            return Err(JournalError::FingerprintMismatch {
-                expected: fingerprint.to_string(),
-                found: rep.fingerprint,
-            });
-        }
-        let writer = JournalWriter::resume(path, &rep, opts.kill)?;
-        (writer, rep.cells)
-    } else {
-        (JournalWriter::create(path, fingerprint, opts.kill)?, Default::default())
-    };
-
-    let n = cells.len();
-    let max_attempts = opts.max_attempts.max(1);
-    let mut outcomes: Vec<Option<CellOutcome>> = (0..n).map(|_| None).collect();
-    let mut stats = JournalStats::default();
-    // Attempt numbers already consumed, per cell, for journal numbering.
-    // A quarantined cell's episode is closed: it re-runs with a fresh
-    // budget, its journal attempts simply continuing upward.
-    let mut base_attempts = vec![0u64; n];
-    let mut pending: Vec<usize> = Vec::new();
-    for i in 0..n {
-        match prior.get(&ids[i]) {
-            Some(state) if state.payload.is_some() => {
-                let attempts = state.done_attempt.max(1);
-                stats.replayed += 1;
-                outcomes[i] = Some(CellOutcome::Completed {
-                    // tiersim-lint: allow(unwrap) — guarded by the match arm.
-                    payload: state.payload.clone().expect("payload present"),
-                    attempts,
-                    replayed: true,
-                });
-            }
-            Some(state) => {
-                // Journal attempt numbers continue upward across sessions,
-                // even past a quarantine (the episode closes, numbering
-                // does not reset — every record stays unambiguous).
-                base_attempts[i] = state.fails;
-                pending.push(i);
-            }
-            None => pending.push(i),
-        }
-    }
-
-    let mut trace = TraceState::new(TraceConfig::on());
-    let mut wave = 1u64;
-    let mut active = pending;
-    while !active.is_empty() {
-        let wave_cells: Vec<_> = active
-            .iter()
-            .map(|&i| {
-                let id = ids[i].clone();
-                let cell = &cells[i];
-                let attempt = base_attempts[i] + wave;
-                let writer = &writer;
-                move || -> Result<String, CellError> {
-                    writer.append(&Record::Start {
-                        cell: id.clone(),
-                        name: cell.name.clone(),
-                        attempt,
-                    });
-                    let payload = (cell.run)()?;
-                    // Durable before the result is even collected: a crash
-                    // after this append replays the payload, not the run.
-                    writer.append(&Record::Done { cell: id, attempt, payload: payload.clone() });
-                    Ok(payload)
-                }
-            })
-            .collect();
-        let results = run_cells_fallible(opts.jobs, wave_cells);
-        let mut next = Vec::new();
-        for (slot, result) in active.iter().zip(results) {
-            let i = *slot;
-            let attempt = base_attempts[i] + wave;
-            stats.executed += 1;
-            trace.record(TraceEvent::CellStart { cell: i as u64, attempt });
-            match result {
-                Ok(payload) => {
-                    trace.record(TraceEvent::CellDone { cell: i as u64, attempt });
-                    outcomes[i] = Some(CellOutcome::Completed {
-                        payload,
-                        attempts: attempt,
-                        replayed: false,
-                    });
-                }
-                Err(failure) => {
-                    let (class, message) = match failure {
-                        CellFailure::Error(e) => (e.class, e.message),
-                        CellFailure::Panic(msg) => (FailureClass::Panic, msg),
-                    };
-                    writer.append(&Record::Fail {
-                        cell: ids[i].clone(),
-                        attempt,
-                        class: class.as_str().to_string(),
-                        error: message.clone(),
-                    });
-                    if wave < max_attempts {
-                        trace.record(TraceEvent::CellRetry { cell: i as u64, attempt });
-                        next.push(i);
-                    } else {
-                        trace.record(TraceEvent::CellQuarantine { cell: i as u64, attempt });
-                        writer.append(&Record::Quarantine {
-                            cell: ids[i].clone(),
-                            attempts: attempt,
-                            error: message.clone(),
-                        });
-                        outcomes[i] =
-                            Some(CellOutcome::Quarantined { error: message, attempts: attempt });
-                    }
-                }
-            }
-        }
-        active = next;
-        wave += 1;
-    }
-
-    let cells_out: Vec<(String, CellOutcome)> = cells
-        .iter()
-        .zip(outcomes)
-        .map(|(cell, outcome)| {
-            // Every index is either replayed or assigned by the wave
-            // loop above. tiersim-lint: allow(unwrap)
-            (cell.name.clone(), outcome.expect("cell has an outcome"))
-        })
-        .collect();
-    for (_, outcome) in &cells_out {
-        match outcome {
-            CellOutcome::Completed { attempts, .. } => {
-                stats.completed += 1;
-                stats.retried += u64::from(*attempts > 1);
-            }
-            CellOutcome::Quarantined { .. } => stats.quarantined += 1,
-        }
-    }
-    Ok(JournalOutcome { cells: cells_out, stats, trace: trace.log() })
+    Journal::open(path, fingerprint, opts.kill)?.run(cells, opts)
 }
 
 #[cfg(test)]
@@ -387,7 +442,6 @@ mod tests {
         assert_eq!(out.stats.executed, 3);
         assert_eq!(out.stats.replayed, 0);
         assert_eq!(out.stats.quarantined, 0);
-        assert!(!out.trace.records.is_empty());
         // Resume over a complete journal: everything replays, nothing runs.
         let again = run_journaled(&path, "fp", make(&counters), RunnerOptions::default()).unwrap();
         assert_eq!(again.stats.replayed, 3);
@@ -546,7 +600,9 @@ mod tests {
         let cells = vec![ok_cell("same", "1", &c), ok_cell("same", "2", &c)];
         let err = run_journaled(&path, "fp", cells, RunnerOptions::default()).unwrap_err();
         assert!(matches!(err, JournalError::DuplicateCell(_)));
-        assert!(!path.exists(), "rejected before any journal I/O");
+        let r = replay(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(r.records, 1, "rejected before any cell record");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! robustness, and the report carries the Pareto front over
 //! (ticks, promotion bytes, degraded-mode events).
 //!
-//! Every cell is journaled through [`crate::journal`]: cell names embed
-//! the rung and budget, so a `kill -9` at any point resumes without
-//! re-running a single completed cell, and the final report bytes are
-//! identical to an uninterrupted run's — the same contract the sweep
-//! runner proves, extended across the tuner's multiple journal phases.
+//! Every cell is journaled through one [`crate::journal::Journal`]
+//! session: cell names embed the rung and budget, so a `kill -9` at any
+//! point resumes without re-running a single completed cell, and the
+//! final report bytes are identical to an uninterrupted run's — the same
+//! contract the sweep runner proves, over every rung and the robustness
+//! phase.
 
 mod grid;
 mod pareto;
@@ -28,9 +29,7 @@ pub use score::{CellScore, RobustScore};
 
 use crate::experiments::ExperimentConfig;
 use crate::journal::codec::fnv1a64;
-use crate::journal::{
-    run_journaled, CellOutcome, JournalCell, JournalError, KillSpec, RunnerOptions,
-};
+use crate::journal::{CellOutcome, Journal, JournalCell, JournalError, RunnerOptions};
 use crate::workload::{Dataset, Kernel};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -147,27 +146,6 @@ pub struct TuneOutcome {
     pub replayed: u64,
 }
 
-/// Lines currently in the journal file (0 when absent): the cross-phase
-/// append meter behind `--kill-at` rebasing. Appends are whole lines,
-/// so the line-count delta since session start *is* the session's
-/// append count.
-fn journal_lines(path: &Path) -> u64 {
-    std::fs::read_to_string(path).map(|t| t.lines().count() as u64).unwrap_or(0)
-}
-
-/// Rebases a session-relative kill point onto the next journal phase:
-/// each `run_journaled` call counts appends from zero, so the armed
-/// index shrinks by what earlier phases already wrote.
-fn rebase_kill(kill: Option<KillSpec>, appended: u64) -> Option<KillSpec> {
-    let k = kill?;
-    let remaining = k.at_append.saturating_sub(appended);
-    if remaining == 0 {
-        None
-    } else {
-        Some(KillSpec { at_append: remaining, ..k })
-    }
-}
-
 /// Seeded rank tie-break: stuck ties and exact score ties order by this
 /// hash, so reshuffling the seed perturbs survivor selection without
 /// touching any score.
@@ -189,11 +167,14 @@ fn fault_plan(seed: u64) -> FaultPlan {
 }
 
 /// Runs the full search against the journal at `journal`: create it if
-/// absent, resume it if present (same fingerprint required).
+/// absent, resume it if present (same fingerprint required). The journal
+/// is opened once, and every rung and the robustness phase run in that
+/// one session.
 ///
-/// `opts.jobs` and `opts.kill` are honored; `max_attempts` is pinned to
-/// 1 because every cell is deterministic — a failure would repeat
-/// identically, and a stuck verdict is a score, not a failure.
+/// `opts.jobs` and `opts.kill` are honored (`--kill-at N` dies at the
+/// session's Nth append); `max_attempts` is pinned to 1 because every
+/// cell is deterministic — a failure would repeat identically, and a
+/// stuck verdict is a score, not a failure.
 ///
 /// # Errors
 ///
@@ -220,8 +201,8 @@ pub fn run_tune(
     let base = cfg.experiment.machine(TieringMode::AutoNuma);
     let points = cfg.grid.points();
     let mut trace = TraceState::new(TraceConfig::on());
-    let start_lines = journal_lines(journal);
-    let mut appended: u64 = 0;
+    let session = Journal::open(journal, &fp, opts.kill)?;
+    let opts = RunnerOptions { max_attempts: 1, ..opts };
     let (mut executed, mut replayed) = (0u64, 0u64);
 
     let mut active: Vec<usize> = (0..points.len()).collect();
@@ -262,15 +243,9 @@ pub fn run_tune(
             });
             cell_points.push(idx);
         }
-        let phase_opts = RunnerOptions {
-            jobs: opts.jobs,
-            max_attempts: 1,
-            kill: rebase_kill(opts.kill, appended),
-        };
-        let out = run_journaled(journal, &fp, cells, phase_opts)?;
+        let out = session.run(cells, opts)?;
         executed += out.stats.executed;
         replayed += out.stats.replayed;
-        appended = journal_lines(journal).saturating_sub(start_lines);
 
         let mut finished: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
         let mut stuck: Vec<usize> = Vec::new();
@@ -361,12 +336,7 @@ pub fn run_tune(
     }
     let mut robust: BTreeMap<usize, u64> = BTreeMap::new();
     if !robust_cells.is_empty() {
-        let phase_opts = RunnerOptions {
-            jobs: opts.jobs,
-            max_attempts: 1,
-            kill: rebase_kill(opts.kill, appended),
-        };
-        let out = run_journaled(journal, &fp, robust_cells, phase_opts)?;
+        let out = session.run(robust_cells, opts)?;
         executed += out.stats.executed;
         replayed += out.stats.replayed;
         for (&idx, (_name, outcome)) in robust_points.iter().zip(out.cells.iter()) {

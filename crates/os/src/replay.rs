@@ -60,17 +60,11 @@ pub fn replay_counters(records: &[TraceRecord]) -> VmCounters {
             TraceEvent::ThpSplit { .. } => c.thp_split += 1,
             TraceEvent::FaultAround { pages, .. } => c.pgfault_around += pages,
             // Bookkeeping events that carry no vmstat field of their own.
-            // The cell lifecycle events belong to the sweep journal layer
-            // (`tiersim-core`), which never mixes into an OS trace.
             TraceEvent::ThresholdAdjust { .. }
             | TraceEvent::RateLimitConsume { .. }
             | TraceEvent::RateLimitDeny { .. }
             | TraceEvent::FaultInjected { .. }
             | TraceEvent::ReclaimStall { .. }
-            | TraceEvent::CellStart { .. }
-            | TraceEvent::CellDone { .. }
-            | TraceEvent::CellRetry { .. }
-            | TraceEvent::CellQuarantine { .. }
             | TraceEvent::RungStart { .. }
             | TraceEvent::CellScored { .. }
             | TraceEvent::ParetoUpdate { .. } => {}

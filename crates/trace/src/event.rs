@@ -160,36 +160,6 @@ pub enum TraceEvent {
         /// Extra pages mapped beyond the faulting one.
         pages: u64,
     },
-    /// A journaled sweep cell began an attempt (`tiersim-core`'s crash-safe
-    /// sweep runner; cell lifecycle events carry the cell's index in the
-    /// sweep, not a page number).
-    CellStart {
-        /// Cell index within the sweep.
-        cell: u64,
-        /// 1-based attempt number.
-        attempt: u64,
-    },
-    /// A sweep cell attempt completed and its payload is durable.
-    CellDone {
-        /// Cell index within the sweep.
-        cell: u64,
-        /// The attempt that succeeded.
-        attempt: u64,
-    },
-    /// A sweep cell attempt failed and will retry in the next wave.
-    CellRetry {
-        /// Cell index within the sweep.
-        cell: u64,
-        /// The attempt that failed.
-        attempt: u64,
-    },
-    /// A sweep cell exhausted its retry budget and left the sweep.
-    CellQuarantine {
-        /// Cell index within the sweep.
-        cell: u64,
-        /// The final attempt number.
-        attempt: u64,
-    },
     /// The parameter tuner opened a successive-halving rung (`tiersim-core`'s
     /// `tune` driver; tuner lifecycle events carry search-space indices,
     /// not page numbers).
@@ -242,10 +212,6 @@ impl TraceEvent {
             TraceEvent::ThpCollapse { .. } => "thp_collapse",
             TraceEvent::ThpSplit { .. } => "thp_split",
             TraceEvent::FaultAround { .. } => "fault_around",
-            TraceEvent::CellStart { .. } => "cell_start",
-            TraceEvent::CellDone { .. } => "cell_done",
-            TraceEvent::CellRetry { .. } => "cell_retry",
-            TraceEvent::CellQuarantine { .. } => "cell_quarantine",
             TraceEvent::RungStart { .. } => "rung_start",
             TraceEvent::CellScored { .. } => "cell_scored",
             TraceEvent::ParetoUpdate { .. } => "pareto_update",
@@ -283,10 +249,6 @@ pub(crate) const EVENT_NAMES: &[(&str, &[&str])] = &[
     ("thp_collapse", &["page"]),
     ("thp_split", &["page"]),
     ("fault_around", &["page", "pages"]),
-    ("cell_start", &["cell", "attempt"]),
-    ("cell_done", &["cell", "attempt"]),
-    ("cell_retry", &["cell", "attempt"]),
-    ("cell_quarantine", &["cell", "attempt"]),
     ("rung_start", &["rung", "cells", "budget_ticks"]),
     ("cell_scored", &["cell", "ticks", "promo_bytes"]),
     ("pareto_update", &["cell", "front"]),

@@ -177,12 +177,6 @@ fn push_record_json(out: &mut String, rec: &TraceRecord) {
         TraceEvent::ReclaimStall { cycles } => {
             out.push_str(&format!(",\"cycles\":{cycles}"));
         }
-        TraceEvent::CellStart { cell, attempt }
-        | TraceEvent::CellDone { cell, attempt }
-        | TraceEvent::CellRetry { cell, attempt }
-        | TraceEvent::CellQuarantine { cell, attempt } => {
-            out.push_str(&format!(",\"cell\":{cell},\"attempt\":{attempt}"));
-        }
         TraceEvent::RungStart { rung, cells, budget_ticks } => {
             out.push_str(&format!(
                 ",\"rung\":{rung},\"cells\":{cells},\"budget_ticks\":{budget_ticks}"
@@ -204,7 +198,7 @@ fn push_record_json(out: &mut String, rec: &TraceRecord) {
 /// trailing `recorded`/`dropped` columns are only populated by the final
 /// `trace_summary` row.
 pub const CSV_HEADER: &str =
-    "t,seq,event,page,latency,reason,before,after,candidate_bytes,limit_bytes,bytes,available,site,cycles,cell,attempt,pages,rung,cells,budget_ticks,ticks,promo_bytes,front,recorded,dropped";
+    "t,seq,event,page,latency,reason,before,after,candidate_bytes,limit_bytes,bytes,available,site,cycles,cell,pages,rung,cells,budget_ticks,ticks,promo_bytes,front,recorded,dropped";
 
 /// Serializes `log` as CSV with [`CSV_HEADER`] columns. Cells that do
 /// not apply to an event are left empty.
@@ -218,7 +212,7 @@ pub fn to_csv(log: &TraceLog) -> String {
         last_now = rec.now;
     }
     out.push_str(&format!(
-        "{},{},{TRACE_SUMMARY},,,,,,,,,,,,,,,,,,,,,{},{}\n",
+        "{},{},{TRACE_SUMMARY},,,,,,,,,,,,,,,,,,,,{},{}\n",
         last_now, log.recorded, log.recorded, log.dropped
     ));
     out
@@ -226,10 +220,9 @@ pub fn to_csv(log: &TraceLog) -> String {
 
 fn push_record_csv(out: &mut String, rec: &TraceRecord) {
     // Columns: page, latency, reason, before, after, candidate_bytes,
-    // limit_bytes, bytes, available, site, cycles, cell, attempt, pages,
-    // rung, cells, budget_ticks, ticks, promo_bytes, front, recorded,
-    // dropped.
-    let mut cells: [String; 22] = Default::default();
+    // limit_bytes, bytes, available, site, cycles, cell, pages, rung,
+    // cells, budget_ticks, ticks, promo_bytes, front, recorded, dropped.
+    let mut cells: [String; 21] = Default::default();
     match rec.event {
         TraceEvent::HintFault { page }
         | TraceEvent::PromoteAccept { page }
@@ -245,7 +238,7 @@ fn push_record_csv(out: &mut String, rec: &TraceRecord) {
         }
         TraceEvent::FaultAround { page, pages } => {
             cells[0] = page.to_string();
-            cells[13] = pages.to_string();
+            cells[12] = pages.to_string();
         }
         TraceEvent::PromoteCandidate { page, latency } => {
             cells[0] = page.to_string();
@@ -274,26 +267,19 @@ fn push_record_csv(out: &mut String, rec: &TraceRecord) {
         TraceEvent::ReclaimStall { cycles } => {
             cells[10] = cycles.to_string();
         }
-        TraceEvent::CellStart { cell, attempt }
-        | TraceEvent::CellDone { cell, attempt }
-        | TraceEvent::CellRetry { cell, attempt }
-        | TraceEvent::CellQuarantine { cell, attempt } => {
-            cells[11] = cell.to_string();
-            cells[12] = attempt.to_string();
-        }
         TraceEvent::RungStart { rung, cells: in_rung, budget_ticks } => {
-            cells[14] = rung.to_string();
-            cells[15] = in_rung.to_string();
-            cells[16] = budget_ticks.to_string();
+            cells[13] = rung.to_string();
+            cells[14] = in_rung.to_string();
+            cells[15] = budget_ticks.to_string();
         }
         TraceEvent::CellScored { cell, ticks, promo_bytes } => {
             cells[11] = cell.to_string();
-            cells[17] = ticks.to_string();
-            cells[18] = promo_bytes.to_string();
+            cells[16] = ticks.to_string();
+            cells[17] = promo_bytes.to_string();
         }
         TraceEvent::ParetoUpdate { cell, front } => {
             cells[11] = cell.to_string();
-            cells[19] = front.to_string();
+            cells[18] = front.to_string();
         }
     }
     out.push_str(&format!("{},{},{},{}\n", rec.now, rec.seq, rec.event.name(), cells.join(",")));
@@ -399,28 +385,6 @@ mod tests {
         let summary = lines.last().unwrap();
         assert!(summary.contains("trace_summary"), "{summary}");
         assert!(summary.ends_with(",7,0"), "{summary}");
-    }
-
-    #[test]
-    fn cell_lifecycle_events_export_cell_and_attempt_fields() {
-        let mut t = TraceState::new(TraceConfig::on().with_capacity(16));
-        t.record(TraceEvent::CellStart { cell: 3, attempt: 1 });
-        t.record(TraceEvent::CellRetry { cell: 3, attempt: 1 });
-        t.record(TraceEvent::CellStart { cell: 3, attempt: 2 });
-        t.record(TraceEvent::CellDone { cell: 3, attempt: 2 });
-        t.record(TraceEvent::CellQuarantine { cell: 5, attempt: 3 });
-        let log = t.log();
-        let jsonl = to_jsonl(&log);
-        assert!(jsonl.contains("\"event\":\"cell_start\",\"cell\":3,\"attempt\":1"), "{jsonl}");
-        assert!(jsonl.contains("\"event\":\"cell_done\",\"cell\":3,\"attempt\":2"), "{jsonl}");
-        assert!(jsonl.contains("\"event\":\"cell_retry\""), "{jsonl}");
-        assert!(jsonl.contains("\"event\":\"cell_quarantine\",\"cell\":5"), "{jsonl}");
-        let csv = to_csv(&log);
-        let width = CSV_HEADER.split(',').count();
-        for line in csv.lines() {
-            assert_eq!(line.split(',').count(), width, "{line}");
-        }
-        assert!(csv.lines().any(|l| l.contains("cell_quarantine") && l.contains(",5,3,")), "{csv}");
     }
 
     #[test]

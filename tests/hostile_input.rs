@@ -111,10 +111,6 @@ fn trace() -> String {
         TraceEvent::ThpCollapse { page: 512 },
         TraceEvent::ThpSplit { page: 512 },
         TraceEvent::FaultAround { page: 13, pages: 15 },
-        TraceEvent::CellStart { cell: 0, attempt: 1 },
-        TraceEvent::CellRetry { cell: 0, attempt: 1 },
-        TraceEvent::CellQuarantine { cell: 1, attempt: 3 },
-        TraceEvent::CellDone { cell: 0, attempt: 2 },
         TraceEvent::RungStart { rung: 0, cells: 216, budget_ticks: 50_000 },
         TraceEvent::CellScored { cell: 42, ticks: 1234, promo_bytes: 8192 },
         TraceEvent::ParetoUpdate { cell: 42, front: 3 },
@@ -129,7 +125,7 @@ fn trace() -> String {
 #[test]
 fn trace_prefixes_and_substitutions_never_panic() {
     let text = trace();
-    assert_eq!(check_jsonl(&text), Ok(25 + 2), "every variant, a snapshot and the summary");
+    assert_eq!(check_jsonl(&text), Ok(21 + 2), "every variant, a snapshot and the summary");
     for cut in 0..=text.len() {
         // Only the whole trace, with or without its final newline, ends in
         // a complete summary line.

@@ -7,7 +7,10 @@
 //!   including the `--trace` exports replayed from the journal;
 //! - a sweep containing a panicking cell and a stuck cell (the
 //!   deterministic tick-budget watchdog) completes with both quarantined
-//!   in the degraded-mode summary.
+//!   in the degraded-mode summary;
+//! - a journal without a file applies the same attempt rule;
+//! - the tuner's kill point counts its session's own appends, so a
+//!   resume after a torn tail dies exactly where it was armed.
 
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,10 +21,12 @@ use tiersim::core::{run_workload, CoreError, ExperimentConfig, RunError, TraceCo
 use tiersim::policy::TieringMode;
 use tiersim_bench::run_suite_journaled;
 use tiersim_core::journal::{
-    replay, run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalOutcome,
-    KillMode, KillSpec, RunnerOptions,
+    replay, run_journaled, CellError, CellOutcome, FailureClass, Journal, JournalCell,
+    JournalError, JournalOutcome, KillMode, KillSpec, RunnerOptions,
 };
 use tiersim_core::sweep::SweepAbort;
+use tiersim_core::tune::{run_tune, TuneConfig};
+use tiersim_core::{Dataset, Kernel};
 use tiersim_trace::check_jsonl;
 
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -288,4 +293,80 @@ fn panicking_and_stuck_cells_quarantine_in_degraded_summary() {
     assert!(journal.contains("\"class\":\"stuck\""), "stuck class journaled");
     assert!(journal.contains("\"kind\":\"quarantine\""), "quarantine records journaled");
     let _ = std::fs::remove_file(&path);
+}
+
+/// The plain suite's runner: a journal without a file gives a failing
+/// cell `max_attempts` attempts, then quarantines it, exactly as a
+/// journal with one does (`--max-attempts` means the same with and
+/// without `--resume`).
+#[test]
+fn file_less_journal_honours_max_attempts() {
+    let runs = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&runs);
+    let failing = move || -> Result<String, CellError> {
+        counted.fetch_add(1, Ordering::SeqCst);
+        Err(CellError { class: FailureClass::Error, message: "always fails".to_string() })
+    };
+    let cells = vec![
+        JournalCell { name: "healthy".to_string(), run: Box::new(|| Ok("fine".to_string())) },
+        JournalCell { name: "failing".to_string(), run: Box::new(failing) },
+    ];
+    let opts = RunnerOptions { jobs: 1, max_attempts: 2, kill: None };
+    let outcome = Journal::without_file().run(cells, opts).expect("distinct names");
+    assert_eq!(runs.load(Ordering::SeqCst), 2, "two attempts, then quarantine");
+    assert_eq!(
+        outcome.cells[1].1,
+        CellOutcome::Quarantined { error: "always fails".to_string(), attempts: 2 }
+    );
+    assert_eq!((outcome.stats.executed, outcome.stats.quarantined), (3, 1));
+
+    let twice = || JournalCell { name: "same".to_string(), run: Box::new(|| Ok(String::new())) };
+    let duplicate = Journal::without_file().run(vec![twice(), twice()], opts);
+    assert!(matches!(duplicate, Err(JournalError::DuplicateCell(_))));
+}
+
+/// `--kill-at N` on a resumed tuner dies at the session's Nth append,
+/// also after a torn tail and also past rung 0. The search is killed at
+/// append 3 (meta and the first cell's `start` land; its `done` dies,
+/// torn or clean), then copies of that journal resume with kill points
+/// 16..=20. The resume re-runs all eight rung-0 cells, 16 appends, so
+/// the range spans the first rung boundary. Each copy must land exactly
+/// N - 1 records.
+#[test]
+fn tuner_kill_point_counts_the_sessions_appends_after_a_torn_tail() {
+    let experiment =
+        ExperimentConfig { scale: 10, degree: 8, trials: 1, jobs: 1, ..Default::default() };
+    let cfg = TuneConfig { finalists: 2, ..TuneConfig::new(experiment, Kernel::Bc, Dataset::Kron) };
+    let kill = |at_append, torn| RunnerOptions {
+        kill: Some(KillSpec { at_append, torn, mode: KillMode::Panic }),
+        ..RunnerOptions::default()
+    };
+    let records = |path: &PathBuf| {
+        let text = std::fs::read_to_string(path).expect("journal exists");
+        replay(&text).expect("journal replays").records as u64
+    };
+    for torn in [true, false] {
+        let killed = scratch("tune-killed");
+        let died = catch_unwind(AssertUnwindSafe(|| run_tune(&cfg, &killed, kill(3, torn))));
+        assert!(died.expect_err("killed at append 3").is::<SweepAbort>());
+        let text = std::fs::read_to_string(&killed).expect("journal exists");
+        assert_eq!(replay(&text).expect("replays").torn_tail, torn);
+        let before = records(&killed);
+        assert_eq!(before, 2, "meta and the first start");
+        for at_append in 16..=20 {
+            let copy = scratch("tune-resumed");
+            std::fs::copy(&killed, &copy).expect("copy journal");
+            let died =
+                catch_unwind(AssertUnwindSafe(|| run_tune(&cfg, &copy, kill(at_append, false))));
+            assert!(died.expect_err("kill point fires").is::<SweepAbort>(), "N={at_append}");
+            assert_eq!(
+                records(&copy) - before,
+                at_append - 1,
+                "torn={torn}: kill at {at_append} must land {} appends",
+                at_append - 1
+            );
+            let _ = std::fs::remove_file(&copy);
+        }
+        let _ = std::fs::remove_file(&killed);
+    }
 }

@@ -12,6 +12,7 @@ use tiersim::core::{run_workload, ExperimentConfig, MachineConfig, RunReport, Tr
 use tiersim::policy::TieringMode;
 use tiersim_bench::run_repro_suite;
 use tiersim_core::experiments::{Characterization, Comparison};
+use tiersim_core::journal::RunnerOptions;
 use tiersim_core::sweep;
 
 fn tiny(jobs: usize) -> ExperimentConfig {
@@ -39,8 +40,8 @@ fn serialized(report: &RunReport) -> Vec<u8> {
 /// `--jobs 1`.
 #[test]
 fn repro_suite_output_is_byte_identical_across_jobs() {
-    let serial = run_repro_suite(&tiny(1), false);
-    let parallel = run_repro_suite(&tiny(4), false);
+    let serial = run_repro_suite(&tiny(1), RunnerOptions::default(), false).unwrap();
+    let parallel = run_repro_suite(&tiny(4), RunnerOptions::default(), false).unwrap();
     assert!(!serial.output().is_empty());
     assert_eq!(serial.output(), parallel.output(), "suite output diverged between jobs=1 and 4");
     assert_eq!(serial.summary(), parallel.summary());
@@ -56,7 +57,7 @@ fn trace_export_is_byte_identical_across_jobs() {
     let traced = |jobs: usize| {
         let mut cfg = tiny(jobs);
         cfg.trace = TraceConfig::on();
-        run_repro_suite(&cfg, false)
+        run_repro_suite(&cfg, RunnerOptions::default(), false).unwrap()
     };
     let serial = traced(1);
     let parallel = traced(4);

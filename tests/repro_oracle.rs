@@ -34,7 +34,7 @@ fn assert_output(suite: &ExperimentSuite, archived: &str, archive: &str) {
 }
 
 fn assert_reproduces(extra: &[&str], archived: &str, archive: &str) {
-    let suite = run_repro_suite(&smoke(extra), false);
+    let suite = run_repro_suite(&smoke(extra), RunnerOptions::default(), false).unwrap();
     assert_eq!(suite.exit_code(), 0, "suite failed:\n{}", suite.summary());
     assert_output(&suite, archived, archive);
 }
@@ -61,7 +61,7 @@ fn scale11_journaled_suite_reproduces_the_archived_output() {
 
 #[test]
 fn injected_failure_exits_one_and_keeps_every_section() {
-    let suite = run_repro_suite(&smoke(&[]), true);
+    let suite = run_repro_suite(&smoke(&[]), RunnerOptions::default(), true).unwrap();
     assert_eq!(suite.exit_code(), 1);
     assert_eq!(
         suite.summary(),
@@ -82,7 +82,7 @@ fn scale11_thp_suite_reproduces_the_archived_output() {
 
 #[test]
 fn scale11_ablate_reproduces_the_archived_output() {
-    let suite = run_ablate(&smoke(&["--jobs", "2"]));
+    let suite = run_ablate(&smoke(&["--jobs", "2"])).unwrap();
     assert_eq!(suite.summary(), "== 10/10 experiments completed ==\n");
     assert_output(
         &suite,
@@ -95,7 +95,7 @@ fn scale11_ablate_reproduces_the_archived_output() {
 fn ablate_quarantines_only_the_sections_whose_runs_fail() {
     // A one-tick watchdog stops the BFS and extension runs; the bc_kron
     // knob runs finish inside it.
-    let suite = run_ablate(&smoke(&["--tick-budget", "1", "--jobs", "2"]));
+    let suite = run_ablate(&smoke(&["--tick-budget", "1", "--jobs", "2"])).unwrap();
     assert_eq!(suite.exit_code(), 1);
     let summary = suite.summary();
     assert!(summary.starts_with("== 7/10 experiments completed ==\n"), "{summary}");

@@ -152,7 +152,7 @@ fn one_workloads_failure_does_not_poison_the_others() {
 fn ablate_reads_each_distinct_run_once_for_every_worker_count() {
     let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     for jobs in [1, 2] {
-        let (report, runs) = counted(|| run_ablate(&ExperimentConfig { jobs, ..tiny(0) }));
+        let (report, runs) = counted(|| run_ablate(&ExperimentConfig { jobs, ..tiny(0) }).unwrap());
         assert_eq!(report.exit_code(), 0, "{}", report.summary());
         // Was 29: the tiering-mode section's static object row and the
         // dynamic-object extension's `bc_kron` row each simulated

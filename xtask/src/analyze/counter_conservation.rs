@@ -17,7 +17,7 @@
 //! `pgdemote_total()` instead of naming raw fields.
 
 use crate::diag::Diagnostic;
-use crate::item_model::{Item, ItemKind, Project};
+use crate::item_model::{Item, ItemKind, Node, Project};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Pass id (used in `allow(...)` annotations and baseline keys).
@@ -95,8 +95,8 @@ pub fn run(project: &Project) -> Vec<Diagnostic> {
     };
     let reachable = project.call_map().reachable(&[&audit_item.qual]);
     let mut law_terms: BTreeMap<&str, usize> = BTreeMap::new(); // field -> anchor line
-    for (_, item) in project.items() {
-        if item.kind != ItemKind::Fn || !reachable.contains(&item.qual) {
+    for (file, item) in project.items() {
+        if item.kind != ItemKind::Fn || !reachable.contains(&Node::of(file, item)) {
             continue;
         }
         for t in &item.tokens {

@@ -21,7 +21,7 @@
 //! panic cannot fire; legacy sites live in the baseline.
 
 use crate::diag::Diagnostic;
-use crate::item_model::{is_keyword, ItemKind, Project};
+use crate::item_model::{is_keyword, ItemKind, Node, Project};
 
 /// Pass id (used in `allow(...)` annotations and baseline keys).
 pub const NAME: &str = "panic-reach";
@@ -49,7 +49,7 @@ pub fn run(project: &Project) -> Vec<Diagnostic> {
         if item.kind != ItemKind::Fn
             || item.in_test
             || !in_scope(&file.path)
-            || !reachable.contains(&item.qual)
+            || !reachable.contains(&Node::of(file, item))
         {
             continue;
         }
@@ -92,12 +92,12 @@ fn root_refs() -> Vec<&'static str> {
 }
 
 /// Which configured roots actually exist in this project (for messages).
-fn roots_hit(reachable: &std::collections::BTreeSet<String>) -> String {
+fn roots_hit(reachable: &std::collections::BTreeSet<Node>) -> String {
     let hit: Vec<&str> = ROOTS
         .iter()
         .copied()
         .filter(|r| {
-            reachable.contains(*r) || reachable.iter().any(|q| q.rsplit("::").next() == Some(*r))
+            reachable.iter().any(|n| n.qual == *r || n.qual.rsplit("::").next() == Some(*r))
         })
         .collect();
     if hit.is_empty() {

@@ -6,14 +6,16 @@
 //! body token streams), structs (with field names), enums (with variant
 //! names), impl blocks (qualifying their methods as `Type::method`) and
 //! modules. On top of the item table sits a name-resolved call-adjacency
-//! map. It splits calls by syntax: `.b(…)` targets methods (functions in
-//! an `impl` or a `trait`) named `b`, trying the enclosing impl first for
-//! `self.b(…)`; a bare `b(…)` targets free functions named `b`; `A::b(…)`
-//! targets `A::b`. Where the type is unknown it stays *over*-approximate
-//! (a method call edges to every method of that name), so reachability
-//! queries never miss a real path — the right default for the
-//! panic-reachability pass, where a false "unreachable" would hide a
-//! crash site.
+//! map over functions keyed by file and qualified name. It splits calls
+//! by syntax: `.b(…)` targets methods (functions in an `impl` or a
+//! `trait`) named `b`, trying the enclosing impl first for `self.b(…)`;
+//! a bare `b(…)` targets the caller's own file's free `b`, else every
+//! free function named `b`; `A::b(…)` targets `A::b`, and `m::b(…)` with
+//! a lowercase `m` the free functions `b` of module `m`. Where the type
+//! is unknown it stays *over*-approximate (a method call edges to every
+//! method of that name), so reachability queries never miss a real path
+//! — the right default for the panic-reachability pass, where a false
+//! "unreachable" would hide a crash site.
 //!
 //! No `syn`, no registry dependencies: the model must build on the same
 //! offline toolchain as the rest of xtask (DESIGN.md §14).
@@ -130,54 +132,72 @@ impl Project {
     }
 
     /// Builds the call-adjacency map over all non-test functions: edges
-    /// from a function's qualified name to the qualified names of every
-    /// function it may call (name-resolved, over-approximate where the
-    /// type is unknown).
+    /// from a function's node to the node of every function it may call
+    /// (name-resolved, over-approximate where the type is unknown).
     pub fn call_map(&self) -> CallMap {
-        let mut by_name: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        let mut methods: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        let mut free: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        let mut by_qual: BTreeSet<&str> = BTreeSet::new();
-        for (_, item) in self.items() {
+        let mut by_name: BTreeMap<&str, Vec<Node>> = BTreeMap::new();
+        let mut methods: BTreeMap<&str, Vec<Node>> = BTreeMap::new();
+        let mut free: BTreeMap<&str, Vec<Node>> = BTreeMap::new();
+        let mut by_qual: BTreeMap<&str, Vec<Node>> = BTreeMap::new();
+        for (file, item) in self.items() {
             if item.kind == ItemKind::Fn {
-                by_name.entry(&item.name).or_default().push(&item.qual);
+                let node = Node::of(file, item);
+                by_name.entry(&item.name).or_default().push(node.clone());
                 let split = if item.method { &mut methods } else { &mut free };
-                split.entry(&item.name).or_default().push(&item.qual);
-                by_qual.insert(&item.qual);
+                split.entry(&item.name).or_default().push(node.clone());
+                by_qual.entry(&item.qual).or_default().push(node);
             }
         }
-        let named = |map: &BTreeMap<&str, Vec<&str>>, name: &str| -> Vec<String> {
-            map.get(name).into_iter().flatten().map(|q| (*q).to_string()).collect()
+        let named = |map: &BTreeMap<&str, Vec<Node>>, name: &str| -> Vec<Node> {
+            map.get(name).cloned().unwrap_or_default()
         };
-        let mut edges: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for (_, item) in self.items() {
+        // The free functions named `name` whose file passes `keep`.
+        let free_in = |name: &str, keep: &dyn Fn(&str) -> bool| -> Vec<Node> {
+            named(&free, name).into_iter().filter(|n| keep(&n.file)).collect()
+        };
+        let mut edges: BTreeMap<Node, BTreeSet<Node>> = BTreeMap::new();
+        for (file, item) in self.items() {
             if item.kind != ItemKind::Fn || item.in_test {
                 continue;
             }
-            let out = edges.entry(item.qual.clone()).or_default();
+            let out = edges.entry(Node::of(file, item)).or_default();
             let impl_ty = item.qual.split("::").next().filter(|_| item.qual.contains("::"));
             for callee in called_names(&item.tokens) {
                 let targets = match callee {
                     Callee::Qualified(recv, n) => {
                         let recv = if recv == "Self" { impl_ty.unwrap_or(&recv) } else { &recv };
                         let q = format!("{recv}::{n}");
-                        // Unknown receiver type (foreign crate path, a
-                        // trait): fall back to every function of that name.
-                        if by_qual.contains(q.as_str()) {
-                            vec![q]
-                        } else {
-                            named(&by_name, &n)
+                        // A lowercase segment names a module: its free
+                        // functions. Unknown receivers (foreign crate
+                        // paths, primitives, traits, re-exports) fall back
+                        // to every function of that name.
+                        let module = recv.starts_with(|c: char| c.is_ascii_lowercase());
+                        let in_module =
+                            if module { free_in(&n, &|f| in_module(f, recv)) } else { Vec::new() };
+                        match by_qual.get(q.as_str()) {
+                            Some(nodes) => nodes.clone(),
+                            None if !in_module.is_empty() => in_module,
+                            None => named(&by_name, &n),
                         }
                     }
                     Callee::Named(n) => named(&by_name, &n),
                     Callee::Method { name, on_self } => {
                         let own = impl_ty.filter(|_| on_self).map(|ty| format!("{ty}::{name}"));
-                        match own.filter(|q| by_qual.contains(q.as_str())) {
-                            Some(q) => vec![q],
+                        match own.and_then(|q| by_qual.get(q.as_str())) {
+                            Some(nodes) => nodes.clone(),
                             None => named(&methods, &name),
                         }
                     }
-                    Callee::Free(n) => named(&free, &n),
+                    // A free function of the caller's own file shadows
+                    // every other of that name.
+                    Callee::Free(n) => {
+                        let own = free_in(&n, &|f| f == file.path);
+                        if own.is_empty() {
+                            named(&free, &n)
+                        } else {
+                            own
+                        }
+                    }
                 };
                 out.extend(targets);
             }
@@ -186,45 +206,57 @@ impl Project {
     }
 }
 
+/// True if the source file at `path` belongs to module `module`: it is
+/// `module.rs` or lies under a `module/` directory.
+fn in_module(path: &str, module: &str) -> bool {
+    let file = path.rsplit('/').next().unwrap_or(path);
+    file.strip_suffix(".rs") == Some(module) || path.split('/').any(|dir| dir == module)
+}
+
+/// A call-map node: a function's file and its qualified name. Free
+/// functions that share a name in different files are distinct nodes.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Node {
+    /// Workspace-relative path of the defining file.
+    pub file: String,
+    /// The function's qualified name ([`Item::qual`]).
+    pub qual: String,
+}
+
+impl Node {
+    /// The node of function `item` in `file`.
+    pub fn of(file: &FileModel, item: &Item) -> Node {
+        Node { file: file.path.clone(), qual: item.qual.clone() }
+    }
+}
+
 /// The project call-adjacency map.
 #[derive(Debug)]
 pub struct CallMap {
-    edges: BTreeMap<String, BTreeSet<String>>,
+    edges: BTreeMap<Node, BTreeSet<Node>>,
 }
 
 impl CallMap {
-    /// Direct callees of `qual` (empty if unknown).
-    pub fn callees(&self, qual: &str) -> impl Iterator<Item = &str> {
-        self.edges.get(qual).into_iter().flatten().map(String::as_str)
-    }
-
     /// Every function reachable from the given roots, roots included.
-    /// A root matches items by qualified name, or by simple name when it
-    /// contains no `::`.
-    pub fn reachable(&self, roots: &[&str]) -> BTreeSet<String> {
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut queue: Vec<String> = Vec::new();
-        for root in roots {
-            if root.contains("::") {
-                if self.edges.contains_key(*root) {
-                    queue.push((*root).to_string());
-                }
-            } else {
-                for qual in self.edges.keys() {
-                    let simple = qual.rsplit("::").next().unwrap_or(qual);
-                    if simple == *root {
-                        queue.push(qual.clone());
-                    }
-                }
-            }
-        }
-        while let Some(q) = queue.pop() {
-            if !seen.insert(q.clone()) {
+    /// A root matches functions by qualified name, or by simple name when
+    /// it contains no `::`, in any file.
+    pub fn reachable(&self, roots: &[&str]) -> BTreeSet<Node> {
+        let mut seen: BTreeSet<Node> = BTreeSet::new();
+        let mut queue: Vec<&Node> = self
+            .edges
+            .keys()
+            .filter(|n| {
+                let simple = n.qual.rsplit("::").next().unwrap_or(&n.qual);
+                roots.iter().any(|r| n.qual == *r || (!r.contains("::") && simple == *r))
+            })
+            .collect();
+        while let Some(node) = queue.pop() {
+            if !seen.insert(node.clone()) {
                 continue;
             }
-            for callee in self.callees(&q) {
+            for callee in self.edges.get(node).into_iter().flatten() {
                 if !seen.contains(callee) {
-                    queue.push(callee.to_string());
+                    queue.push(callee);
                 }
             }
         }
@@ -663,6 +695,15 @@ mod tests {
         Project::from_sources(vec![("crates/x/src/lib.rs".to_string(), src.to_string())])
     }
 
+    /// The qualified names of the functions reachable from `roots`.
+    fn reached(p: &Project, roots: &[&str]) -> BTreeSet<String> {
+        p.call_map().reachable(roots).into_iter().map(|n| n.qual).collect()
+    }
+
+    fn set(quals: &[&str]) -> BTreeSet<String> {
+        quals.iter().map(|q| q.to_string()).collect()
+    }
+
     #[test]
     fn extracts_free_and_associated_fns() {
         let p = project(
@@ -737,8 +778,7 @@ mod tests {
              fn panic_site() {}\n\
              fn unrelated() {}\n",
         );
-        let map = p.call_map();
-        let reach = map.reachable(&["root"]);
+        let reach = reached(&p, &["root"]);
         for f in [
             "root",
             "helper",
@@ -764,10 +804,8 @@ mod tests {
              fn run() {}\n\
              fn step() {}\n",
         );
-        let map = p.call_map();
-        let reach = map.reachable(&["root"]);
-        let want = ["root", "Cell::run", "Cell::go", "step"];
-        assert_eq!(reach, want.iter().map(|s| s.to_string()).collect(), "{reach:?}");
+        let reach = reached(&p, &["root"]);
+        assert_eq!(reach, set(&["root", "Cell::run", "Cell::go", "step"]), "{reach:?}");
         // Without an own method, `self.go()` falls back to every `go`
         // method, a trait's included.
         let p = project(
@@ -776,9 +814,8 @@ mod tests {
              trait T {\n    fn go(&self) {}\n}\n\
              fn go() {}\n",
         );
-        let reach = p.call_map().reachable(&["A::root"]);
-        let want = ["A::root", "Other::go", "go"];
-        assert_eq!(reach, want.iter().map(|s| s.to_string()).collect(), "{reach:?}");
+        let reach = reached(&p, &["A::root"]);
+        assert_eq!(reach, set(&["A::root", "Other::go", "go"]), "{reach:?}");
     }
 
     #[test]
@@ -789,8 +826,7 @@ mod tests {
              #[cfg(test)]\nmod tests {\n    fn t() { secret(); }\n}\n\
              fn secret() {}\n",
         );
-        let map = p.call_map();
-        let reach = map.reachable(&["root"]);
+        let reach = reached(&p, &["root"]);
         assert!(!reach.contains("secret"), "test-only edges must not exist");
         assert!(!reach.contains("println_helper"), "macro is not a call");
     }
@@ -800,10 +836,51 @@ mod tests {
         let p = project(
             "struct M;\nimpl M {\n    fn run() { leaf(); }\n}\nfn leaf() {}\nfn other() {}\n",
         );
-        let map = p.call_map();
-        let reach = map.reachable(&["M::run"]);
+        let reach = reached(&p, &["M::run"]);
         assert!(reach.contains("leaf"));
         assert!(!reach.contains("other"));
+    }
+
+    #[test]
+    fn call_map_keys_free_functions_by_file_and_resolves_module_paths() {
+        let p = Project::from_sources(vec![
+            (
+                "crates/os/src/engine.rs".to_string(),
+                "fn tick() { audit::run(); helper(); }\nfn helper() {}\n".to_string(),
+            ),
+            (
+                "crates/os/src/audit.rs".to_string(),
+                "pub fn run() { law(); }\nfn law() {}\n".to_string(),
+            ),
+            (
+                "crates/bench/src/lib.rs".to_string(),
+                "pub fn run() { front(); }\nfn front() {}\nfn helper() { front(); }\n".to_string(),
+            ),
+            (
+                "crates/core/src/journal.rs".to_string(),
+                "struct J;\nimpl J {\n    pub fn run(&self) {}\n}\n".to_string(),
+            ),
+        ]);
+        let map = p.call_map();
+        let reach = map.reachable(&["tick"]);
+        let files: BTreeSet<(&str, &str)> =
+            reach.iter().map(|n| (n.file.as_str(), n.qual.as_str())).collect();
+        let want: BTreeSet<(&str, &str)> = [
+            ("crates/os/src/engine.rs", "tick"),
+            ("crates/os/src/engine.rs", "helper"),
+            ("crates/os/src/audit.rs", "run"),
+            ("crates/os/src/audit.rs", "law"),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(files, want, "neither the bench `run`, its `helper` nor `J::run`");
+        // A module path with no such free function in the project (a
+        // foreign crate, a re-export) still reaches every `run`.
+        let p = Project::from_sources(vec![
+            ("crates/x/src/lib.rs".to_string(), "fn root() { other::run(); }\n".to_string()),
+            ("crates/x/src/a.rs".to_string(), "pub fn run() {}\n".to_string()),
+        ]);
+        assert_eq!(reached(&p, &["root"]), set(&["root", "run"]));
     }
 
     #[test]
