@@ -7,7 +7,9 @@
 //! a setting equal to the testbed reads the default AutoNUMA run, and the
 //! tiering-mode section's static object row and the dynamic-object
 //! extension's `bc_kron` row read one static run whenever the whole and
-//! spill plans coincide.
+//! spill plans coincide. The store simulates each key once, even while
+//! rows ask for it at the same time, so the default runs and every row
+//! of every section run as one batch, with no barrier between sections.
 
 use std::sync::Arc;
 use tiersim_core::experiments::{RunKey, Runs};
@@ -160,18 +162,20 @@ fn tlb(m: &mut MachineConfig, dtlb: usize, stlb: usize) {
     m.mem.stlb = TlbGeometry { entries: stlb, ways: 8 };
 }
 
-/// Every section of the report, in order.
-fn sections(r: &mut Report) {
+/// Every section of the report, in order; returns one row per default
+/// run the sections read (`bc_kron` included), which only simulates it.
+fn sections(r: &mut Report) -> Vec<Row> {
     let (runs, cfg) = (Arc::clone(&r.runs), *r.runs.config());
     let dynamic = [Kernel::Bc, Kernel::Cc]
         .map(|k| [Dataset::Kron, Dataset::Urand].map(|d| cfg.workload(k, d)))
         .concat();
     let locality =
         [Dataset::Kron, Dataset::Urand, Dataset::Road].map(|d| cfg.workload(Kernel::Bfs, d));
-    // Every default run the rows read (`bc_kron` included), simulated
-    // once on `jobs` workers.
-    let defaults: Vec<_> = dynamic.iter().chain(&locality).map(|&w| cfg.autonuma(w)).collect();
-    runs.get_all(&defaults);
+    let default_run = |&w: &WorkloadConfig| -> Row {
+        let (runs, key) = (Arc::clone(&runs), cfg.autonuma(w));
+        Box::new(move || get(&runs, key.clone()).map(|_| Vec::new()))
+    };
+    let defaults = dynamic.iter().chain(&locality).map(default_run).collect();
     // Unbuffered, every NVM access pays the media latency.
     r.knob("Ablation: NVM XPBuffer (bc_kron)", "XPBuffer").set("buffered", |_, _| {}).set(
         "unbuffered",
@@ -227,34 +231,45 @@ fn sections(r: &mut Report) {
         header,
         rows(&locality, false),
     );
+    defaults
 }
 
-/// Runs every ablation and extension section, one cell each on a
-/// file-less [`Journal`], whose rows run on `experiment.jobs` workers, so
-/// the recorded bytes ([`ExperimentSuite::output`]) are identical for
-/// every `jobs` value. A section with a failed row is quarantined after
-/// one attempt (its rows are deterministic simulations, so a retry would
-/// only repeat the failure); the others still render.
+/// Runs every ablation and extension section as one cell each on a
+/// file-less [`Journal`]. The default runs, then every row of every
+/// section, run first as one batch on `experiment.jobs` workers; the
+/// cells only render finished rows, so the recorded bytes
+/// ([`ExperimentSuite::output`]) are identical for every `jobs` value. A
+/// section with a failed row is quarantined after one attempt (its rows
+/// are deterministic simulations, so a retry would only repeat the
+/// failure); the others still render.
 ///
 /// # Errors
 ///
 /// [`JournalError::DuplicateCell`] if two sections shared a title.
 pub fn run_ablate(experiment: &ExperimentConfig) -> Result<ExperimentSuite, JournalError> {
     let mut report = Report { runs: Arc::new(Runs::new(experiment)), sections: Vec::new() };
-    sections(&mut report);
-    let jobs = experiment.jobs;
-    let cells = report.sections.into_iter().map(|(title, header, rows)| JournalCell {
-        name: title.to_string(),
-        run: Box::new(move || {
-            let mut t = TextTable::new(header.split('|').collect());
-            for row in run_cells_fallible(jobs, rows.iter().map(|row| || row()).collect()) {
-                let message = |e| CellError { class: FailureClass::Error, message: format!("{e}") };
-                t.row(row.map_err(message)?);
-            }
-            Ok(encode_payload(&[(title.to_string(), t.render())]))
-        }),
+    // Most rows read a default run, so the workers start on those.
+    let defaults = sections(&mut report);
+    let rows = defaults.iter().chain(report.sections.iter().flat_map(|(_, _, rows)| rows));
+    let mut done = run_cells_fallible(experiment.jobs, rows.map(|row| || row()).collect())
+        .into_iter()
+        .skip(defaults.len());
+    let cells = report.sections.into_iter().map(|(title, header, rows)| {
+        let rows: Vec<_> = done.by_ref().take(rows.len()).collect();
+        JournalCell {
+            name: title.to_string(),
+            run: Box::new(move || {
+                let mut t = TextTable::new(header.split('|').collect());
+                for row in &rows {
+                    let message =
+                        |e| CellError { class: FailureClass::Error, message: format!("{e}") };
+                    t.row(row.clone().map_err(message)?);
+                }
+                Ok(encode_payload(&[(title.to_string(), t.render())]))
+            }),
+        }
     });
     let opts = RunnerOptions { jobs: 1, max_attempts: 1, kill: None };
     let outcome = Journal::without_file().run(cells.collect(), opts)?;
-    Ok(assemble(jobs, &outcome.cells))
+    Ok(assemble(&outcome.cells))
 }

@@ -212,47 +212,27 @@ impl TraceExports {
 /// nonzero if anything did. A journaled suite additionally carries
 /// degraded-mode cell accounting
 /// ([`set_cell_stats`](ExperimentSuite::set_cell_stats)).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ExperimentSuite {
     output: String,
     attempted: usize,
     failures: Vec<(String, String)>,
-    jobs: usize,
     trace: Option<TraceExports>,
     cell_stats: Option<JournalStats>,
 }
 
-impl Default for ExperimentSuite {
-    fn default() -> Self {
-        ExperimentSuite {
-            output: String::new(),
-            attempted: 0,
-            failures: Vec::new(),
-            jobs: tiersim_core::sweep::default_jobs(),
-            trace: None,
-            cell_stats: None,
-        }
-    }
-}
-
 impl ExperimentSuite {
-    /// An empty suite with the default worker count.
+    /// An empty suite.
     pub fn new() -> ExperimentSuite {
         ExperimentSuite::default()
     }
 
-    /// Returns a copy with `jobs` worker threads for the experiments it
-    /// hosts. The suite only carries the knob (experiments read it from
-    /// their `ExperimentConfig`); recorded output never depends on it.
+    /// Returns `self` unchanged: the experiments read their worker count
+    /// from their `ExperimentConfig`, and recorded output never depends
+    /// on it. Kept for existing callers.
     #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
-    }
-
-    /// Worker threads this suite was configured with.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Records one rendered section and returns the text to display.
@@ -491,8 +471,8 @@ fn suite_cells(experiment: &ExperimentConfig, inject_failure: bool) -> Vec<Journ
 
 /// Puts the suite back together from its cells' outcomes, in cell order,
 /// printing each section to stdout.
-fn assemble(jobs: usize, outcomes: &[(String, CellOutcome)]) -> ExperimentSuite {
-    let mut suite = ExperimentSuite::new().with_jobs(jobs);
+fn assemble(outcomes: &[(String, CellOutcome)]) -> ExperimentSuite {
+    let mut suite = ExperimentSuite::new();
     let mut jsonl = None;
     let mut csv = None;
     for (name, cell) in outcomes {
@@ -544,7 +524,7 @@ pub fn run_repro_suite(
     inject_failure: bool,
 ) -> Result<ExperimentSuite, JournalError> {
     let outcome = Journal::without_file().run(suite_cells(experiment, inject_failure), opts)?;
-    Ok(assemble(experiment.jobs, &outcome.cells))
+    Ok(assemble(&outcome.cells))
 }
 
 /// The journaled variant of [`run_repro_suite`]: every experiment is one
@@ -581,7 +561,7 @@ pub fn run_suite_journaled(
 ) -> Result<ExperimentSuite, JournalError> {
     let cells = suite_cells(experiment, inject_failure);
     let outcome = run_journaled(journal, &experiment.fingerprint(), cells, opts)?;
-    let mut suite = assemble(experiment.jobs, &outcome.cells);
+    let mut suite = assemble(&outcome.cells);
     suite.set_cell_stats(outcome.stats);
     Ok(suite)
 }
@@ -642,13 +622,6 @@ fn dump_workload(w: WorkloadConfig, r: &RunReport) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn suite_carries_jobs_knob() {
-        assert_eq!(ExperimentSuite::new().jobs(), tiersim_core::sweep::default_jobs());
-        assert_eq!(ExperimentSuite::new().with_jobs(3).jobs(), 3);
-        assert_eq!(ExperimentSuite::new().with_jobs(0).jobs(), 1, "clamped to at least one worker");
-    }
-
     fn cell(
         name: &str,
         run: impl Fn() -> Result<String, CellError> + Send + Sync + 'static,
@@ -672,7 +645,7 @@ mod tests {
             cell("second", || Err(error("boom"))),
             cell("third", || Ok(encode_payload(&[("three".to_string(), "3\n".to_string())]))),
         ];
-        let suite = assemble(1, &run_plain(cells));
+        let suite = assemble(&run_plain(cells));
         assert_eq!(
             suite.output(),
             "--- one ---\n1\n\n--- three ---\n3\n\n",
@@ -686,7 +659,7 @@ mod tests {
     #[test]
     fn suite_isolates_panics() {
         let cells = vec![cell("exploding", || panic!("unrecoverable fault at 0xdead"))];
-        let suite = assemble(1, &run_plain(cells));
+        let suite = assemble(&run_plain(cells));
         assert!(suite
             .summary()
             .contains("FAILED exploding: quarantined: unrecoverable fault at 0xdead"));

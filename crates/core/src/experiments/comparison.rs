@@ -1,12 +1,11 @@
 //! Object-level static mapping vs AutoNUMA (paper §7: Figure 11).
 
-use super::{ExperimentConfig, RunKey, Runs};
+use super::{ExperimentConfig, Runs};
 use crate::error::CoreError;
 use crate::render::{pct, secs, TextTable};
 use crate::report::RunReport;
 use crate::runner::plan_from_report;
 use crate::workload::{Kernel, WorkloadConfig};
-use std::sync::Arc;
 use tiersim_policy::TieringMode;
 
 /// One bar of Figure 11.
@@ -88,7 +87,9 @@ impl Comparison {
     /// run is both its Figure 11 baseline and the profile its static plans
     /// (whole-object and, for CC, spill) are built from. The static halves
     /// are store keys as well, so a spill plan equal to its whole-object
-    /// plan reads the same run.
+    /// plan reads the same run. The rows run as one batch on the
+    /// configuration's `jobs` workers, each its AutoNUMA run, then its
+    /// static run.
     ///
     /// # Errors
     ///
@@ -96,42 +97,23 @@ impl Comparison {
     /// else its static run's.
     pub fn run_with(runs: &Runs) -> Result<Comparison, CoreError> {
         let cfg = runs.config();
-        let base = cfg.machine(TieringMode::AutoNuma);
-        let keys: Vec<_> = cfg.workloads().into_iter().map(|w| cfg.autonuma(w)).collect();
-        // One (workload, spill, AutoNUMA run) per bar, up to the first
-        // failed AutoNUMA run: no later row can change the result.
-        let mut bars = Vec::new();
-        let mut failed = None;
-        for ((_, w), auto) in keys.iter().zip(runs.get_all(&keys)) {
-            match auto {
-                Ok(auto) => {
-                    bars.push((*w, false, Arc::clone(&auto)));
-                    if w.kernel == Kernel::Cc {
-                        bars.push((*w, true, auto));
-                    }
+        let base = &cfg.machine(TieringMode::AutoNuma);
+        let bars = cfg.workloads().into_iter().flat_map(|w| {
+            let spills: &[bool] = if w.kernel == Kernel::Cc { &[false, true] } else { &[false] };
+            spills.iter().map(move |&spill| (w, spill))
+        });
+        let rows = bars
+            .map(|(w, spill)| {
+                move || -> Result<Fig11Row, CoreError> {
+                    let auto = runs.get(cfg.autonuma(w))?;
+                    let mut machine = base.clone();
+                    machine.mode = TieringMode::StaticObject(plan_from_report(&auto, base, spill));
+                    Ok(Fig11Row::new(w, spill, &auto, &*runs.get((machine, w))?))
                 }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        let statics: Vec<RunKey> = bars
-            .iter()
-            .map(|(w, spill, auto)| {
-                let mut machine = base.clone();
-                machine.mode = TieringMode::StaticObject(plan_from_report(auto, &base, *spill));
-                (machine, *w)
             })
             .collect();
-        let mut rows = Vec::new();
-        for ((w, spill, auto), stat) in bars.iter().zip(runs.get_all(&statics)) {
-            rows.push(Fig11Row::new(*w, *spill, auto, &*stat?));
-        }
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(Comparison { rows }),
-        }
+        let rows = crate::sweep::run_cells(cfg.jobs, rows).into_iter().collect::<Result<_, _>>()?;
+        Ok(Comparison { rows })
     }
 
     /// Mean improvement across non-spill rows (the paper reports 21%

@@ -8,7 +8,8 @@
 //! machine and workload: `Foo::run(cfg)` uses a fresh one,
 //! `Foo::run_with(&runs)` shares `runs` with the other experiments (and,
 //! in `tiersim-bench`, with `ablate` and `dump`), so a suite simulates
-//! each distinct (machine, workload) pair once, static runs included.
+//! each distinct (machine, workload) pair once, static runs and failed
+//! runs included, even when workers ask for it at the same time.
 
 mod autonuma_trace;
 mod characterization;

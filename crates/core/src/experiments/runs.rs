@@ -1,8 +1,12 @@
 //! The compute-once store of simulations shared by the front ends.
 //!
 //! A simulation is a pure function of its machine and its workload, so
-//! the store keys each run by that pair ([`RunKey`]) and runs every
-//! distinct key at most once. The suite's experiments all start from the
+//! the store keys each run by that pair ([`RunKey`]) and simulates every
+//! key at most once, whatever the outcome: a request for a finished key
+//! reads its result, and one for a key another worker is simulating
+//! waits for that run. Callers therefore need no deduplication or
+//! staging of their own: they ask for what they need, in any order, on
+//! any number of workers. The suite's experiments all start from the
 //! paper workloads on the AutoNUMA testbed
 //! ([`ExperimentConfig::autonuma`]): characterization reads all six,
 //! object analysis and the AutoNUMA trace read `bc_kron`, and the
@@ -19,7 +23,7 @@ use crate::error::CoreError;
 use crate::report::RunReport;
 use crate::runner::run_workload;
 use crate::workload::WorkloadConfig;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// What identifies one simulation: the machine and the workload it runs.
 pub type RunKey = (MachineConfig, WorkloadConfig);
@@ -27,23 +31,46 @@ pub type RunKey = (MachineConfig, WorkloadConfig);
 /// One run as the store hands it out.
 pub type SharedRun = Result<Arc<RunReport>, CoreError>;
 
+/// Each claimed key with its result, `None` while its run is in flight.
+type Slots = Vec<(RunKey, Option<SharedRun>)>;
+
 /// Compute-once runs for one [`ExperimentConfig`].
 ///
-/// Successes are cached; failures are not, so a deterministic failure
-/// simply repeats, with the same error, for the next caller. Misses run
-/// on the sweep executor ([`crate::sweep::run_cells`]) on the
-/// configuration's `jobs` workers, so every report is byte-identical for
-/// any `jobs` value.
+/// Each key is simulated at most once per store: successes and failures
+/// alike are kept, since a failure would only repeat with the same error.
+/// The thread that claims a key simulates it outside the lock and never
+/// calls back into the store, so a waiter always waits on a run that
+/// makes progress. Every report is byte-identical for any number of
+/// workers asking.
 #[derive(Debug)]
 pub struct Runs {
     cfg: ExperimentConfig,
-    done: Mutex<Vec<(RunKey, Arc<RunReport>)>>,
+    slots: Mutex<Slots>,
+    finished: Condvar,
+}
+
+/// A key claimed by the thread simulating it. Dropping the claim wakes
+/// the waiters; if the simulation unwound before filling its slot, it
+/// also gives the key up, so a waiter claims it in turn.
+struct Claim<'a> {
+    runs: &'a Runs,
+    key: RunKey,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.runs.lock();
+        if let Some(i) = slots.iter().position(|(k, run)| *k == self.key && run.is_none()) {
+            slots.swap_remove(i);
+        }
+        self.runs.finished.notify_all();
+    }
 }
 
 impl Runs {
     /// An empty store for `cfg`.
     pub fn new(cfg: &ExperimentConfig) -> Runs {
-        Runs { cfg: *cfg, done: Mutex::new(Vec::new()) }
+        Runs { cfg: *cfg, slots: Mutex::new(Vec::new()), finished: Condvar::new() }
     }
 
     /// The experiment configuration the store's callers derive keys from.
@@ -51,50 +78,41 @@ impl Runs {
         &self.cfg
     }
 
-    /// The run of `key`, simulated on a miss.
+    /// The run of `key`: its stored result, else the result of the run
+    /// in flight on another thread, else a fresh simulation on this one.
     ///
     /// # Errors
     ///
-    /// The run's error (not cached).
+    /// The run's error, kept like a report.
     pub fn get(&self, key: RunKey) -> SharedRun {
-        if let Some(hit) = self.hit(&key) {
-            return Ok(hit);
-        }
-        let report = Arc::new(run_workload(key.0.clone(), key.1)?);
-        self.lock().push((key, Arc::clone(&report)));
-        Ok(report)
-    }
-
-    /// The runs of `keys`, one result per entry, in order. Each distinct
-    /// missing key is simulated once, even if `keys` names it twice; the
-    /// misses run on `jobs` workers.
-    pub fn get_all(&self, keys: &[RunKey]) -> Vec<SharedRun> {
-        let mut misses: Vec<&RunKey> = Vec::new();
-        for key in keys {
-            if self.hit(key).is_none() && !misses.contains(&key) {
-                misses.push(key);
+        let mut slots = self.lock();
+        while let Some((_, run)) = slots.iter().find(|(k, _)| *k == key) {
+            match run {
+                Some(run) => return run.clone(),
+                None => slots = self.finished.wait(slots).unwrap_or_else(PoisonError::into_inner),
             }
         }
-        let cells: Vec<_> = misses.iter().map(|&key| move || self.get(key.clone())).collect();
-        let fresh: Vec<_> =
-            misses.into_iter().zip(crate::sweep::run_cells(self.cfg.jobs, cells)).collect();
-        keys.iter()
-            .map(|key| match fresh.iter().find(|(miss, _)| *miss == key) {
-                Some((_, run)) => run.clone(),
-                None => self.get(key.clone()),
-            })
-            .collect()
+        slots.push((key.clone(), None));
+        drop(slots);
+        let claim = Claim { runs: self, key };
+        let run = run_workload(claim.key.0.clone(), claim.key.1).map(Arc::new);
+        if let Some((_, slot)) = self.lock().iter_mut().find(|(k, _)| *k == claim.key) {
+            *slot = Some(run.clone());
+        }
+        run
     }
 
-    /// The cached report of `key`, if any.
-    fn hit(&self, key: &RunKey) -> Option<Arc<RunReport>> {
-        self.lock().iter().find(|(d, _)| d == key).map(|(_, r)| Arc::clone(r))
+    /// The runs of `keys`, one result per entry, in order, asked for on
+    /// the configuration's `jobs` workers.
+    pub fn get_all(&self, keys: &[RunKey]) -> Vec<SharedRun> {
+        let cells = keys.iter().map(|key| move || self.get(key.clone())).collect();
+        crate::sweep::run_cells(self.cfg.jobs, cells)
     }
 
-    /// Every update is a single push of a finished entry, so the cache is
-    /// valid even after a panic while locked.
-    fn lock(&self) -> MutexGuard<'_, Vec<(RunKey, Arc<RunReport>)>> {
-        self.done.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Every update is one step (a push, a fill or a removal), so the
+    /// slots are valid even after a panic while locked.
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -155,16 +173,28 @@ mod tests {
     }
 
     #[test]
-    fn failures_are_not_cached() {
+    fn a_failure_is_cached_like_a_success() {
         let mut cfg = tiny_config();
         cfg.tick_budget = 1;
         let runs = Runs::new(&cfg);
         let key = cfg.autonuma(cfg.workload(Kernel::Bc, Dataset::Urand));
-        let first = runs.get(key.clone()).unwrap_err();
-        assert!(runs.lock().is_empty());
-        let (again, started) = counted(|| runs.get_all(&[key.clone(), key]));
-        assert_eq!(started, 1, "the failed key runs again, once per batch");
-        assert!(again.iter().all(|r| r.as_ref().unwrap_err() == &first), "it fails the same way");
-        assert!(runs.lock().is_empty());
+        let (first, started) = counted(|| runs.get(key.clone()).unwrap_err());
+        assert_eq!(started, 1);
+        let (again, started) = counted(|| runs.get(key));
+        assert_eq!(started, 0, "the failed key is not simulated again");
+        assert_eq!(again.unwrap_err(), first, "it reads the same error");
+    }
+
+    #[test]
+    fn a_claim_dropped_without_a_result_gives_the_key_up() {
+        let cfg = tiny_config();
+        let runs = Runs::new(&cfg);
+        let key = cfg.autonuma(cfg.workload(Kernel::Bfs, Dataset::Kron));
+        runs.lock().push((key.clone(), None));
+        drop(Claim { runs: &runs, key: key.clone() });
+        assert!(runs.lock().is_empty(), "an unwound run leaves no slot to wait on");
+        let (run, started) = counted(|| runs.get(key));
+        assert_eq!(started, 1, "the next request claims the key");
+        assert!(run.is_ok());
     }
 }

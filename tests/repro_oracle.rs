@@ -94,10 +94,16 @@ fn scale11_ablate_reproduces_the_archived_output() {
 #[test]
 fn ablate_quarantines_only_the_sections_whose_runs_fail() {
     // A one-tick watchdog stops the BFS and extension runs; the bc_kron
-    // knob runs finish inside it.
-    let suite = run_ablate(&smoke(&["--tick-budget", "1", "--jobs", "2"])).unwrap();
-    assert_eq!(suite.exit_code(), 1);
-    let summary = suite.summary();
-    assert!(summary.starts_with("== 7/10 experiments completed ==\n"), "{summary}");
-    assert!(summary.contains("FAILED Extension: dataset locality"), "{summary}");
+    // knob runs finish inside it. The failures group by section alike
+    // for every worker count.
+    let [serial, parallel] =
+        ["1", "2"].map(|jobs| run_ablate(&smoke(&["--tick-budget", "1", "--jobs", jobs])).unwrap());
+    for suite in [&serial, &parallel] {
+        assert_eq!(suite.exit_code(), 1);
+        let summary = suite.summary();
+        assert!(summary.starts_with("== 7/10 experiments completed ==\n"), "{summary}");
+        assert!(summary.contains("FAILED Extension: dataset locality"), "{summary}");
+    }
+    assert_eq!(serial.summary(), parallel.summary());
+    assert_eq!(serial.output(), parallel.output());
 }

@@ -9,16 +9,17 @@
 //! turns.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use tiersim::core::experiments::{
     AutonumaTrace, Characterization, Comparison, ObjectAnalysis, Runs,
 };
-use tiersim::core::{runs_started, CoreError, ExperimentConfig};
+use tiersim::core::{runs_started, CoreError, Dataset, ExperimentConfig, Kernel};
 use tiersim_bench::{
     autonuma_trace_sections, characterization_sections, comparison_sections,
     object_analysis_sections, run_ablate, run_suite_journaled, ExperimentSuite,
 };
 use tiersim_core::journal::{JournalStats, RunnerOptions};
+use tiersim_core::sweep::run_cells;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -136,8 +137,8 @@ fn one_workloads_failure_does_not_poison_the_others() {
     assert_eq!(suite.output(), reference.output());
     assert_eq!(suite.summary(), reference.summary());
 
-    // On one store: the failed runs are not cached, the finished ones are
-    // shared by every experiment that reads them.
+    // On one store: every run, failed or finished, is kept and shared by
+    // every experiment that reads it.
     let runs = Runs::new(&cfg);
     let characterization = Characterization::run_with(&runs).expect_err("urand exceeds 1 tick");
     let objects = ObjectAnalysis::run_with(&runs).expect("bc_kron finishes");
@@ -161,5 +162,31 @@ fn ablate_reads_each_distinct_run_once_for_every_worker_count() {
         // shared; the BFS direction rows drive a `Machine` directly and
         // do not count.
         assert_eq!(runs, 28, "jobs={jobs}");
+    }
+}
+
+#[test]
+fn concurrent_requests_for_one_key_start_one_simulation() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // `bc_urand` finishes without a watchdog and fails under a one-tick
+    // one: either way, the second request waits for the first's run. The
+    // barrier holds each worker until both have started.
+    for tick_budget in [0, 1] {
+        let cfg = tiny(tick_budget);
+        let runs = Runs::new(&cfg);
+        let key = cfg.autonuma(cfg.workload(Kernel::Bc, Dataset::Urand));
+        let both = Barrier::new(2);
+        let ask = || {
+            both.wait();
+            runs.get(key.clone())
+        };
+        let (got, started) = counted(|| run_cells(2, vec![ask; 2]));
+        assert_eq!(started, 1, "tick_budget={tick_budget}");
+        match (&got[0], &got[1]) {
+            (Ok(first), Ok(second)) => assert!(Arc::ptr_eq(first, second)),
+            (Err(first), Err(second)) => assert_eq!(first, second),
+            _ => panic!("one key, two outcomes at tick_budget={tick_budget}"),
+        }
+        assert_eq!(got[0].is_ok(), tick_budget == 0, "tick_budget={tick_budget}");
     }
 }
