@@ -7,8 +7,9 @@ use crate::report::RunReport;
 use crate::workload::{Dataset, Kernel, WorkloadConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tiersim_graph::{
-    bc, bfs, build_sim_weights, cc_afforest, cc_sv, load_sim_csr_streamed, pr, sssp, tc, BfsParams,
-    EdgeList, KroneckerGenerator, PrParams, SimCsrGraph, SourcePicker, UniformGenerator,
+    bc, bfs, build_sim_weights, cc_afforest, cc_sv, load_sim_csr_moved, pr, sssp, tc, BfsParams,
+    CsrGraph, EdgeList, GridGenerator, KroneckerGenerator, PrParams, SimCsrGraph, SourcePicker,
+    UniformGenerator,
 };
 use tiersim_policy::{aggregate_by_label, plan_static, StaticPlan};
 
@@ -16,17 +17,43 @@ use tiersim_policy::{aggregate_by_label, plan_static, StaticPlan};
 /// offline GAPBS `converter` step that produces the `.sg` file).
 pub fn generate(workload: &WorkloadConfig) -> EdgeList {
     match workload.dataset {
+        Dataset::Kron => kron(workload).generate(),
+        Dataset::Urand => urand(workload).generate(),
+        Dataset::Road => road(workload).generate(),
+    }
+}
+
+/// The symmetrized host CSR of [`generate`]'s edge list, built from the
+/// generator's edge stream without holding the list: what the converter
+/// writes to the `.sg` file.
+fn generate_csr(workload: &WorkloadConfig) -> CsrGraph {
+    match workload.dataset {
         Dataset::Kron => {
-            KroneckerGenerator::new(workload.scale, workload.degree).seed(workload.seed).generate()
+            let g = kron(workload);
+            CsrGraph::from_edge_stream(g.num_nodes(), true, || g.edges())
         }
         Dataset::Urand => {
-            UniformGenerator::new(workload.scale, workload.degree).seed(workload.seed).generate()
+            let g = urand(workload);
+            CsrGraph::from_edge_stream(g.num_nodes(), true, || g.edges())
         }
         Dataset::Road => {
-            // Lattices need an even scale; round up.
-            tiersim_graph::GridGenerator::new(workload.scale + workload.scale % 2).generate()
+            let g = road(workload);
+            CsrGraph::from_edge_stream(g.num_nodes(), true, || g.edges())
         }
     }
+}
+
+fn kron(workload: &WorkloadConfig) -> KroneckerGenerator {
+    KroneckerGenerator::new(workload.scale, workload.degree).seed(workload.seed)
+}
+
+fn urand(workload: &WorkloadConfig) -> UniformGenerator {
+    UniformGenerator::new(workload.scale, workload.degree).seed(workload.seed)
+}
+
+fn road(workload: &WorkloadConfig) -> GridGenerator {
+    // Lattices need an even scale; round up.
+    GridGenerator::new(workload.scale + workload.scale % 2)
 }
 
 fn run_trials(
@@ -129,9 +156,11 @@ pub fn runs_started() -> u64 {
 /// Runs one workload on one machine configuration, producing a full
 /// [`RunReport`].
 ///
-/// Phases mirror the paper's runs: the graph file streams through the
-/// page cache (I/O-bound, low CPU), the CSR build allocates and frees the
-/// transient objects, then the kernel trials run.
+/// Phases mirror the paper's runs: the serialized CSR streams through
+/// the page cache into the CSR arrays (I/O-bound, low CPU), then the
+/// kernel trials run. The host CSR is built from the generator's edge
+/// stream and moved into simulated memory, so the run holds its edges
+/// once.
 ///
 /// # Errors
 ///
@@ -166,23 +195,22 @@ fn run_workload_inner(
     let threads = machine_cfg.threads;
     let mode_name = machine_cfg.mode.name().to_string();
     let mut m = Machine::new(machine_cfg)?;
-    let el = generate(&workload);
 
     // Phases 1+2: get the graph into simulated memory. The paper's
     // artifact flow: the converter built the `.sg` offline; the run
-    // streams it through the page cache and copies it into the CSR arrays.
-    let mut host = tiersim_graph::CsrGraph::from_edges(&el, true);
-    drop(el);
+    // streams it through the page cache into the CSR arrays.
+    let mut host = generate_csr(&workload);
     if workload.kernel == Kernel::Tc {
         // GAPBS preprocesses TC inputs: sorted, deduplicated lists.
         host.sort_neighbors();
         host.dedup_neighbors();
     }
-    // The read() loop interleaves 1 MiB file reads with the copy-out, so
-    // page cache and CSR growth compete for DRAM concurrently, as in the
-    // paper's long load phase.
-    let g = load_sim_csr_streamed(&mut m, &host, threads, 1 << 20, |m, bytes| m.file_read(bytes))?;
-    drop(host);
+    // The read() loop interleaves 1 MiB file reads with the stores into
+    // the CSR arrays, so page cache and CSR growth compete for DRAM
+    // concurrently, as in the paper's long load phase. The host graph
+    // moves into the simulated arrays rather than being copied, so the
+    // run holds its edges once.
+    let g = load_sim_csr_moved(&mut m, host, threads, 1 << 20, |m, bytes| m.file_read(bytes))?;
     let load_end_secs = m.now_secs();
     m.snapshot_now();
     // The `.sg` load has no separate build phase: it ends where the load

@@ -9,7 +9,8 @@
 
 use crate::edgelist::{EdgeList, NodeId};
 use crate::sim::SimCsrGraph;
-use tiersim_mem::{MemBackend, SimVec, ThreadId};
+use std::convert::Infallible;
+use tiersim_mem::{MemBackend, SimVec, ThreadId, VirtAddr};
 
 /// Sets the backend's logical thread from a static partition of `i` over
 /// `total` items, mirroring an OpenMP static schedule.
@@ -119,25 +120,18 @@ pub fn build_sim_csr<B: MemBackend>(
 ///
 /// This is the load path of the paper's artifact, which converts graphs
 /// offline (`converter -g30 -b kron.sg`) and starts every run from the
-/// serialized CSR.
+/// serialized CSR. It is [`load_sim_csr_streamed`] with a reader that
+/// does nothing, so it charges the same stores without file traffic.
 pub fn load_sim_csr<B: MemBackend>(
     b: &mut B,
     host: &crate::csr::CsrGraph,
     threads: usize,
 ) -> SimCsrGraph {
-    let n = host.num_nodes();
-    let m = host.num_edges();
-    let mut index = SimVec::new(b, "csr.index", n + 1, 0u64);
-    for (u, &off) in host.offsets().iter().enumerate() {
-        attribute_thread(b, u, n + 1, threads);
-        index.set(b, u, off);
+    let loaded = load_sim_csr_streamed(b, host, threads, 1 << 20, |_, _| Ok::<(), Infallible>(()));
+    match loaded {
+        Ok(g) => g,
+        Err(never) => match never {},
     }
-    let mut neighbors = SimVec::new(b, "csr.neighbors", m, 0 as NodeId);
-    for (i, &v) in host.neighbor_array().iter().enumerate() {
-        attribute_thread(b, i, m, threads);
-        neighbors.set(b, i, v);
-    }
-    SimCsrGraph::from_parts(index, neighbors)
 }
 
 /// Streamed variant of [`load_sim_csr`]: the loader's `read()` loop
@@ -145,7 +139,11 @@ pub fn load_sim_csr<B: MemBackend>(
 /// bytes)` before each `chunk_bytes` of CSR data is written. This is how
 /// real loaders behave and it matters for tiering: page-cache fills and
 /// CSR allocations compete for DRAM *concurrently*, so reclaim can demote
-/// cache pages while the arrays grow (paper Fig. 9's load phase).
+/// cache pages while the arrays grow (paper Fig. 9's load phase). A
+/// `chunk_bytes` below 8, one offset, reads as 8.
+///
+/// The simulated arrays copy `host`'s; [`load_sim_csr_moved`] loads a
+/// graph the caller no longer needs without that copy.
 ///
 /// # Errors
 ///
@@ -157,33 +155,62 @@ pub fn load_sim_csr_streamed<B: MemBackend, E>(
     host: &crate::csr::CsrGraph,
     threads: usize,
     chunk_bytes: u64,
+    read_chunk: impl FnMut(&mut B, u64) -> Result<(), E>,
+) -> Result<SimCsrGraph, E> {
+    let neighbors = || host.neighbor_array().to_vec();
+    load_parts(b, host.offsets().to_vec(), neighbors, threads, chunk_bytes, read_chunk)
+}
+
+/// [`load_sim_csr_streamed`] for a graph the caller hands over: `host`'s
+/// arrays become the simulated ones, so the graph's edges are held once.
+/// The backend sees the same reads and stores in the same order.
+///
+/// # Errors
+///
+/// As [`load_sim_csr_streamed`]: the first `read_chunk` error.
+pub fn load_sim_csr_moved<B: MemBackend, E>(
+    b: &mut B,
+    host: crate::csr::CsrGraph,
+    threads: usize,
+    chunk_bytes: u64,
+    read_chunk: impl FnMut(&mut B, u64) -> Result<(), E>,
+) -> Result<SimCsrGraph, E> {
+    let (offsets, neighbors) = host.into_parts();
+    load_parts(b, offsets, || neighbors, threads, chunk_bytes, read_chunk)
+}
+
+/// The one charging loop of the CSR loaders: maps `csr.index` over
+/// `offsets` and stores each element, then maps `csr.neighbors` over
+/// `neighbors()` and stores each of those, refilling a `chunk_bytes`
+/// read budget before any element it does not cover.
+fn load_parts<B: MemBackend, E>(
+    b: &mut B,
+    offsets: Vec<u64>,
+    neighbors: impl FnOnce() -> Vec<NodeId>,
+    threads: usize,
+    chunk_bytes: u64,
     mut read_chunk: impl FnMut(&mut B, u64) -> Result<(), E>,
 ) -> Result<SimCsrGraph, E> {
-    assert!(chunk_bytes >= 8, "chunk must hold at least one element");
-    let n = host.num_nodes();
-    let m = host.num_edges();
+    // A chunk holds at least one element, so one read covers any store.
+    let chunk_bytes = chunk_bytes.max(8);
     let mut budget = 0u64;
-    let mut refill = |b: &mut B, budget: &mut u64, need: u64| -> Result<(), E> {
-        if *budget < need {
-            read_chunk(b, chunk_bytes)?;
-            *budget += chunk_bytes;
+    // Stores `len` elements of `elem` bytes from `base` up.
+    let mut store_all = |b: &mut B, base: VirtAddr, len: usize, elem: u64| -> Result<(), E> {
+        for i in 0..len {
+            if budget < elem {
+                read_chunk(b, chunk_bytes)?;
+                budget += chunk_bytes;
+            }
+            budget -= elem;
+            attribute_thread(b, i, len, threads);
+            b.store(base + i as u64 * elem, elem as u32);
         }
         Ok(())
     };
-    let mut index = SimVec::new(b, "csr.index", n + 1, 0u64);
-    for (u, &off) in host.offsets().iter().enumerate() {
-        refill(b, &mut budget, 8)?;
-        budget -= 8;
-        attribute_thread(b, u, n + 1, threads);
-        index.set(b, u, off);
-    }
-    let mut neighbors = SimVec::new(b, "csr.neighbors", m, 0 as NodeId);
-    for (i, &v) in host.neighbor_array().iter().enumerate() {
-        refill(b, &mut budget, 4)?;
-        budget -= 4;
-        attribute_thread(b, i, m, threads);
-        neighbors.set(b, i, v);
-    }
+    let index = SimVec::from_vec(b, "csr.index", offsets);
+    store_all(b, index.base(), index.len(), 8)?;
+    let neighbors = SimVec::from_vec(b, "csr.neighbors", neighbors());
+    store_all(b, neighbors.base(), neighbors.len(), 4)?;
     Ok(SimCsrGraph::from_parts(index, neighbors))
 }
 
@@ -303,6 +330,111 @@ mod tests {
         });
         assert_eq!(r.unwrap_err(), "disk on fire");
         assert_eq!(chunks, 3, "loader stops at the first failed read");
+    }
+
+    /// One backend call, as [`Recorder`] logs it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Op {
+        Mmap(u64, String),
+        Store(VirtAddr, u32),
+        Thread(u16),
+        Read(u64),
+    }
+
+    /// A backend that logs every call a loader makes, file reads included.
+    #[derive(Debug, Default)]
+    struct Recorder {
+        addrs: NullBackend,
+        log: Vec<Op>,
+    }
+
+    impl MemBackend for Recorder {
+        fn mmap(&mut self, len: u64, label: &str) -> VirtAddr {
+            self.log.push(Op::Mmap(len, label.to_string()));
+            self.addrs.mmap(len, label)
+        }
+        fn munmap(&mut self, _addr: VirtAddr) {}
+        fn load(&mut self, _addr: VirtAddr, _bytes: u32) {
+            unreachable!("a loader only stores");
+        }
+        fn store(&mut self, addr: VirtAddr, bytes: u32) {
+            self.log.push(Op::Store(addr, bytes));
+        }
+        fn set_thread(&mut self, tid: ThreadId) {
+            self.log.push(Op::Thread(tid.0));
+        }
+    }
+
+    fn record_read(b: &mut Recorder, bytes: u64) -> Result<(), ()> {
+        b.log.push(Op::Read(bytes));
+        Ok(())
+    }
+
+    /// The per-element copy-out loop [`load_sim_csr`] ran before it became
+    /// the streamed loader with a no-op reader, kept as its oracle.
+    fn eager_load(b: &mut Recorder, host: &CsrGraph, threads: usize) {
+        let (n, m) = (host.num_nodes(), host.num_edges());
+        let mut index = SimVec::new(b, "csr.index", n + 1, 0u64);
+        for (u, &off) in host.offsets().iter().enumerate() {
+            attribute_thread(b, u, n + 1, threads);
+            index.set(b, u, off);
+        }
+        let mut neighbors = SimVec::new(b, "csr.neighbors", m, 0 as NodeId);
+        for (i, &v) in host.neighbor_array().iter().enumerate() {
+            attribute_thread(b, i, m, threads);
+            neighbors.set(b, i, v);
+        }
+    }
+
+    #[test]
+    fn every_loader_issues_the_eager_loops_stores() {
+        let el = EdgeList::new(8, vec![(0, 1), (1, 2), (3, 4), (6, 7), (2, 0)]);
+        let host = CsrGraph::from_edges(&el, true);
+        let mut oracle = Recorder::default();
+        eager_load(&mut oracle, &host, 3);
+
+        let mut eager = Recorder::default();
+        assert_eq!(load_sim_csr(&mut eager, &host, 3).to_host_csr(), host);
+        assert_eq!(eager.log, oracle.log, "load_sim_csr");
+
+        // The streamed loaders add only the reads.
+        let without_reads = |log: &[Op]| -> Vec<Op> {
+            log.iter().filter(|op| !matches!(op, Op::Read(_))).cloned().collect()
+        };
+        let mut borrowed = Recorder::default();
+        let g = load_sim_csr_streamed(&mut borrowed, &host, 3, 16, record_read).unwrap();
+        assert_eq!(g.to_host_csr(), host);
+        assert_eq!(without_reads(&borrowed.log), oracle.log, "load_sim_csr_streamed");
+        assert!(borrowed.log.iter().filter(|op| matches!(op, Op::Read(_))).count() > 1);
+    }
+
+    #[test]
+    fn moved_load_issues_the_same_calls_as_the_borrowed_load() {
+        for (el, threads, chunk) in [
+            (EdgeList::new(8, vec![(0, 1), (1, 2), (3, 4), (6, 7), (2, 0)]), 3, 16),
+            (EdgeList::new(5, vec![]), 2, 8),
+            (crate::UniformGenerator::new(7, 4).seed(3).generate(), 4, 1 << 10),
+        ] {
+            let host = CsrGraph::from_edges(&el, true);
+            let mut borrowed = Recorder::default();
+            let a = load_sim_csr_streamed(&mut borrowed, &host, threads, chunk, record_read);
+            let mut moved = Recorder::default();
+            let b = load_sim_csr_moved(&mut moved, host.clone(), threads, chunk, record_read);
+            assert_eq!(moved.log, borrowed.log);
+            assert_eq!(a.unwrap().to_host_csr(), host);
+            assert_eq!(b.unwrap().to_host_csr(), host);
+        }
+    }
+
+    #[test]
+    fn moved_load_keeps_the_host_arrays() {
+        let el = EdgeList::new(8, vec![(0, 1), (1, 2), (3, 4), (6, 7), (2, 0)]);
+        let host = CsrGraph::from_edges(&el, true);
+        let (offsets, neighbors) = (host.offsets().as_ptr(), host.neighbor_array().as_ptr());
+        let mut b = NullBackend::new();
+        let g = load_sim_csr_moved(&mut b, host, 1, 16, |_, _| Ok::<(), ()>(())).unwrap();
+        assert_eq!(g.host_index().as_ptr(), offsets, "offsets moved, not copied");
+        assert_eq!(g.host_neighbors().as_ptr(), neighbors, "neighbours moved, not copied");
     }
 
     proptest::proptest! {

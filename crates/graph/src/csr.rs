@@ -29,32 +29,76 @@ impl CsrGraph {
     /// Builds a CSR from an edge list, dropping self-loops. With
     /// `symmetrize`, every edge is inserted in both directions.
     pub fn from_edges(el: &EdgeList, symmetrize: bool) -> CsrGraph {
-        let n = el.num_nodes;
-        let mut degrees = vec![0u64; n];
-        for &(u, v) in &el.edges {
-            if u == v {
-                continue;
-            }
-            degrees[u as usize] += 1;
-            if symmetrize {
-                degrees[v as usize] += 1;
-            }
-        }
+        CsrGraph::from_edge_stream(el.num_nodes, symmetrize, || el.edges.iter().copied())
+    }
+
+    /// Builds a CSR over `n` vertices from a replayable edge stream,
+    /// without holding the edges: `edges()` must yield the same edges in
+    /// the same order on each call, as a generator's `edges` does. The
+    /// first pass counts degrees into the offsets, the second scatters
+    /// each edge at its source's cursor, so every neighbour list keeps
+    /// stream order. Self-loops are dropped; with `symmetrize`, every edge
+    /// is inserted in both directions.
+    ///
+    /// Endpoints must be below `n` (debug builds assert it); an edge with
+    /// an endpoint out of range is dropped.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tiersim_graph::{CsrGraph, UniformGenerator};
+    ///
+    /// let gen = UniformGenerator::new(6, 4).seed(7);
+    /// let g = CsrGraph::from_edge_stream(gen.num_nodes(), true, || gen.edges());
+    /// assert_eq!(g, CsrGraph::from_edges(&gen.generate(), true));
+    /// ```
+    pub fn from_edge_stream<I>(n: usize, symmetrize: bool, edges: impl Fn() -> I) -> CsrGraph
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+    {
+        let kept = |u: NodeId, v: NodeId| {
+            debug_assert!((u as usize) < n && (v as usize) < n, "edge ({u}, {v}) out of range");
+            u != v && (u as usize) < n && (v as usize) < n
+        };
+        // Pass 1: the out-degree of `u` lands in `offsets[u + 1]`, so an
+        // inclusive prefix sum leaves `offsets[u]` at the start of `u`.
         let mut offsets = vec![0u64; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + degrees[i];
-        }
-        let mut neighbors = vec![0 as NodeId; offsets[n] as usize];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in &el.edges {
-            if u == v {
-                continue;
+        let mut count = |u: NodeId| {
+            if let Some(d) = offsets.get_mut(u as usize + 1) {
+                *d += 1;
             }
-            neighbors[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            if symmetrize {
-                neighbors[cursor[v as usize] as usize] = u;
-                cursor[v as usize] += 1;
+        };
+        for (u, v) in edges() {
+            if kept(u, v) {
+                count(u);
+                if symmetrize {
+                    count(v);
+                }
+            }
+        }
+        let mut running = 0u64;
+        for o in &mut offsets {
+            running += *o;
+            *o = running;
+        }
+        // Pass 2: `u`'s cursor starts at its offset and advances by one
+        // per neighbour placed.
+        let mut cursor = offsets.clone();
+        let mut neighbors = vec![0 as NodeId; running as usize];
+        let mut place = |u: NodeId, v: NodeId| {
+            if let Some(c) = cursor.get_mut(u as usize) {
+                if let Some(slot) = neighbors.get_mut(*c as usize) {
+                    *slot = v;
+                }
+                *c += 1;
+            }
+        };
+        for (u, v) in edges() {
+            if kept(u, v) {
+                place(u, v);
+                if symmetrize {
+                    place(v, u);
+                }
             }
         }
         CsrGraph { offsets, neighbors }
@@ -72,6 +116,12 @@ impl CsrGraph {
         assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be monotone");
         assert_eq!(offsets[offsets.len() - 1] as usize, neighbors.len(), "offset coverage");
         CsrGraph { offsets, neighbors }
+    }
+
+    /// Takes the graph apart into its offsets and neighbour arrays, the
+    /// inverse of [`CsrGraph::from_parts`]; no element is copied.
+    pub fn into_parts(self) -> (Vec<u64>, Vec<NodeId>) {
+        (self.offsets, self.neighbors)
     }
 
     /// Number of vertices.
@@ -209,6 +259,72 @@ mod tests {
         assert_eq!(g.num_edges(), 6);
     }
 
+    /// The indexed counting-sort build [`CsrGraph::from_edge_stream`]
+    /// replaced, kept as its oracle.
+    fn from_edges_indexed(el: &EdgeList, symmetrize: bool) -> CsrGraph {
+        let n = el.num_nodes;
+        let mut degrees = vec![0u64; n];
+        for &(u, v) in &el.edges {
+            if u == v {
+                continue;
+            }
+            degrees[u as usize] += 1;
+            if symmetrize {
+                degrees[v as usize] += 1;
+            }
+        }
+        let mut offsets = vec![0u64; n + 1];
+        for i in 0..n {
+            offsets[i + 1] = offsets[i] + degrees[i];
+        }
+        let mut neighbors = vec![0 as NodeId; offsets[n] as usize];
+        let mut cursor = offsets[..n].to_vec();
+        for &(u, v) in &el.edges {
+            if u == v {
+                continue;
+            }
+            neighbors[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+            if symmetrize {
+                neighbors[cursor[v as usize] as usize] = u;
+                cursor[v as usize] += 1;
+            }
+        }
+        CsrGraph { offsets, neighbors }
+    }
+
+    #[test]
+    fn stream_build_matches_collected_generator_output() {
+        use crate::{GridGenerator, KroneckerGenerator, UniformGenerator};
+        for seed in [1, 7, 27491095] {
+            for scale in [4, 9, 12] {
+                let kron = KroneckerGenerator::new(scale, 8).seed(seed);
+                let streamed = CsrGraph::from_edge_stream(kron.num_nodes(), true, || kron.edges());
+                assert_eq!(streamed, CsrGraph::from_edges(&kron.generate(), true), "kron {scale}");
+                let urand = UniformGenerator::new(scale, 8).seed(seed);
+                let streamed =
+                    CsrGraph::from_edge_stream(urand.num_nodes(), true, || urand.edges());
+                assert_eq!(
+                    streamed,
+                    CsrGraph::from_edges(&urand.generate(), true),
+                    "urand {scale}"
+                );
+            }
+        }
+        for scale in [2, 6, 10] {
+            let grid = GridGenerator::new(scale);
+            let streamed = CsrGraph::from_edge_stream(grid.num_nodes(), true, || grid.edges());
+            assert_eq!(streamed, CsrGraph::from_edges(&grid.generate(), true), "grid {scale}");
+        }
+    }
+
+    #[test]
+    fn into_parts_inverts_from_parts() {
+        let g = CsrGraph::from_edges(&triangle(), true);
+        let (offsets, neighbors) = g.clone().into_parts();
+        assert_eq!(CsrGraph::from_parts(offsets, neighbors), g);
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_symmetrized_degree_sum_is_twice_edges(
@@ -219,6 +335,24 @@ mod tests {
             let g = CsrGraph::from_edges(&el, true);
             let total: usize = (0..20).map(|u| g.degree(u)).sum();
             proptest::prop_assert_eq!(total, 2 * clean.len());
+        }
+
+        /// Small vertex ranges force self-loops and duplicate edges; the
+        /// extra vertices past the endpoint range stay isolated.
+        #[test]
+        fn prop_stream_build_equals_the_indexed_build(
+            span in 1u32..12,
+            isolated in 0usize..4,
+            edges in proptest::collection::vec((0u32..12, 0u32..12), 0..60),
+            symmetrize in proptest::bool::ANY,
+        ) {
+            let edges: Vec<_> = edges.into_iter().map(|(u, v)| (u % span, v % span)).collect();
+            let el = EdgeList::new(span as usize + isolated, edges);
+            let streamed =
+                CsrGraph::from_edge_stream(el.num_nodes, symmetrize, || el.edges.iter().copied());
+            let oracle = from_edges_indexed(&el, symmetrize);
+            proptest::prop_assert_eq!(&streamed, &oracle);
+            proptest::prop_assert_eq!(&CsrGraph::from_edges(&el, symmetrize), &oracle);
         }
     }
 }

@@ -5,9 +5,9 @@ pub type NodeId = u32;
 
 /// An unweighted directed edge list over `num_nodes` vertices.
 ///
-/// This is the simulated equivalent of a GAPBS `.sg` file: the generator
-/// writes one, the loader streams it through the page cache, and the
-/// builder converts it to CSR.
+/// A generator's `generate` collects its edge stream into one;
+/// [`crate::build_sim_csr`] converts it to CSR in simulated memory, and
+/// [`crate::CsrGraph::from_edges`] on the host.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeList {
     /// Number of vertices (`2^scale` for generated graphs).

@@ -50,10 +50,21 @@ impl KroneckerGenerator {
         self
     }
 
-    /// Generates the edge list.
+    /// Number of vertices, `2^scale`.
+    pub fn num_nodes(&self) -> usize {
+        1 << self.scale
+    }
+
+    /// Generates the edge list: [`KroneckerGenerator::edges`], collected.
     pub fn generate(&self) -> EdgeList {
-        let n = 1usize << self.scale;
-        let num_edges = self.degree * n;
+        EdgeList::new(self.num_nodes(), self.edges().collect())
+    }
+
+    /// The edges [`KroneckerGenerator::generate`] lists, in the same
+    /// order, drawn one at a time. Each call restarts from the seed, so a
+    /// consumer can replay the stream instead of holding it.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> {
+        let n = self.num_nodes();
         let mut rng = SmallRng::seed_from_u64(self.seed);
         // Label permutation (Fisher–Yates) applied to generated vertices.
         let mut perm: Vec<NodeId> = (0..n as NodeId).collect();
@@ -61,30 +72,54 @@ impl KroneckerGenerator {
             let j = rng.gen_range(0..=i);
             perm.swap(i, j);
         }
-        let (a, ab) = (self.a, self.a + self.b);
-        let abc = ab + self.c;
-        let mut edges = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
+        let t = Thresholds::new(self.a, self.b, self.c);
+        let scale = self.scale;
+        (0..self.degree * n).map(move |_| {
             let (mut u, mut v) = (0usize, 0usize);
-            for _ in 0..self.scale {
-                let (u_bit, v_bit) = quadrant(rng.gen(), a, ab, abc);
+            for _ in 0..scale {
+                let (u_bit, v_bit) = quadrant(rng.next_u64() >> 11, &t);
                 u = u << 1 | u_bit;
                 v = v << 1 | v_bit;
             }
-            edges.push((perm[u], perm[v]));
-        }
-        EdgeList::new(n, edges)
+            // `u` and `v` have `scale` bits, so both are labels of `perm`.
+            let label = |x: usize| perm.get(x).copied().unwrap_or_default();
+            (label(u), label(v))
+        })
     }
 }
 
-/// The RMAT quadrant `(u_bit, v_bit)` a draw `r` in `[0, 1)` selects:
-/// A `(0, 0)` below `a`, B `(0, 1)` below `ab = a + b`, C `(1, 0)` below
-/// `abc = ab + c`, D `(1, 1)` above. Compares instead of an `if` chain,
-/// which mispredicts on most of the `scale` draws per edge.
+/// The quadrant boundaries `a`, `ab = a + b` and `abc = ab + c` of the
+/// RMAT draw, as [`threshold`]s on the draw's 53 random bits.
+#[derive(Debug, Clone, Copy)]
+struct Thresholds {
+    a: u64,
+    ab: u64,
+    abc: u64,
+}
+
+impl Thresholds {
+    fn new(a: f64, b: f64, c: f64) -> Thresholds {
+        let ab = a + b;
+        Thresholds { a: threshold(a), ab: threshold(ab), abc: threshold(ab + c) }
+    }
+}
+
+/// The integer form of a boundary `x` in `[0, 1]`. The vendored `rand`
+/// draws `r = k · 2⁻⁵³` from `k = bits >> 11`; scaling by a power of two
+/// is exact, so `r >= x` holds exactly when `k >= ceil(x · 2⁵³)`.
+fn threshold(x: f64) -> u64 {
+    (x * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// The RMAT quadrant `(u_bit, v_bit)` the draw `k` (53 random bits, the
+/// float draw `k · 2⁻⁵³`) selects: A `(0, 0)` below `a`, B `(0, 1)`
+/// below `ab`, C `(1, 0)` below `abc`, D `(1, 1)` above. Compares
+/// instead of an `if` chain, which mispredicts on most of the `scale`
+/// draws per edge, and on integers, so no draw is converted to a float.
 #[inline]
-fn quadrant(r: f64, a: f64, ab: f64, abc: f64) -> (usize, usize) {
-    let u_bit = r >= ab;
-    let v_bit = (r >= a) & (r < ab) | (r >= abc);
+fn quadrant(k: u64, t: &Thresholds) -> (usize, usize) {
+    let u_bit = k >= t.ab;
+    let v_bit = (k >= t.a) & (k < t.ab) | (k >= t.abc);
     (usize::from(u_bit), usize::from(v_bit))
 }
 
@@ -124,15 +159,23 @@ impl UniformGenerator {
         self
     }
 
-    /// Generates the edge list.
+    /// Number of vertices, `2^scale`.
+    pub fn num_nodes(&self) -> usize {
+        1 << self.scale
+    }
+
+    /// Generates the edge list: [`UniformGenerator::edges`], collected.
     pub fn generate(&self) -> EdgeList {
-        let n = 1u64 << self.scale;
-        let num_edges = self.degree * (n as usize);
+        EdgeList::new(self.num_nodes(), self.edges().collect())
+    }
+
+    /// The edges [`UniformGenerator::generate`] lists, in the same order,
+    /// drawn one at a time; each call restarts from the seed.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> {
+        let n = self.num_nodes() as u64;
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let edges = (0..num_edges)
-            .map(|_| (rng.gen_range(0..n) as NodeId, rng.gen_range(0..n) as NodeId))
-            .collect();
-        EdgeList::new(n as usize, edges)
+        (0..self.degree * n as usize)
+            .map(move |_| (rng.gen_range(0..n) as NodeId, rng.gen_range(0..n) as NodeId))
     }
 }
 
@@ -226,16 +269,17 @@ mod tests {
     #[test]
     fn quadrant_matches_the_if_chain_at_every_boundary() {
         let g = KroneckerGenerator::new(4, 1);
-        let (a, ab) = (g.a, g.a + g.b);
-        let abc = ab + g.c;
-        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
-        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
-        let mut draws = vec![0.0, below(1.0)];
-        for edge in [a, ab, abc] {
-            draws.extend([below(edge), edge, above(edge)]);
+        let t = Thresholds::new(g.a, g.b, g.c);
+        // The draw `k` stands for the float `k · 2⁻⁵³` the `if` chain sees;
+        // test both ends of the range and each side of every boundary.
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let mut draws = vec![0, (1u64 << 53) - 1];
+        for edge in [t.a, t.ab, t.abc] {
+            draws.extend([edge - 1, edge, edge + 1]);
         }
-        for r in draws {
-            assert_eq!(quadrant(r, a, ab, abc), quadrant_if_chain(r, g.a, g.b, g.c), "r = {r}");
+        for k in draws {
+            let r = k as f64 * unit;
+            assert_eq!(quadrant(k, &t), quadrant_if_chain(r, g.a, g.b, g.c), "k = {k}, r = {r}");
         }
     }
 
@@ -289,23 +333,27 @@ impl GridGenerator {
         GridGenerator { scale }
     }
 
-    /// Generates the lattice edge list (deterministic; no RNG involved).
+    /// Number of vertices, `2^scale`.
+    pub fn num_nodes(&self) -> usize {
+        1 << self.scale
+    }
+
+    /// Generates the lattice edge list: [`GridGenerator::edges`],
+    /// collected.
     pub fn generate(&self) -> EdgeList {
+        EdgeList::new(self.num_nodes(), self.edges().collect())
+    }
+
+    /// The lattice edges in row-major order, each vertex's right edge
+    /// before its down edge (deterministic; no RNG involved).
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> {
         let w = 1usize << (self.scale / 2);
-        let n = w * w;
-        let mut edges = Vec::with_capacity(2 * w * (w - 1));
-        for y in 0..w {
-            for x in 0..w {
-                let u = (y * w + x) as NodeId;
-                if x + 1 < w {
-                    edges.push((u, u + 1));
-                }
-                if y + 1 < w {
-                    edges.push((u, u + w as NodeId));
-                }
-            }
-        }
-        EdgeList::new(n, edges)
+        (0..w * w).flat_map(move |u| {
+            let (x, y) = (u % w, u / w);
+            let right = (x + 1 < w).then_some((u as NodeId, (u + 1) as NodeId));
+            let down = (y + 1 < w).then_some((u as NodeId, (u + w) as NodeId));
+            right.into_iter().chain(down)
+        })
     }
 }
 

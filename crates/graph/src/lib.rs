@@ -35,7 +35,9 @@ pub mod verify;
 pub use algo::{
     bc, bfs, canonicalize, cc_afforest, cc_sv, pr, sssp, tc, BfsParams, BfsResult, PrParams,
 };
-pub use builder::{build_sim_csr, build_sim_weights, load_sim_csr, load_sim_csr_streamed};
+pub use builder::{
+    build_sim_csr, build_sim_weights, load_sim_csr, load_sim_csr_moved, load_sim_csr_streamed,
+};
 pub use csr::CsrGraph;
 pub use edgelist::{EdgeList, NodeId};
 pub use generate::{GridGenerator, KroneckerGenerator, UniformGenerator};
