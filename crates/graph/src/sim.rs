@@ -24,14 +24,7 @@ impl SimCsrGraph {
     /// Panics if `index` is empty or its host contents are not monotone
     /// offsets covering `neighbors`.
     pub fn from_parts(index: SimVec<u64>, neighbors: SimVec<NodeId>) -> Self {
-        assert!(!index.is_empty(), "index must have at least one entry");
-        assert!(index.host().windows(2).all(|w| w[0] <= w[1]), "offsets must be monotone");
-        let host = index.host();
-        assert_eq!(
-            host[host.len() - 1] as usize,
-            neighbors.len(),
-            "offsets must cover the neighbor array"
-        );
+        crate::csr::assert_csr_shape(index.host(), neighbors.len());
         SimCsrGraph { index, neighbors }
     }
 

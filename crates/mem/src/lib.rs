@@ -70,9 +70,7 @@ pub use addr::{
 };
 pub use backend::{MemBackend, NullBackend};
 pub use cache::{CacheOutcome, CacheStats, SetAssocCache};
-pub use config::{
-    CacheGeometry, DramTimings, MemConfig, MemConfigBuilder, NvmTimings, TlbGeometry,
-};
+pub use config::{CacheGeometry, DramTimings, MemConfig, NvmTimings, TlbGeometry};
 pub use dram::{DeviceStats, DramModel};
 pub use error::{MemError, PageFault};
 pub use fault::{CycleWindow, FaultPlan, FaultState, FaultStats, RATE_ONE};

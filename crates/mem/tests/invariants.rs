@@ -38,13 +38,11 @@ proptest! {
     /// exceeded.
     #[test]
     fn frame_accounting_matches_residency(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let mut sys = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(32 * PAGE_SIZE)
-                .nvm_capacity(48 * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        let mut sys = MemorySystem::new(MemConfig {
+            dram_capacity: 32 * PAGE_SIZE,
+            nvm_capacity: 48 * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap();
         let base = sys.mmap(256 * PAGE_SIZE, MemPolicy::Default, "fuzz").unwrap();
         let addr = |p: u8| base + p as u64 * PAGE_SIZE;
@@ -94,13 +92,11 @@ proptest! {
     /// reading it back never corrupts residency, regardless of DRAM size.
     #[test]
     fn fault_in_and_read_back(dram_pages in 1u64..16, region_pages in 1u64..48) {
-        let mut sys = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(dram_pages * PAGE_SIZE)
-                .nvm_capacity(64 * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        let mut sys = MemorySystem::new(MemConfig {
+            dram_capacity: dram_pages * PAGE_SIZE,
+            nvm_capacity: 64 * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap();
         let base = sys.mmap(region_pages * PAGE_SIZE, MemPolicy::Default, "r").unwrap();
         for i in 0..region_pages {

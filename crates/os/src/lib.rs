@@ -43,7 +43,7 @@ mod scanner;
 mod threshold;
 
 pub use audit::{AuditReport, AuditSubject, AuditViolation};
-pub use config::{OsConfig, OsConfigBuilder};
+pub use config::OsConfig;
 pub use counters::{NumaStat, VmCounters};
 pub use engine::{AutoNuma, FaultResolution};
 pub use error::OsError;

@@ -203,18 +203,21 @@ mod tests {
     use tiersim_mem::{MemConfig, MemPolicy, PAGE_SIZE};
 
     fn setup(dram_pages: u64, nvm_pages: u64) -> MemorySystem {
-        MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(dram_pages * PAGE_SIZE)
-                .nvm_capacity(nvm_pages * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        MemorySystem::new(MemConfig {
+            dram_capacity: dram_pages * PAGE_SIZE,
+            nvm_capacity: nvm_pages * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap()
     }
 
     fn cfg() -> OsConfig {
-        OsConfig::builder().watermarks(0.1, 0.2, 0.4).build().unwrap()
+        OsConfig {
+            wmark_min_frac: 0.1,
+            wmark_low_frac: 0.2,
+            wmark_high_frac: 0.4,
+            ..OsConfig::default()
+        }
     }
 
     /// Maps `n` pages on DRAM with ascending last-access times.
@@ -314,14 +317,12 @@ mod tests {
         use tiersim_mem::{FaultPlan, RATE_ONE};
         // Every migration fails: kswapd must skip all victims without
         // freeing anything, counting retries and permanent failures.
-        let mut m = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(10 * PAGE_SIZE)
-                .nvm_capacity(20 * PAGE_SIZE)
-                .fault(FaultPlan { seed: 4, migrate_busy_per_64k: RATE_ONE, ..FaultPlan::none() })
-                .build()
-                .unwrap(),
-        )
+        let mut m = MemorySystem::new(MemConfig {
+            dram_capacity: 10 * PAGE_SIZE,
+            nvm_capacity: 20 * PAGE_SIZE,
+            fault: FaultPlan { seed: 4, migrate_busy_per_64k: RATE_ONE, ..FaultPlan::none() },
+            ..MemConfig::default()
+        })
         .unwrap();
         fill_dram(&mut m, 10);
         let mut c = VmCounters::default();
@@ -342,14 +343,12 @@ mod tests {
             reclaim_stall_cycles: 123_456,
             ..FaultPlan::none()
         };
-        let mut m = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(10 * PAGE_SIZE)
-                .nvm_capacity(20 * PAGE_SIZE)
-                .fault(plan)
-                .build()
-                .unwrap(),
-        )
+        let mut m = MemorySystem::new(MemConfig {
+            dram_capacity: 10 * PAGE_SIZE,
+            nvm_capacity: 20 * PAGE_SIZE,
+            fault: plan,
+            ..MemConfig::default()
+        })
         .unwrap();
         fill_dram(&mut m, 10);
         let mut c = VmCounters::default();

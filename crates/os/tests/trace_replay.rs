@@ -9,14 +9,12 @@ use tiersim_mem::{
 use tiersim_os::{replay_counters, replay_matches, AutoNuma, OsConfig};
 
 fn traced_mem(dram_pages: u64, nvm_pages: u64) -> MemorySystem {
-    MemorySystem::new(
-        MemConfig::builder()
-            .dram_capacity(dram_pages * PAGE_SIZE)
-            .nvm_capacity(nvm_pages * PAGE_SIZE)
-            .trace(TraceConfig::on())
-            .build()
-            .unwrap(),
-    )
+    MemorySystem::new(MemConfig {
+        dram_capacity: dram_pages * PAGE_SIZE,
+        nvm_capacity: nvm_pages * PAGE_SIZE,
+        trace: TraceConfig::on(),
+        ..MemConfig::default()
+    })
     .unwrap()
 }
 
@@ -42,13 +40,15 @@ fn touch(m: &mut MemorySystem, os: &mut AutoNuma, addr: VirtAddr, now: u64) {
 #[test]
 fn every_rate_limiter_deny_is_traced() {
     let mut m = traced_mem(64, 256);
-    let mut cfg = OsConfig::builder()
-        .promo_rate_limit_bytes_per_sec(PAGE_SIZE) // one page per second
-        .watermarks(0.05, 0.08, 0.95) // high watermark ≈ whole DRAM → gated path
-        .hot_threshold_cycles(u64::MAX / 4)
-        .build()
-        .unwrap();
-    cfg.hot_threshold_max_cycles = u64::MAX / 2;
+    let cfg = OsConfig {
+        promo_rate_limit_bytes_per_sec: PAGE_SIZE, // one page per second
+        wmark_min_frac: 0.05,
+        wmark_low_frac: 0.08,
+        wmark_high_frac: 0.95, // high watermark ≈ whole DRAM → gated path
+        hot_threshold_cycles: u64::MAX / 4,
+        hot_threshold_max_cycles: u64::MAX / 2,
+        ..OsConfig::default()
+    };
     let mut os = AutoNuma::new(cfg).unwrap();
     let filler = m.mmap(60 * PAGE_SIZE, MemPolicy::Bind(Tier::Dram), "fill").unwrap();
     for i in 0..60 {
@@ -91,13 +91,13 @@ fn every_rate_limiter_deny_is_traced() {
 #[test]
 fn mixed_workload_trace_replays_to_counters() {
     let mut m = traced_mem(32, 128);
-    let mut os = AutoNuma::new(
-        OsConfig::builder()
-            .watermarks(0.05, 0.1, 0.25)
-            .hot_threshold_cycles(10_000)
-            .build()
-            .unwrap(),
-    )
+    let mut os = AutoNuma::new(OsConfig {
+        wmark_min_frac: 0.05,
+        wmark_low_frac: 0.1,
+        wmark_high_frac: 0.25,
+        hot_threshold_cycles: 10_000,
+        ..OsConfig::default()
+    })
     .unwrap();
     let a = m.mmap(96 * PAGE_SIZE, MemPolicy::Default, "data").unwrap();
     for i in 0..96u64 {
@@ -136,9 +136,13 @@ proptest! {
         touches in proptest::collection::vec((0u64..64, 1u64..5_000), 1..120),
     ) {
         let mut m = traced_mem(16, 128);
-        let mut os = AutoNuma::new(
-            OsConfig::builder().watermarks(0.05, 0.1, 0.3).hot_threshold_cycles(100_000).build().unwrap(),
-        )
+        let mut os = AutoNuma::new(OsConfig {
+            wmark_min_frac: 0.05,
+            wmark_low_frac: 0.1,
+            wmark_high_frac: 0.3,
+            hot_threshold_cycles: 100_000,
+            ..OsConfig::default()
+        })
         .unwrap();
         let a = m.mmap(64 * PAGE_SIZE, MemPolicy::Default, "data").unwrap();
         let mut now = 0;

@@ -253,3 +253,23 @@ fn chunked_fill_matches_per_element_stores() {
     assert!(chunked.samples().len() > sampled, "no sample was due inside the run");
     assert_eq!(chunked.samples(), looped.samples());
 }
+
+/// An invalid OS or memory field in the machine config is rejected by
+/// `run_workload` as an `Err` naming the field, before any simulation,
+/// instead of panicking mid-run.
+#[test]
+fn invalid_machine_fields_are_rejected_by_run_workload() {
+    let cfg = tiny();
+    let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
+
+    let mut bad_os = cfg.machine(TieringMode::AutoNuma);
+    bad_os.os.fault_around_pages = 0;
+    let err = run_workload(bad_os, w).expect_err("fault_around_pages = 0 must be rejected");
+    assert!(err.to_string().contains("fault-around window"), "names the field: {err}");
+
+    let mut bad_mem = cfg.machine(TieringMode::AutoNuma);
+    bad_mem.mem.dram_capacity = 4097;
+    let err = run_workload(bad_mem, w).expect_err("an unaligned DRAM capacity must be rejected");
+    let msg = err.to_string();
+    assert!(msg.contains("dram capacity") && msg.contains("4097"), "names the field: {msg}");
+}
