@@ -53,8 +53,8 @@ pub struct AccessOutcome {
     /// `true` if the page was hint-marked by the NUMA scanner; the OS
     /// model must treat this access as a hint page fault.
     pub hint_fault: bool,
-    /// The scanner timestamp recorded when the page was hint-marked
-    /// (meaningful when `hint_fault` is set); used to compute the hint
+    /// The scanner timestamp recorded when the page was hint-marked, when
+    /// `hint_fault` is set, and 0 otherwise; used to compute the hint
     /// page-fault latency.
     pub hint_scan_time: u64,
 }

@@ -1,7 +1,7 @@
 //! Generic set-associative cache with true-LRU replacement.
 
 use crate::config::CacheGeometry;
-use crate::recency::shift_in;
+use crate::recency::{set_mut, touch, ANY};
 
 /// Result of a cache lookup-with-fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,21 +133,27 @@ impl SetAssocCache {
     /// `write` marks the line dirty (write-allocate, write-back).
     #[inline(always)]
     pub fn access(&mut self, line: u64, write: bool) -> CacheOutcome {
-        debug_assert!(line < INVALID >> 1);
-        let base = self.set_of(line) * self.ways;
-        let set = &mut self.tags[base..base + self.ways];
+        match self.ways {
+            8 => self.access_in::<8>(line, write),
+            _ => self.access_in::<ANY>(line, write),
+        }
+    }
 
-        // Hit path: move the line to the front, adding the dirty bit.
-        if let Some((pos, word)) = set.iter().copied().enumerate().find(|&(_, t)| t >> 1 == line) {
-            shift_in(set, pos, word | u64::from(write));
+    /// [`SetAssocCache::access`] on `W`-way sets (see `recency::set_mut`).
+    #[inline(always)]
+    fn access_in<const W: usize>(&mut self, line: u64, write: bool) -> CacheOutcome {
+        debug_assert!(line < INVALID >> 1);
+        let index = self.set_of(line);
+        let set = set_mut::<W>(&mut self.tags, self.ways, index);
+        let dirty = u64::from(write);
+        // A hit moves the line to the front, adding the dirty bit; a miss
+        // fills it there, and the tail falls out — an invalid slot while
+        // any remain, the least recently used line afterwards.
+        let Some(victim) = touch(set, |t| t >> 1 == line, |t| t | dirty, line << 1 | dirty) else {
             self.stats.hits += 1;
             return CacheOutcome::Hit;
-        }
-
-        // Miss: the victim is the tail — an invalid slot while any remain,
-        // the least recently used line afterwards.
+        };
         self.stats.misses += 1;
-        let victim = shift_in(set, self.ways - 1, line << 1 | u64::from(write));
         let writeback = if victim & DIRTY != 0 {
             self.stats.writebacks += 1;
             Some(victim >> 1)
@@ -166,8 +172,17 @@ impl SetAssocCache {
     /// Marks `line` dirty if present (used to propagate dirtiness from an
     /// evicted upper-level line). Returns `true` if the line was present.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
-        let base = self.set_of(line) * self.ways;
-        match self.tags[base..base + self.ways].iter_mut().find(|t| **t >> 1 == line) {
+        match self.ways {
+            8 => self.mark_dirty_in::<8>(line),
+            _ => self.mark_dirty_in::<ANY>(line),
+        }
+    }
+
+    /// [`SetAssocCache::mark_dirty`] on `W`-way sets.
+    #[inline(always)]
+    fn mark_dirty_in<const W: usize>(&mut self, line: u64) -> bool {
+        let index = self.set_of(line);
+        match set_mut::<W>(&mut self.tags, self.ways, index).iter_mut().find(|t| **t >> 1 == line) {
             Some(word) => {
                 *word |= DIRTY;
                 true

@@ -65,7 +65,7 @@ impl TlbGeometry {
 /// Latency model for the DRAM device (open-row policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTimings {
-    /// Number of banks (row buffers).
+    /// Number of banks (row buffers); a power of two.
     pub banks: usize,
     /// Row size in bytes.
     pub row_bytes: u64,
@@ -183,7 +183,7 @@ impl MemConfig {
                 got: format!("{} (must be a nonzero multiple of the page size)", self.nvm_capacity),
             });
         }
-        if self.dram.banks == 0 || !self.dram.row_bytes.is_power_of_two() {
+        if !self.dram.banks.is_power_of_two() || !self.dram.row_bytes.is_power_of_two() {
             return Err(MemError::InvalidConfig {
                 what: "dram timings",
                 got: format!("{:?}", self.dram),
@@ -277,6 +277,19 @@ mod tests {
         let err = MemConfig { dram_capacity: 4097, ..MemConfig::default() }.validate().unwrap_err();
         assert!(matches!(err, MemError::InvalidConfig { what: "dram capacity", .. }));
         assert!(err.to_string().contains("4097"), "error carries the offending value: {err}");
+    }
+
+    #[test]
+    fn validate_rejects_bank_counts_that_are_not_powers_of_two() {
+        for banks in [0, 3, 12] {
+            let dram = DramTimings { banks, ..MemConfig::default().dram };
+            let err = MemConfig { dram, ..MemConfig::default() }.validate().unwrap_err();
+            assert!(matches!(err, MemError::InvalidConfig { what: "dram timings", .. }), "{banks}");
+        }
+        for banks in [1, 2, 16] {
+            let dram = DramTimings { banks, ..MemConfig::default().dram };
+            MemConfig { dram, ..MemConfig::default() }.validate().unwrap();
+        }
     }
 
     #[test]

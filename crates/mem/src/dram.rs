@@ -62,11 +62,11 @@ impl DramModel {
     ///
     /// # Panics
     ///
-    /// Panics if `row_bytes` is not a power of two or `banks == 0`
-    /// (validated configurations never do).
+    /// Panics if `row_bytes` or `banks` is not a power of two (validated
+    /// configurations never are).
     pub fn new(timings: DramTimings) -> Self {
         assert!(timings.row_bytes.is_power_of_two());
-        assert!(timings.banks > 0);
+        assert!(timings.banks.is_power_of_two());
         DramModel {
             timings,
             row_shift: timings.row_bytes.trailing_zeros(),
@@ -75,19 +75,22 @@ impl DramModel {
         }
     }
 
+    /// Opens the row holding `addr` in its bank; `true` if it was open
+    /// already. Rows interleave across banks so sequential streams engage
+    /// all banks; the bank count is a power of two, so the row's low bits
+    /// pick the bank.
     #[inline]
-    fn bank_and_row(&self, addr: u64) -> (usize, u64) {
+    fn open_row(&mut self, addr: u64) -> bool {
         let row = addr >> self.row_shift;
-        // Interleave rows across banks so sequential streams engage all banks.
-        ((row % self.open_rows.len() as u64) as usize, row)
+        let bank = (row & (self.open_rows.len() as u64 - 1)) as usize;
+        // tiersim-analyze: allow(panic-reach) — masked by the bank count, a power of two
+        std::mem::replace(&mut self.open_rows[bank], row) == row
     }
 
     /// Serves a 64-byte read at byte address `addr`; returns the latency in
     /// cycles.
     pub fn read(&mut self, addr: u64) -> u64 {
-        let (bank, row) = self.bank_and_row(addr);
-        let hit = self.open_rows[bank] == row;
-        self.open_rows[bank] = row;
+        let hit = self.open_row(addr);
         self.stats.reads += 1;
         let cycles = if hit {
             self.stats.read_buffer_hits += 1;
@@ -102,9 +105,7 @@ impl DramModel {
     /// Serves a 64-byte write at byte address `addr`; returns the (posted)
     /// latency in cycles.
     pub fn write(&mut self, addr: u64) -> u64 {
-        let (bank, row) = self.bank_and_row(addr);
-        let hit = self.open_rows[bank] == row;
-        self.open_rows[bank] = row;
+        let hit = self.open_row(addr);
         self.stats.writes += 1;
         let cycles = if hit {
             self.stats.write_buffer_hits += 1;

@@ -2,7 +2,7 @@
 
 use crate::config::NvmTimings;
 use crate::dram::DeviceStats;
-use crate::recency::shift_in;
+use crate::recency::{set_mut, touch, ANY};
 
 /// NVM latency model: a small fully-associative buffer of 256-byte media
 /// blocks (the Optane "XPBuffer") in front of slow media.
@@ -78,10 +78,18 @@ impl NvmModel {
     /// `true` if the block was buffered; moves it to the front, inserting
     /// it there on a miss (the tail falls out).
     fn touch_buffer(&mut self, block: u64) -> bool {
-        let hit = self.buffer.iter().position(|&b| b == block);
-        let tail = self.buffer.len() - 1;
-        shift_in(&mut self.buffer, hit.unwrap_or(tail), block);
-        hit.is_some()
+        match self.buffer.len() {
+            16 => self.touch_in::<16>(block),
+            _ => self.touch_in::<ANY>(block),
+        }
+    }
+
+    /// [`NvmModel::touch_buffer`] on a `W`-entry buffer (see
+    /// `recency::set_mut`): the buffer is one set.
+    #[inline(always)]
+    fn touch_in<const W: usize>(&mut self, block: u64) -> bool {
+        let ways = self.buffer.len();
+        touch(set_mut::<W>(&mut self.buffer, ways, 0), |b| b == block, |b| b, block).is_none()
     }
 
     /// Serves a 64-byte read at byte address `addr`; returns the latency in
@@ -169,17 +177,25 @@ mod tests {
         assert_eq!(n.read(256), 900);
     }
 
+    fn buffered(entries: usize) -> NvmModel {
+        NvmModel::new(NvmTimings { buffer_entries: entries, ..model().timings })
+    }
+
     proptest::proptest! {
         /// The fixed-size recency array hits and misses exactly like the
         /// `Vec` it replaced (remove + insert at the front, pop the tail
-        /// when full), and holds the same blocks in the same order.
+        /// when full), and holds the same blocks in the same order, op by
+        /// op: at 2 entries (the run-time-width path) and at the default
+        /// 16 (the fixed-width path), each over more distinct blocks than
+        /// it holds, so both evict.
         #[test]
         fn buffer_matches_the_vec_model(
-            blocks in proptest::collection::vec(0u64..12, 1..200),
+            wide in proptest::bool::ANY,
+            blocks in proptest::collection::vec(0u64..40, 1..400),
         ) {
-            let mut n = model();
+            let (mut n, distinct) = if wide { (buffered(16), 40) } else { (buffered(2), 12) };
             let mut list: Vec<u64> = Vec::new();
-            for block in blocks {
+            for block in blocks.into_iter().map(|b| b % distinct) {
                 let want = match list.iter().position(|&b| b == block) {
                     Some(pos) => {
                         list.remove(pos);

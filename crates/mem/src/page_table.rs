@@ -59,13 +59,6 @@ pub struct PageTable {
     /// so huge membership cannot drift through snapshot edits.
     huge: Vec<u8>,
     resident: [u64; 2],
-    /// One-entry last-translation cache: `(page index, slot)` of the most
-    /// recent successful slot computation. The page→slot mapping is pure
-    /// arithmetic (never remapped), so the entry can never go stale; it
-    /// only short-circuits the checked subtraction + narrowing on the
-    /// access fast path, where consecutive lookups overwhelmingly target
-    /// the same page.
-    last: Option<(u64, usize)>,
 }
 
 impl PageTable {
@@ -78,19 +71,6 @@ impl PageTable {
     #[inline]
     pub fn slot(pn: PageNum) -> Option<usize> {
         pn.index().checked_sub(MMAP_BASE >> PAGE_SHIFT).and_then(|i| usize::try_from(i).ok())
-    }
-
-    /// [`PageTable::slot`] through the one-entry last-translation cache.
-    #[inline(always)]
-    fn slot_cached(&mut self, pn: PageNum) -> Option<usize> {
-        if let Some((last_pn, slot)) = self.last {
-            if last_pn == pn.index() {
-                return Some(slot);
-            }
-        }
-        let slot = Self::slot(pn)?;
-        self.last = Some((pn.index(), slot));
-        Some(slot)
     }
 
     /// Assembles the value snapshot for an in-bounds, resident slot.
@@ -121,7 +101,7 @@ impl PageTable {
     /// [`PageTable::split_block`].
     #[inline]
     pub fn update<R>(&mut self, pn: PageNum, f: impl FnOnce(&mut PageInfo) -> R) -> Option<R> {
-        let slot = self.slot_cached(pn)?;
+        let slot = Self::slot(pn)?;
         let tier = byte_tier(*self.tiers.get(slot)?)?;
         let mut info = self.info_at(slot, tier);
         let out = f(&mut info);
@@ -144,19 +124,24 @@ impl PageTable {
 
     /// The access-path hot call: stamps `last_access = now`, consumes a
     /// pending HINT flag, and returns
-    /// `(tier, hint_consumed, scan_time, huge)`.
+    /// `(tier, hint_consumed, scan_time, huge)`, where `scan_time` is the
+    /// page's scan stamp when a HINT was consumed and 0 otherwise (its one
+    /// reader is the hint-fault path).
     /// Returns `None` if the page is not resident.
     #[inline(always)]
     pub fn access_touch(&mut self, pn: PageNum, now: u64) -> Option<(Tier, bool, u64, bool)> {
-        let slot = self.slot_cached(pn)?;
+        let slot = Self::slot(pn)?;
         let tier = byte_tier(*self.tiers.get(slot)?)?;
         self.last_access[slot] = now;
         let hint = self.flags[slot].contains(PageFlags::HINT);
-        if hint {
+        let scan_time = if hint {
             self.flags[slot].remove(PageFlags::HINT);
-        }
+            self.scan_time[slot]
+        } else {
+            0
+        };
         let huge = self.huge.get(slot).is_some_and(|&b| b != 0);
-        Some((tier, hint, self.scan_time[slot], huge))
+        Some((tier, hint, scan_time, huge))
     }
 
     /// Inserts metadata for a page freshly mapped on `tier` at time `now`.
@@ -371,18 +356,18 @@ mod tests {
     }
 
     #[test]
-    fn last_translation_cache_is_transparent() {
+    fn update_resolves_each_page_to_its_own_slot() {
         let mut pt = PageTable::new();
         pt.insert(pn(4), Tier::Dram, 0);
         pt.insert(pn(9), Tier::Nvm, 0);
-        // Repeated and alternating mutable lookups resolve through the
-        // one-entry cache without ever returning the wrong slot.
+        // Repeated and alternating mutable lookups never reach the wrong
+        // slot.
         for _ in 0..3 {
             assert_eq!(pt.update(pn(4), |p| p.tier).unwrap(), Tier::Dram);
             assert_eq!(pt.update(pn(9), |p| p.tier).unwrap(), Tier::Nvm);
             assert!(pt.update(PageNum::new(1), |_| ()).is_none());
         }
-        // Removal is visible through the cached slot immediately.
+        // Removal is visible immediately.
         pt.remove(pn(4));
         assert!(pt.update(pn(4), |_| ()).is_none());
     }
@@ -427,8 +412,8 @@ mod tests {
         let info = pt.get(pn(7)).unwrap();
         assert!(!info.flags.contains(PageFlags::HINT));
         assert_eq!(info.last_access, 99);
-        // Second touch: hint already consumed.
-        assert_eq!(pt.access_touch(pn(7), 100), Some((Tier::Nvm, false, 5, false)));
+        // Second touch: hint already consumed, so no scan stamp either.
+        assert_eq!(pt.access_touch(pn(7), 100), Some((Tier::Nvm, false, 0, false)));
         assert_eq!(pt.access_touch(pn(8), 100), None);
     }
 

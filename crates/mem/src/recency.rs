@@ -8,6 +8,65 @@
 //! the new entry at the front. The entry pushed off the tail is the
 //! victim: an invalid slot while any remain, else the least recently used
 //! entry.
+//!
+//! Each structure keeps its sets back to back in one array and
+//! dispatches on its width once per call: at the widths of the scaled
+//! default machine (8-way caches, 4- and 8-way TLB levels, the 16-entry
+//! NVM buffer) the set is one `[u64; W]` chunk of that array, so its
+//! length is a constant and both the tag search and the shift below
+//! unroll into straight-line code; every other width takes the same code
+//! as a loop over a run-time slice ([`ANY`]).
+
+/// The width parameter of [`set_mut`] for a set whose width is known only
+/// at run time.
+pub(crate) const ANY: usize = 0;
+
+/// Set `index` of `entries`, an array of `ways`-entry sets back to back.
+///
+/// With `W == ways` the set is one `[u64; W]` chunk of the array, a slice
+/// whose length the compiler knows; with `W == ANY` it is a slice of run-
+/// time length.
+///
+/// # Panics
+///
+/// Panics if `index` is not a set of `entries`; every caller masks the
+/// index with its set count minus one, and holds exactly that many sets.
+#[inline(always)]
+pub(crate) fn set_mut<const W: usize>(
+    entries: &mut [u64],
+    ways: usize,
+    index: usize,
+) -> &mut [u64] {
+    if W == ANY {
+        let base = index * ways;
+        // tiersim-analyze: allow(panic-reach) — `index` is a set of the array (see # Panics)
+        &mut entries[base..base + ways]
+    } else {
+        debug_assert_eq!(W, ways, "a fixed width names the set's own width");
+        // tiersim-analyze: allow(panic-reach) — `index` is a set of the array (see # Panics)
+        &mut entries.as_chunks_mut::<W>().0[index]
+    }
+}
+
+/// Searches `set` for the entry `matches` accepts, from the front. A hit
+/// moves that entry to the front, rewritten by `hit`, and returns `None`;
+/// a miss shifts `fill` in at the front and returns the entry that fell
+/// off the tail.
+#[inline(always)]
+pub(crate) fn touch(
+    set: &mut [u64],
+    matches: impl Fn(u64) -> bool,
+    hit: impl FnOnce(u64) -> u64,
+    fill: u64,
+) -> Option<u64> {
+    match set.iter().copied().enumerate().find(|&(_, entry)| matches(entry)) {
+        Some((pos, entry)) => {
+            shift_in(set, pos, hit(entry));
+            None
+        }
+        None => Some(shift_in(set, set.len() - 1, fill)),
+    }
+}
 
 /// Writes `entry` into slot 0 of `set`, shifting slots `0..pos` back one
 /// place, and returns what slot `pos` held.
@@ -18,13 +77,13 @@
 ///
 /// The shift carries each entry forward in a register: the entry going
 /// in replaces slot 0, whose old entry replaces slot 1, and so on up to
-/// `pos`, whose old entry comes back out. LLVM recognises the backward
+/// `pos`, whose old entry comes back out. It visits every slot and keeps
+/// those past `pos`, so on a set of constant width the loop unrolls into
+/// straight-line loads, selects and stores. LLVM recognises the backward
 /// copy loop (`set[i] = set[i - 1]` for `i` from `pos` down) as a
 /// `memmove` idiom and calls the library on every hit and fill, however
 /// short the set; `slice::rotate_right` and `copy_within` compile to
-/// out-of-line calls too. 4- and 8-entry sets, every cache and TLB set
-/// of the scaled default machine, take a fully unrolled shift; other
-/// widths take the carry loop.
+/// out-of-line calls too.
 ///
 /// # Panics
 ///
@@ -32,22 +91,8 @@
 /// just found or the tail of a non-empty set.
 #[inline(always)]
 pub(crate) fn shift_in(set: &mut [u64], pos: usize, entry: u64) -> u64 {
-    if let Ok(set) = <&mut [u64; 4]>::try_from(&mut *set) {
-        return shift_fixed(set, pos, entry);
-    }
-    if let Ok(set) = <&mut [u64; 8]>::try_from(&mut *set) {
-        return shift_fixed(set, pos, entry);
-    }
     // tiersim-analyze: allow(panic-reach) — `pos` is a slot of the set (see # Panics)
-    set[..=pos].iter_mut().fold(entry, |carry, slot| std::mem::replace(slot, carry))
-}
-
-/// [`shift_in`] on a set of constant width, so the carry chain unrolls
-/// into straight-line loads and stores.
-#[inline(always)]
-fn shift_fixed<const N: usize>(set: &mut [u64; N], pos: usize, entry: u64) -> u64 {
-    // tiersim-analyze: allow(panic-reach) — `pos` is a slot of the set (see `shift_in`)
-    assert!(pos < N, "slot {pos} of a {N}-entry set");
+    assert!(pos < set.len(), "slot {pos} of a {}-entry set", set.len());
     let mut carry = entry;
     for (i, slot) in set.iter_mut().enumerate() {
         if i <= pos {
@@ -121,5 +166,24 @@ mod tests {
             let shifted = std::panic::catch_unwind(move || shift_in(&mut set, len, 1));
             assert!(shifted.is_err(), "len {len}");
         }
+    }
+
+    #[test]
+    fn fixed_and_run_time_sets_are_the_same_slots() {
+        let mut entries: Vec<u64> = (0..32).collect();
+        for index in 0..4 {
+            let fixed = set_mut::<8>(&mut entries, 8, index).to_vec();
+            assert_eq!(fixed, set_mut::<ANY>(&mut entries, 8, index));
+            assert_eq!(fixed[0], index as u64 * 8);
+        }
+    }
+
+    #[test]
+    fn touch_moves_a_hit_to_the_front_and_fills_a_miss() {
+        let mut set = [1, 2, 3, 4];
+        assert_eq!(touch(&mut set, |e| e == 3, |e| e + 10, 0), None);
+        assert_eq!(set, [13, 1, 2, 4]);
+        assert_eq!(touch(&mut set, |e| e == 9, |e| e, 9), Some(4));
+        assert_eq!(set, [9, 13, 1, 2]);
     }
 }

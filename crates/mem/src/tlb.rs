@@ -2,7 +2,7 @@
 
 use crate::addr::PageNum;
 use crate::config::TlbGeometry;
-use crate::recency::shift_in;
+use crate::recency::{set_mut, touch, ANY};
 
 /// Where a TLB lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,40 +67,35 @@ impl TlbLevel {
     }
 
     #[inline]
-    fn base(&self, pn: u64) -> usize {
-        (pn & self.set_mask) as usize * self.ways
+    fn index(&self, pn: u64) -> usize {
+        (pn & self.set_mask) as usize
     }
 
-    /// Looks `pn` up, moving it to the front of its set on a hit.
+    /// Looks `pn` up: a hit moves it to the front of its set, a miss
+    /// installs it there, and the tail falls out — an invalid slot while
+    /// any remain, the least recently used entry afterwards. Returns
+    /// `true` on a hit.
     #[inline(always)]
-    fn lookup(&mut self, pn: u64) -> bool {
-        let base = self.base(pn);
-        let set = &mut self.tags[base..base + self.ways];
-        match set.iter().position(|&t| t == pn) {
-            Some(pos) => {
-                shift_in(set, pos, pn);
-                true
-            }
-            None => false,
+    fn touch(&mut self, pn: u64) -> bool {
+        match self.ways {
+            4 => self.touch_in::<4>(pn),
+            8 => self.touch_in::<8>(pn),
+            _ => self.touch_in::<ANY>(pn),
         }
     }
 
-    /// Installs `pn`, which the caller has just seen miss, at the front of
-    /// its set. The tail falls out: an invalid slot while any remain, the
-    /// least recently used entry afterwards.
+    /// [`TlbLevel::touch`] on `W`-way sets (see `recency::set_mut`).
     #[inline(always)]
-    fn insert(&mut self, pn: u64) {
-        let base = self.base(pn);
-        let set = &mut self.tags[base..base + self.ways];
-        debug_assert!(!set.contains(&pn), "TLB insert of a present entry");
-        shift_in(set, self.ways - 1, pn);
+    fn touch_in<const W: usize>(&mut self, pn: u64) -> bool {
+        let index = self.index(pn);
+        touch(set_mut::<W>(&mut self.tags, self.ways, index), |t| t == pn, |t| t, pn).is_none()
     }
 
     /// Drops `pn` if present, closing the gap so invalid slots stay at the
     /// tail.
     fn invalidate(&mut self, pn: u64) {
-        let base = self.base(pn);
-        let set = &mut self.tags[base..base + self.ways];
+        let index = self.index(pn);
+        let set = set_mut::<ANY>(&mut self.tags, self.ways, index);
         if let Some(pos) = set.iter().position(|&t| t == pn) {
             set.copy_within(pos + 1.., pos);
             if let Some(last) = set.last_mut() {
@@ -162,23 +157,20 @@ impl Tlb {
     /// the DTLB. On a miss the caller performs the page walk, and the
     /// entry is already installed at the front of both levels: the walk
     /// never reads the TLB, so filling here leaves the same state as a
-    /// fill after it, without scanning both sets a second time.
+    /// fill after it, without scanning both sets a second time. Each
+    /// level is searched once: a DTLB miss fills the DTLB whether the
+    /// STLB then hits or misses.
     #[inline(always)]
     pub fn lookup(&mut self, pn: PageNum) -> TlbOutcome {
         let pn = pn.index();
-        if self.l1.lookup(pn) {
+        if self.l1.touch(pn) {
             self.stats.l1_hits += 1;
             TlbOutcome::L1Hit
-        } else if self.l2.lookup(pn) {
+        } else if self.l2.touch(pn) {
             self.stats.l2_hits += 1;
-            // The DTLB just missed, so the promotion is a plain fill.
-            self.l1.insert(pn);
             TlbOutcome::L2Hit
         } else {
             self.stats.misses += 1;
-            // Both levels just missed, so both fills are plain.
-            self.l1.insert(pn);
-            self.l2.insert(pn);
             TlbOutcome::Miss
         }
     }
@@ -223,10 +215,36 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recency::shift_in;
     use proptest::prelude::*;
 
     /// Each set's valid page numbers per level, MRU first.
     type Recency = [Vec<Vec<u64>>; 2];
+
+    impl TlbLevel {
+        /// Looks `pn` up, moving it to the front of its set on a hit and
+        /// leaving the set as it was on a miss.
+        fn lookup(&mut self, pn: u64) -> bool {
+            let index = self.index(pn);
+            let set = set_mut::<ANY>(&mut self.tags, self.ways, index);
+            match set.iter().position(|&t| t == pn) {
+                Some(pos) => {
+                    shift_in(set, pos, pn);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        /// Installs `pn`, which the caller has just seen miss, at the front
+        /// of its set; the tail falls out.
+        fn insert(&mut self, pn: u64) {
+            let index = self.index(pn);
+            let set = set_mut::<ANY>(&mut self.tags, self.ways, index);
+            assert!(!set.contains(&pn), "TLB insert of a present entry");
+            shift_in(set, self.ways - 1, pn);
+        }
+    }
 
     impl Tlb {
         fn recency(&self) -> Recency {

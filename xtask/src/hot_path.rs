@@ -25,11 +25,15 @@ pub const SYMBOLS: &[(&str, Expect)] = &[
     ("tiersim_mem::system::MemorySystem::access", Expect::Inlined),
     ("tiersim_mem::system::MemorySystem::cache_path", Expect::Inlined),
     ("tiersim_mem::page_table::PageTable::access_touch", Expect::Inlined),
-    ("tiersim_mem::page_table::PageTable::slot_cached", Expect::Inlined),
     ("tiersim_mem::tlb::Tlb::lookup", Expect::Inlined),
-    ("tiersim_mem::tlb::TlbLevel::lookup", Expect::Inlined),
-    ("tiersim_mem::tlb::TlbLevel::insert", Expect::Inlined),
+    ("tiersim_mem::tlb::TlbLevel::touch", Expect::Inlined),
+    ("tiersim_mem::tlb::TlbLevel::touch_in", Expect::Inlined),
     ("tiersim_mem::cache::SetAssocCache::access", Expect::Inlined),
+    ("tiersim_mem::cache::SetAssocCache::access_in", Expect::Inlined),
+    ("tiersim_mem::cache::SetAssocCache::mark_dirty_in", Expect::Inlined),
+    ("tiersim_mem::nvm::NvmModel::touch_in", Expect::Inlined),
+    ("tiersim_mem::recency::set_mut", Expect::Inlined),
+    ("tiersim_mem::recency::touch", Expect::Inlined),
     ("tiersim_mem::recency::shift_in", Expect::Inlined),
     ("tiersim_core::machine::Machine::service_fault", Expect::OutOfLine),
     ("tiersim_core::machine::Machine::housekeeping_due", Expect::OutOfLine),
