@@ -88,7 +88,7 @@ const FLAGS: &[Flag] = &[
         c.inject_failure = true;
         Ok(())
     }),
-    Flag("--resume", "PATH", JOURNALED, "journal to create/replay (tune: tune.journal)", |c, v| {
+    Flag("--resume", "PATH", JOURNALED, "journal to create/replay", |c, v| {
         parsed(v).map(|path| c.resume = Some(path))
     }),
     Flag("--kill-at", "N", JOURNALED, "exit 137 instead of the Nth journal append", |c, v| {
@@ -163,7 +163,7 @@ pub struct Cli {
     pub trace_out: Option<PathBuf>,
     /// `--inject-failure`: add a deliberately failing suite cell.
     pub inject_failure: bool,
-    /// `--resume`: the journal path (`tune` defaults to `tune.journal`).
+    /// `--resume`: the journal path; without it no command journals.
     pub resume: Option<PathBuf>,
     /// `--kill-at`: exit 137 instead of this session's Nth journal append.
     pub kill_at: Option<u64>,
@@ -255,7 +255,7 @@ impl Cli {
             out: None,
             trace_out: None,
             inject_failure: false,
-            resume: tune.then(|| PathBuf::from("tune.journal")),
+            resume: None,
             kill_at: None,
             max_attempts: if tune { 1 } else { 3 },
             out_json: None,

@@ -41,7 +41,7 @@ use tiersim_core::journal::{
     atomic_write, run_journaled, CellError, CellOutcome, FailureClass, Journal, JournalCell,
     JournalError, JournalStats, RunnerOptions,
 };
-use tiersim_core::tune::run_tune;
+use tiersim_core::tune::{run_tune, run_tune_in};
 use tiersim_core::{CoreError, ExperimentConfig, RunError, RunReport, TraceLog, WorkloadConfig};
 use tiersim_mem::Tier;
 use tiersim_profile::export;
@@ -157,23 +157,29 @@ fn ablate(cli: &Cli) -> Finished {
     Ok((suite.exit_code(), out_file(cli, &suite)))
 }
 
-/// `repro_all tune`: one crash-safe search against its journal; stdout
-/// carries only the deterministic report, session-relative counts go to
-/// stderr.
+/// `repro_all tune`: one search, crash-safe against its journal under
+/// `--resume`; stdout carries only the deterministic report,
+/// session-relative counts go to stderr.
 fn tune(cli: &Cli) -> Finished {
     let cfg = &cli.tune;
-    let journal = cli.resume.as_deref().ok_or("tune needs a journal")?;
+    let journal = cli.resume.as_deref();
     eprintln!(
         "tune: {} on {} grid, journal {}, jobs {}",
         cfg.experiment.workload(cfg.kernel, cfg.dataset).name(),
         cfg.grid.name(),
-        journal.display(),
+        journal.map_or_else(|| "none".to_string(), |p| p.display().to_string()),
         cfg.experiment.jobs
     );
-    let outcome =
-        run_tune(cfg, journal, cli.runner_options()).map_err(|e| format!("tune error: {e}"))?;
+    let opts = cli.runner_options();
+    let outcome = match journal {
+        Some(path) => run_tune(cfg, path, opts),
+        None => run_tune_in(cfg, &Journal::without_file(), opts),
+    }
+    .map_err(|e| format!("tune error: {e}"))?;
     print!("{}", outcome.report.render());
-    eprintln!("journal: {} cells executed, {} replayed", outcome.executed, outcome.replayed);
+    if journal.is_some() {
+        eprintln!("journal: {} cells executed, {} replayed", outcome.executed, outcome.replayed);
+    }
     let report = &outcome.report;
     let json = cli.out_json.iter().map(|path| (path.clone(), report.to_json() + "\n"));
     let csv = cli.out_csv.iter().map(|path| (path.clone(), report.to_csv()));

@@ -510,7 +510,7 @@ impl Machine {
             // Cap the plain-page scan at what a full chunk could touch.
             let cap = ((RUN_CHUNK_ELEMS * stride64) >> tiersim_mem::PAGE_SHIFT) as usize + 2;
             let window_pages = self.mem.plain_window(a.page(), cap);
-            let due = if self.sampler.is_enabled() { self.sampler.until_due() } else { u64::MAX };
+            let due = self.sampler.until_due();
             if window_pages == 0 || due == 1 {
                 // Non-resident or hinted first page, or the next access
                 // records a sample: exact path for this element.

@@ -54,14 +54,6 @@ impl RunReport {
         self.trial_secs.iter().sum()
     }
 
-    /// Mean trial time.
-    pub fn mean_trial_secs(&self) -> f64 {
-        if self.trial_secs.is_empty() {
-            return 0.0;
-        }
-        self.exec_secs() / self.trial_secs.len() as f64
-    }
-
     /// Joins samples with allocations into per-object profiles.
     pub fn mapped(&self) -> MappedProfile {
         map_samples(&self.tracker, &self.samples)
@@ -181,7 +173,6 @@ mod tests {
     fn exec_time_sums_trials() {
         let r = report(vec![0.1, 0.2, 0.3]);
         assert!((r.exec_secs() - 0.6).abs() < 1e-12);
-        assert!((r.mean_trial_secs() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -220,7 +211,6 @@ mod tests {
     fn empty_trials_are_zero() {
         let r = report(vec![]);
         assert_eq!(r.exec_secs(), 0.0);
-        assert_eq!(r.mean_trial_secs(), 0.0);
         assert_eq!(r.nvm_samples(), 0);
     }
 }

@@ -153,6 +153,15 @@ fn tie_break(seed: u64, key: &str) -> u64 {
     fnv1a64(format!("{seed}:{key}").as_bytes())
 }
 
+/// Rejects a zero rung budget: the first rung would stop every cell at
+/// once.
+fn check_budget(cfg: &TuneConfig) -> Result<(), TuneError> {
+    if cfg.rung_budget == 0 {
+        return Err(TuneError::Invalid { what: "rung_budget", got: "0 ticks".to_string() });
+    }
+    Ok(())
+}
+
 /// The robustness phase's fault plan: moderate transient failure rates
 /// on all three injection sites, armed for the whole run.
 fn fault_plan(seed: u64) -> FaultPlan {
@@ -169,17 +178,15 @@ fn fault_plan(seed: u64) -> FaultPlan {
 /// Runs the full search against the journal at `journal`: create it if
 /// absent, resume it if present (same fingerprint required). The journal
 /// is opened once, and every rung and the robustness phase run in that
-/// one session.
+/// one session ([`run_tune_in`]).
 ///
-/// `opts.jobs` and `opts.kill` are honored (`--kill-at N` dies at the
-/// session's Nth append); `max_attempts` is pinned to 1 because every
-/// cell is deterministic — a failure would repeat identically, and a
-/// stuck verdict is a score, not a failure.
+/// `opts.kill` arms the session's writer (`--kill-at N` dies at the
+/// session's Nth append).
 ///
 /// # Errors
 ///
-/// [`TuneError::Invalid`] on a zero `rung_budget`;
-/// [`TuneError::Journal`] on journal I/O, fingerprint mismatch or
+/// [`TuneError::Invalid`] on a zero `rung_budget`, before the journal is
+/// opened; [`TuneError::Journal`] on journal I/O, fingerprint mismatch or
 /// corruption.
 ///
 /// # Panics
@@ -192,16 +199,39 @@ pub fn run_tune(
     journal: &Path,
     opts: RunnerOptions,
 ) -> Result<TuneOutcome, TuneError> {
-    if cfg.rung_budget == 0 {
-        return Err(TuneError::Invalid { what: "rung_budget", got: "0 ticks".to_string() });
-    }
+    check_budget(cfg)?;
+    let session = Journal::open(journal, &cfg.fingerprint(), opts.kill)?;
+    run_tune_in(cfg, &session, opts)
+}
+
+/// Runs the full search in `session`: every rung and the robustness
+/// phase. A [`Journal::without_file`] session runs every cell; a
+/// journal's session replays the cells it completed before.
+///
+/// `opts.jobs` is honored; `max_attempts` is pinned to 1 because every
+/// cell is deterministic — a failure would repeat identically, and a
+/// stuck verdict is a score, not a failure.
+///
+/// # Errors
+///
+/// [`TuneError::Invalid`] on a zero `rung_budget`;
+/// [`TuneError::Journal`] on a journal append that fails.
+///
+/// # Panics
+///
+/// As [`run_tune`], when the session's writer was armed with a
+/// [`KillMode::Panic`](crate::journal::KillMode) kill-point.
+pub fn run_tune_in(
+    cfg: &TuneConfig,
+    session: &Journal,
+    opts: RunnerOptions,
+) -> Result<TuneOutcome, TuneError> {
+    check_budget(cfg)?;
     let finalist_target = cfg.finalists.max(1);
-    let fp = cfg.fingerprint();
     let workload = cfg.experiment.workload(cfg.kernel, cfg.dataset);
     let base = cfg.experiment.machine(TieringMode::AutoNuma);
     let points = cfg.grid.points();
     let mut trace = TraceState::new(TraceConfig::on());
-    let session = Journal::open(journal, &fp, opts.kill)?;
     let opts = RunnerOptions { max_attempts: 1, ..opts };
     let (mut executed, mut replayed) = (0u64, 0u64);
 

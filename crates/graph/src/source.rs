@@ -48,12 +48,6 @@ impl SourcePicker {
             }
         }
     }
-
-    /// Picks `k` sources (with replacement across picks, like GAPBS
-    /// trials).
-    pub fn pick_many(&mut self, g: &SimCsrGraph, k: usize) -> Vec<NodeId> {
-        (0..k).map(|_| self.pick(g)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -68,9 +62,10 @@ mod tests {
         let el = EdgeList::new(8, vec![(0, 1), (2, 3), (4, 5)]);
         let mut b = NullBackend::new();
         let g = build_sim_csr(&mut b, &el, true, 1);
-        let a = SourcePicker::new(7).pick_many(&g, 5);
-        let c = SourcePicker::new(7).pick_many(&g, 5);
-        assert_eq!(a, c);
+        let (mut a, mut c) = (SourcePicker::new(7), SourcePicker::new(7));
+        for _ in 0..5 {
+            assert_eq!(a.pick(&g), c.pick(&g));
+        }
     }
 
     #[test]
@@ -78,7 +73,9 @@ mod tests {
         let el = EdgeList::new(100, vec![(0, 1)]);
         let mut b = NullBackend::new();
         let g = build_sim_csr(&mut b, &el, true, 1);
-        for s in SourcePicker::new(1).pick_many(&g, 20) {
+        let mut p = SourcePicker::new(1);
+        for _ in 0..20 {
+            let s = p.pick(&g);
             assert!(s == 0 || s == 1);
         }
     }

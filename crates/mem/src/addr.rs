@@ -74,12 +74,6 @@ impl VirtAddr {
         self.0 >> LINE_SHIFT
     }
 
-    /// Rounds this address down to its page boundary.
-    #[inline]
-    pub const fn page_base(self) -> VirtAddr {
-        VirtAddr(self.0 & !(PAGE_SIZE - 1))
-    }
-
     /// Returns `true` if the address is page aligned.
     #[inline]
     pub const fn is_page_aligned(self) -> bool {
@@ -262,7 +256,6 @@ mod tests {
     fn alignment_helpers() {
         assert!(VirtAddr::new(PAGE_SIZE).is_page_aligned());
         assert!(!VirtAddr::new(PAGE_SIZE + 1).is_page_aligned());
-        assert_eq!(VirtAddr::new(PAGE_SIZE + 1).page_base(), VirtAddr::new(PAGE_SIZE));
     }
 
     #[test]

@@ -25,33 +25,6 @@ impl CacheOutcome {
     }
 }
 
-/// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Number of lookups that hit.
-    pub hits: u64,
-    /// Number of lookups that missed.
-    pub misses: u64,
-    /// Number of dirty victims evicted.
-    pub writebacks: u64,
-}
-
-impl CacheStats {
-    /// Total number of lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Hit ratio in `[0, 1]`; `0` if there were no lookups.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups() as f64
-        }
-    }
-}
-
 /// A set-associative, write-back, write-allocate cache over 64-byte lines.
 ///
 /// Tags are full line numbers, so the cache can be indexed with simulated
@@ -76,7 +49,6 @@ pub struct SetAssocCache {
     /// slots at the tail (see `recency`). A tag word is `line << 1 |
     /// dirty`, so a hit moves one word and nothing else.
     tags: Vec<u64>,
-    stats: CacheStats,
 }
 
 /// Dirty bit of a tag word.
@@ -103,7 +75,6 @@ impl SetAssocCache {
             ways,
             set_mask: sets as u64 - 1,
             tags: vec![INVALID; sets * ways],
-            stats: CacheStats::default(),
         }
     }
 
@@ -116,11 +87,6 @@ impl SetAssocCache {
     #[inline]
     pub fn latency(&self) -> u64 {
         self.geometry.latency
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     #[inline]
@@ -149,18 +115,12 @@ impl SetAssocCache {
         // A hit moves the line to the front, adding the dirty bit; a miss
         // fills it there, and the tail falls out — an invalid slot while
         // any remain, the least recently used line afterwards.
-        let Some(victim) = touch(set, |t| t >> 1 == line, |t| t | dirty, line << 1 | dirty) else {
-            self.stats.hits += 1;
-            return CacheOutcome::Hit;
-        };
-        self.stats.misses += 1;
-        let writeback = if victim & DIRTY != 0 {
-            self.stats.writebacks += 1;
-            Some(victim >> 1)
-        } else {
-            None
-        };
-        CacheOutcome::Miss { writeback }
+        match touch(set, |t| t >> 1 == line, |t| t | dirty, line << 1 | dirty) {
+            None => CacheOutcome::Hit,
+            Some(victim) => {
+                CacheOutcome::Miss { writeback: (victim & DIRTY != 0).then_some(victim >> 1) }
+            }
+        }
     }
 
     /// Returns `true` if `line` is present, without disturbing LRU state.
@@ -224,7 +184,6 @@ mod tests {
         tags: Vec<u64>,
         order: Vec<u8>,
         dirty: Vec<bool>,
-        stats: CacheStats,
     }
 
     const OLD_INVALID: u64 = u64::MAX;
@@ -242,7 +201,6 @@ mod tests {
                 tags: vec![OLD_INVALID; sets * ways],
                 order,
                 dirty: vec![false; sets * ways],
-                stats: CacheStats::default(),
             }
         }
 
@@ -255,17 +213,11 @@ mod tests {
             if let Some(w) = self.tags[base..base + self.ways].iter().position(|&t| t == line) {
                 self.touch(base, w as u8);
                 self.dirty[base + w] |= write;
-                self.stats.hits += 1;
                 return CacheOutcome::Hit;
             }
-            self.stats.misses += 1;
             let idx = base + usize::from(self.pop_lru(base));
-            let writeback = if self.tags[idx] != OLD_INVALID && self.dirty[idx] {
-                self.stats.writebacks += 1;
-                Some(self.tags[idx])
-            } else {
-                None
-            };
+            let writeback =
+                (self.tags[idx] != OLD_INVALID && self.dirty[idx]).then_some(self.tags[idx]);
             self.tags[idx] = line;
             self.dirty[idx] = write;
             CacheOutcome::Miss { writeback }
@@ -336,8 +288,7 @@ mod tests {
     proptest! {
         /// The recency-ordered tag words replace exactly what the
         /// order-permutation model replaced: same outcomes, writeback
-        /// victims, stats and per-set recency (dirty bits included), op
-        /// by op.
+        /// victims and per-set recency (dirty bits included), op by op.
         #[test]
         fn recency_sets_match_the_order_permutation_model(
             geo in 0usize..5,
@@ -356,7 +307,6 @@ mod tests {
                     }
                     CacheOp::Probe(line) => prop_assert_eq!(new.probe(line), old.probe(line)),
                 }
-                prop_assert_eq!(new.stats(), old.stats, "{:?}", op);
                 prop_assert_eq!(new.recency(), old.recency(), "{:?}", op);
             }
         }
@@ -369,10 +319,8 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny(2, 2);
-        assert!(!c.access(10, false).is_hit());
-        assert!(c.access(10, false).is_hit());
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
+        assert_eq!(c.access(10, false), CacheOutcome::Miss { writeback: None });
+        assert_eq!(c.access(10, false), CacheOutcome::Hit);
     }
 
     #[test]
@@ -395,7 +343,6 @@ mod tests {
             CacheOutcome::Miss { writeback } => assert_eq!(writeback, Some(5)),
             CacheOutcome::Hit => panic!("expected miss"),
         }
-        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
@@ -429,15 +376,5 @@ mod tests {
             CacheOutcome::Hit => panic!("expected miss"),
         }
         assert!(!c.mark_dirty(42));
-    }
-
-    #[test]
-    fn hit_ratio() {
-        let mut c = tiny(2, 2);
-        c.access(1, false);
-        c.access(1, false);
-        c.access(1, false);
-        c.access(1, false);
-        assert!((c.stats().hit_ratio() - 0.75).abs() < 1e-12);
     }
 }

@@ -2,31 +2,6 @@
 
 use crate::config::DramTimings;
 
-/// Per-device traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// Read requests served.
-    pub reads: u64,
-    /// Write requests served (cache write-backs, migrations).
-    pub writes: u64,
-    /// Read requests that hit the device's internal buffer (open row for
-    /// DRAM, XPBuffer block for NVM).
-    pub read_buffer_hits: u64,
-    /// Write requests that hit the internal buffer.
-    pub write_buffer_hits: u64,
-    /// Total cycles spent in read latency.
-    pub read_cycles: u64,
-    /// Total cycles of write latency (posted; not on the critical path).
-    pub write_cycles: u64,
-}
-
-impl DeviceStats {
-    /// Bytes written (64 B per request).
-    pub fn bytes_written(&self) -> u64 {
-        self.writes * crate::addr::LINE_SIZE
-    }
-}
-
 /// DRAM latency model: open-row policy with one row buffer per bank.
 ///
 /// Consecutive accesses to the same DRAM row hit the open row and are
@@ -54,7 +29,6 @@ pub struct DramModel {
     row_shift: u32,
     /// Open row per bank; `u64::MAX` = closed.
     open_rows: Vec<u64>,
-    stats: DeviceStats,
 }
 
 impl DramModel {
@@ -71,7 +45,6 @@ impl DramModel {
             timings,
             row_shift: timings.row_bytes.trailing_zeros(),
             open_rows: vec![u64::MAX; timings.banks],
-            stats: DeviceStats::default(),
         }
     }
 
@@ -90,36 +63,21 @@ impl DramModel {
     /// Serves a 64-byte read at byte address `addr`; returns the latency in
     /// cycles.
     pub fn read(&mut self, addr: u64) -> u64 {
-        let hit = self.open_row(addr);
-        self.stats.reads += 1;
-        let cycles = if hit {
-            self.stats.read_buffer_hits += 1;
+        if self.open_row(addr) {
             self.timings.read_hit
         } else {
             self.timings.read_miss
-        };
-        self.stats.read_cycles += cycles;
-        cycles
+        }
     }
 
     /// Serves a 64-byte write at byte address `addr`; returns the (posted)
     /// latency in cycles.
     pub fn write(&mut self, addr: u64) -> u64 {
-        let hit = self.open_row(addr);
-        self.stats.writes += 1;
-        let cycles = if hit {
-            self.stats.write_buffer_hits += 1;
+        if self.open_row(addr) {
             self.timings.write_hit
         } else {
             self.timings.write_miss
-        };
-        self.stats.write_cycles += cycles;
-        cycles
-    }
-
-    /// Accumulated traffic statistics.
-    pub fn stats(&self) -> DeviceStats {
-        self.stats
+        }
     }
 }
 
@@ -144,7 +102,6 @@ mod tests {
         assert_eq!(d.read(0), 200); // cold
         assert_eq!(d.read(64), 100);
         assert_eq!(d.read(128), 100);
-        assert_eq!(d.stats().read_buffer_hits, 2);
     }
 
     #[test]
@@ -164,14 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn writes_are_counted_separately() {
+    fn writes_charge_write_latencies() {
         let mut d = model();
-        d.write(0);
-        d.write(64);
-        let s = d.stats();
-        assert_eq!(s.writes, 2);
-        assert_eq!(s.reads, 0);
-        assert_eq!(s.bytes_written(), 128);
-        assert_eq!(s.write_cycles, 210 + 110);
+        assert_eq!(d.write(0), 210);
+        assert_eq!(d.write(64), 110);
     }
 }

@@ -50,7 +50,6 @@ mod config;
 mod dram;
 mod error;
 mod fault;
-mod frame;
 mod memory_mode;
 mod nvm;
 mod page;
@@ -69,12 +68,11 @@ pub use addr::{
     LINE_SHIFT, LINE_SIZE, PAGE_SHIFT, PAGE_SIZE,
 };
 pub use backend::{MemBackend, NullBackend};
-pub use cache::{CacheOutcome, CacheStats, SetAssocCache};
+pub use cache::{CacheOutcome, SetAssocCache};
 pub use config::{CacheGeometry, DramTimings, MemConfig, NvmTimings, TlbGeometry};
-pub use dram::{DeviceStats, DramModel};
+pub use dram::DramModel;
 pub use error::{MemError, PageFault};
 pub use fault::{CycleWindow, FaultPlan, FaultState, FaultStats, RATE_ONE};
-pub use frame::FrameAllocator;
 pub use memory_mode::{MemoryModeCache, MemoryModeOutcome};
 pub use nvm::NvmModel;
 pub use page::{PageFlags, PageInfo};
@@ -86,5 +84,5 @@ pub use tier::{MemLevel, Tier};
 pub use tiersim_trace::{
     FaultSite, RejectReason, TraceConfig, TraceEvent, TraceLog, TraceRecord, TraceState,
 };
-pub use tlb::{Tlb, TlbOutcome, TlbStats};
+pub use tlb::{Tlb, TlbOutcome};
 pub use vma::{MemPolicy, Vma, VmaId, VmaTable, MMAP_BASE};

@@ -7,8 +7,6 @@
 //! that choice can be quantified (see `repro_all ablate`'s tiering-mode
 //! section).
 
-use crate::cache::CacheStats;
-
 /// A direct-mapped, line-granularity DRAM cache in front of NVM.
 ///
 /// Tags are full line numbers; the set index is `line mod lines` (any
@@ -29,7 +27,6 @@ pub struct MemoryModeCache {
     tags: Vec<u64>,
     dirty: Vec<bool>,
     lines: u64,
-    stats: CacheStats,
 }
 
 /// Result of a Memory-Mode cache access.
@@ -56,7 +53,6 @@ impl MemoryModeCache {
             tags: vec![INVALID; lines as usize],
             dirty: vec![false; lines as usize],
             lines,
-            stats: CacheStats::default(),
         }
     }
 
@@ -64,23 +60,13 @@ impl MemoryModeCache {
     pub fn access(&mut self, line: u64, write: bool) -> MemoryModeOutcome {
         let idx = (line % self.lines) as usize;
         if self.tags[idx] == line {
-            self.stats.hits += 1;
             self.dirty[idx] |= write;
             return MemoryModeOutcome { hit: true, writeback: None };
         }
-        self.stats.misses += 1;
-        let writeback = (self.tags[idx] != INVALID && self.dirty[idx]).then(|| {
-            self.stats.writebacks += 1;
-            self.tags[idx]
-        });
+        let writeback = (self.tags[idx] != INVALID && self.dirty[idx]).then_some(self.tags[idx]);
         self.tags[idx] = line;
         self.dirty[idx] = write;
         MemoryModeOutcome { hit: false, writeback }
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -91,10 +77,8 @@ mod tests {
     #[test]
     fn fill_then_hit() {
         let mut c = MemoryModeCache::new(64 * 4);
-        assert!(!c.access(1, false).hit);
-        assert!(c.access(1, false).hit);
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
+        assert_eq!(c.access(1, false), MemoryModeOutcome { hit: false, writeback: None });
+        assert_eq!(c.access(1, false), MemoryModeOutcome { hit: true, writeback: None });
     }
 
     #[test]

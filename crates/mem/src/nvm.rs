@@ -1,7 +1,6 @@
 //! NVM (Optane-like) device model with a 256-byte internal buffer.
 
 use crate::config::NvmTimings;
-use crate::dram::DeviceStats;
 use crate::recency::{set_mut, touch, ANY};
 
 /// NVM latency model: a small fully-associative buffer of 256-byte media
@@ -33,7 +32,8 @@ pub struct NvmModel {
     /// Fully-associative LRU buffer: `buffer_entries` block numbers in
     /// recency order, MRU first, empty slots at the tail (see `recency`).
     buffer: Vec<u64>,
-    stats: DeviceStats,
+    /// 64 B lines written.
+    lines_written: u64,
     media_blocks_written: u64,
 }
 
@@ -54,7 +54,7 @@ impl NvmModel {
             timings,
             block_shift: timings.block_bytes.trailing_zeros(),
             buffer: vec![EMPTY; timings.buffer_entries],
-            stats: DeviceStats::default(),
+            lines_written: 0,
             media_blocks_written: 0,
         }
     }
@@ -68,7 +68,7 @@ impl NvmModel {
 
     /// Write-amplification factor: media bytes written / requested bytes.
     pub fn write_amplification(&self) -> f64 {
-        let requested = self.stats.bytes_written();
+        let requested = self.lines_written * crate::addr::LINE_SIZE;
         if requested == 0 {
             return 0.0;
         }
@@ -96,39 +96,25 @@ impl NvmModel {
     /// cycles.
     pub fn read(&mut self, addr: u64) -> u64 {
         let block = addr >> self.block_shift;
-        let hit = self.touch_buffer(block);
-        self.stats.reads += 1;
-        let cycles = if hit {
-            self.stats.read_buffer_hits += 1;
+        if self.touch_buffer(block) {
             self.timings.read_hit
         } else {
             self.timings.read_miss
-        };
-        self.stats.read_cycles += cycles;
-        cycles
+        }
     }
 
     /// Serves a 64-byte write at byte address `addr`; returns the (posted)
     /// latency in cycles.
     pub fn write(&mut self, addr: u64) -> u64 {
         let block = addr >> self.block_shift;
-        let hit = self.touch_buffer(block);
-        self.stats.writes += 1;
-        let cycles = if hit {
-            self.stats.write_buffer_hits += 1;
+        self.lines_written += 1;
+        if self.touch_buffer(block) {
             self.timings.write_hit
         } else {
             // Unbuffered sub-block write: read-modify-write of a media block.
             self.media_blocks_written += 1;
             self.timings.write_miss
-        };
-        self.stats.write_cycles += cycles;
-        cycles
-    }
-
-    /// Accumulated traffic statistics.
-    pub fn stats(&self) -> DeviceStats {
-        self.stats
+        }
     }
 }
 
@@ -163,7 +149,6 @@ mod tests {
         for i in 0..8 {
             assert_eq!(n.read(i * 4096), 900);
         }
-        assert_eq!(n.stats().read_buffer_hits, 0);
     }
 
     #[test]

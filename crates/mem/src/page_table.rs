@@ -274,11 +274,6 @@ impl PageTable {
         self.resident[tier.index()]
     }
 
-    /// Total resident pages.
-    pub fn total_resident(&self) -> u64 {
-        self.resident.iter().sum()
-    }
-
     /// Iterates `(page, info)` snapshots for all resident pages in address
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (PageNum, PageInfo)> + '_ {
@@ -329,7 +324,7 @@ mod tests {
         assert_eq!(pt.resident_pages(Tier::Dram), 1);
         let removed = pt.remove(pn(3)).unwrap();
         assert_eq!(removed.tier, Tier::Dram);
-        assert_eq!(pt.total_resident(), 0);
+        assert_eq!(pt.resident_pages(Tier::Dram), 0);
     }
 
     #[test]
@@ -485,7 +480,7 @@ mod tests {
         pt.remove(pn(200));
         assert!(!pt.is_huge(pn(0)));
         assert!(!pt.is_huge(pn(511)));
-        assert_eq!(pt.total_resident(), HUGE_SLOTS as u64 - 1);
+        assert_eq!(pt.resident_pages(Tier::Dram), HUGE_SLOTS as u64 - 1);
     }
 
     #[test]

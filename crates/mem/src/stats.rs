@@ -1,7 +1,7 @@
 //! Aggregate access statistics for the memory system.
 
 use crate::access::AccessOutcome;
-use crate::tier::{MemLevel, Tier};
+use crate::tier::MemLevel;
 
 /// Counters accumulated on the access path.
 ///
@@ -75,16 +75,6 @@ impl AccessStats {
             self.external() as f64 / self.total() as f64
         }
     }
-
-    /// Mean external latency in cycles for `(tier, tlb_miss)`; `None` if
-    /// no such access occurred.
-    pub fn mean_external_cycles(&self, tier: Tier, tlb_miss: bool) -> Option<f64> {
-        let c = self.external_counts[tier.index()][tlb_miss as usize];
-        if c == 0 {
-            return None;
-        }
-        Some(self.external_cycles[tier.index()][tlb_miss as usize] as f64 / c as f64)
-    }
 }
 
 #[cfg(test)]
@@ -92,6 +82,7 @@ mod tests {
     use super::*;
     use crate::access::AccessKind;
     use crate::addr::PageNum;
+    use crate::tier::Tier;
 
     fn outcome(level: MemLevel, cycles: u64, tlb_miss: bool) -> AccessOutcome {
         AccessOutcome {
@@ -119,12 +110,14 @@ mod tests {
     }
 
     #[test]
-    fn mean_external_cycles_by_bucket() {
+    fn record_buckets_external_accesses_by_tier_and_tlb_miss() {
         let mut s = AccessStats::default();
         s.record(AccessKind::Load, &outcome(MemLevel::Nvm, 1000, true));
         s.record(AccessKind::Load, &outcome(MemLevel::Nvm, 2000, true));
-        assert_eq!(s.mean_external_cycles(Tier::Nvm, true), Some(1500.0));
-        assert_eq!(s.mean_external_cycles(Tier::Nvm, false), None);
-        assert_eq!(s.mean_external_cycles(Tier::Dram, true), None);
+        s.record(AccessKind::Load, &outcome(MemLevel::L2, 14, true));
+        let nvm = Tier::Nvm.index();
+        assert_eq!(s.external_counts[nvm], [0, 2]);
+        assert_eq!(s.external_cycles[nvm], [0, 3000]);
+        assert_eq!(s.external_counts[Tier::Dram.index()], [0, 0]);
     }
 }

@@ -7,7 +7,6 @@ use crate::config::MemConfig;
 use crate::dram::DramModel;
 use crate::error::{MemError, PageFault};
 use crate::fault::{FaultState, FaultStats};
-use crate::frame::FrameAllocator;
 use crate::memory_mode::MemoryModeCache;
 use crate::nvm::NvmModel;
 use crate::page::{PageFlags, PageInfo};
@@ -78,7 +77,6 @@ pub struct MemorySystem {
     cfg: MemConfig,
     vmas: VmaTable,
     pages: PageTable,
-    frames: [FrameAllocator; 2],
     tlb: Tlb,
     l1: SetAssocCache,
     l2: SetAssocCache,
@@ -105,10 +103,6 @@ impl MemorySystem {
         Ok(MemorySystem {
             vmas: VmaTable::new(),
             pages: PageTable::new(),
-            frames: [
-                FrameAllocator::new(Tier::Dram, cfg.dram_capacity),
-                FrameAllocator::new(Tier::Nvm, cfg.nvm_capacity),
-            ],
             tlb: Tlb::new(cfg.dtlb, cfg.stlb),
             mm_cache: cfg.memory_mode.then(|| MemoryModeCache::new(cfg.dram_capacity)),
             l1: SetAssocCache::new(cfg.l1),
@@ -158,7 +152,6 @@ impl MemorySystem {
             let end = vma.end().page();
             while pn < end {
                 if let Some(info) = self.pages.remove(pn) {
-                    self.frames[info.tier.index()].free();
                     report.freed_pages[info.tier.index()] += 1;
                     self.tlb.invalidate(pn);
                     if info.huge {
@@ -215,7 +208,7 @@ impl MemorySystem {
             self.trace.record(TraceEvent::FaultInjected { site: FaultSite::DramAlloc });
             return Err(MemError::AllocTransient { tier });
         }
-        self.frames[tier.index()].alloc()?;
+        self.ensure_free_frame(tier)?;
         self.pages.insert(pn, tier, now);
         Ok(())
     }
@@ -228,7 +221,6 @@ impl MemorySystem {
     /// Returns [`MemError::PageNotResident`] if the page is not resident.
     pub fn unmap_page(&mut self, pn: PageNum) -> Result<Tier, MemError> {
         let info = self.pages.remove(pn).ok_or(MemError::PageNotResident { page: pn })?;
-        self.frames[info.tier.index()].free();
         self.tlb.invalidate(pn);
         if info.huge {
             // Removing any base page implicitly split the block; the
@@ -264,8 +256,7 @@ impl MemorySystem {
             self.trace.record(TraceEvent::FaultInjected { site: FaultSite::MigrateBusy });
             return Err(MemError::MigrateBusy { page: pn });
         }
-        self.frames[to.index()].alloc()?;
-        self.frames[from.index()].free();
+        self.ensure_free_frame(to)?;
         self.pages.retier(pn, to);
         self.tlb.invalidate(pn);
         // Copy the page line by line: reads from the source device, writes
@@ -372,26 +363,35 @@ impl MemorySystem {
 
     /// Free pages on a tier.
     pub fn free_pages(&self, tier: Tier) -> u64 {
-        self.frames[tier.index()].free_pages()
+        self.capacity_pages(tier).saturating_sub(self.used_pages(tier))
     }
 
-    /// Used pages on a tier.
+    /// Used pages on a tier: the page table's per-tier resident count,
+    /// kept incrementally (the audit checks it against a full
+    /// [`MemorySystem::resident_pages`] walk).
     pub fn used_pages(&self, tier: Tier) -> u64 {
-        self.frames[tier.index()].used_pages()
+        self.pages.resident_pages(tier)
     }
 
     /// Capacity of a tier in pages.
     pub fn capacity_pages(&self, tier: Tier) -> u64 {
-        self.frames[tier.index()].capacity_pages()
+        let bytes = match tier {
+            Tier::Dram => self.cfg.dram_capacity,
+            Tier::Nvm => self.cfg.nvm_capacity,
+        };
+        bytes / PAGE_SIZE
     }
 
-    /// Resident pages on `tier` per the page table's internal counter.
+    /// Checks that `tier` has a free frame for one more resident page.
     ///
-    /// Audit introspection: this counter is maintained incrementally and
-    /// must agree with both a full [`MemorySystem::resident_pages`] walk
-    /// and the frame allocator's [`MemorySystem::used_pages`].
-    pub fn pt_resident_pages(&self, tier: Tier) -> u64 {
-        self.pages.resident_pages(tier)
+    /// # Errors
+    ///
+    /// Returns [`MemError::TierFull`] when the tier is exhausted.
+    fn ensure_free_frame(&self, tier: Tier) -> Result<(), MemError> {
+        if self.used_pages(tier) >= self.capacity_pages(tier) {
+            return Err(MemError::TierFull { tier });
+        }
+        Ok(())
     }
 
     /// Pages currently cached in the TLB, ascending and deduplicated
@@ -592,28 +592,6 @@ impl MemorySystem {
         self.pages.plain_window(pn, max_pages)
     }
 
-    /// TLB statistics.
-    pub fn tlb_stats(&self) -> crate::tlb::TlbStats {
-        self.tlb.stats()
-    }
-
-    /// Per-cache statistics `(l1, l2, l3)`.
-    pub fn cache_stats(
-        &self,
-    ) -> (crate::cache::CacheStats, crate::cache::CacheStats, crate::cache::CacheStats) {
-        (self.l1.stats(), self.l2.stats(), self.l3.stats())
-    }
-
-    /// DRAM device statistics.
-    pub fn dram_stats(&self) -> crate::dram::DeviceStats {
-        self.dram.stats()
-    }
-
-    /// NVM device statistics.
-    pub fn nvm_stats(&self) -> crate::dram::DeviceStats {
-        self.nvm.stats()
-    }
-
     /// NVM write amplification factor so far.
     pub fn nvm_write_amplification(&self) -> f64 {
         self.nvm.write_amplification()
@@ -737,14 +715,38 @@ mod tests {
     fn migrate_moves_residency_and_charges_devices() {
         let mut s = sys();
         let a = mapped(&mut s, Tier::Nvm);
-        let nvm_reads_before = s.nvm_stats().reads;
         let cycles = s.migrate_page(a.page(), Tier::Dram).unwrap();
-        assert!(cycles > 0);
         assert_eq!(s.page(a.page()).unwrap().tier, Tier::Dram);
         assert_eq!(s.used_pages(Tier::Nvm), 0);
         assert_eq!(s.used_pages(Tier::Dram), 1);
-        assert_eq!(s.nvm_stats().reads - nvm_reads_before, LINES_PER_PAGE);
-        assert_eq!(s.dram_stats().writes, LINES_PER_PAGE);
+        // The copy reads all 64 lines from NVM, one buffer miss per
+        // 256 B block, and writes them into one open DRAM row; the
+        // slower stream is the latency.
+        let (nvm, dram) = (s.config().nvm, s.config().dram);
+        let blocks = PAGE_SIZE / nvm.block_bytes;
+        let reads = blocks * nvm.read_miss + (LINES_PER_PAGE - blocks) * nvm.read_hit;
+        let writes = dram.write_miss + (LINES_PER_PAGE - 1) * dram.write_hit;
+        assert_eq!(cycles, reads.max(writes));
+    }
+
+    #[test]
+    fn migrate_into_a_full_tier_changes_nothing() {
+        let mut s = sys();
+        let a = s.mmap(17 * PAGE_SIZE, MemPolicy::Default, "fill").unwrap();
+        for i in 0..16 {
+            s.map_page((a + i * PAGE_SIZE).page(), Tier::Dram, 0).unwrap();
+        }
+        let pn = (a + 16 * PAGE_SIZE).page();
+        s.map_page(pn, Tier::Nvm, 0).unwrap();
+        // Warm the page's translation.
+        assert!(s.access(pn.base(), AccessKind::Load, 0).unwrap().tlb_miss);
+        let used = [s.used_pages(Tier::Dram), s.used_pages(Tier::Nvm)];
+        assert_eq!(used, [16, 1]);
+        assert_eq!(s.migrate_page(pn, Tier::Dram), Err(MemError::TierFull { tier: Tier::Dram }));
+        assert_eq!(s.page(pn).unwrap().tier, Tier::Nvm);
+        assert_eq!([s.used_pages(Tier::Dram), s.used_pages(Tier::Nvm)], used);
+        assert!(s.tlb_cached_pages().contains(&pn), "a failed migration keeps the translation");
+        assert!(!s.access(pn.base(), AccessKind::Load, 1).unwrap().tlb_miss);
     }
 
     #[test]
@@ -831,17 +833,14 @@ mod tests {
     }
 
     /// Every observable number of a system, for populate-regime
-    /// equivalence checks: access/TLB/cache/device/fault statistics, the
-    /// trace event stream and page residency.
+    /// equivalence checks: access and fault statistics, NVM write
+    /// amplification, the trace event stream and page residency.
     fn fingerprint(s: &MemorySystem) -> String {
         format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            "{:?}|{:?}|{:?}|{:?}|{:?}",
             s.stats(),
-            s.tlb_stats(),
-            s.cache_stats(),
-            s.dram_stats(),
-            s.nvm_stats(),
             s.fault_stats(),
+            s.nvm_write_amplification(),
             s.trace().records(),
             s.resident_pages().collect::<Vec<_>>(),
         )
@@ -870,16 +869,16 @@ mod tests {
         let mut huge = base.clone();
         assert_eq!(huge.collapse_huge(a.page()), Some(Tier::Dram));
         assert_eq!(huge.huge_mapped_pages(), crate::addr::HUGE_PAGE_PAGES);
-        // One load per page across the whole block.
+        // One load per page across the whole block. 4K pages: every page
+        // walks. Huge: one walk for the PMD entry, then every other page
+        // hits the shared head tag.
         for i in 0..crate::addr::HUGE_PAGE_PAGES {
-            base.access(a + i * PAGE_SIZE, AccessKind::Load, i).unwrap();
-            huge.access(a + i * PAGE_SIZE, AccessKind::Load, i).unwrap();
+            assert!(base.access(a + i * PAGE_SIZE, AccessKind::Load, i).unwrap().tlb_miss);
+            let out = huge.access(a + i * PAGE_SIZE, AccessKind::Load, i).unwrap();
+            assert_eq!(out.tlb_miss, i == 0, "page {i}");
         }
-        // 4K pages: every page walks. Huge: one walk for the PMD entry,
-        // then every other page hits the shared head tag.
-        assert_eq!(base.tlb_stats().misses, crate::addr::HUGE_PAGE_PAGES);
-        assert_eq!(huge.tlb_stats().misses, 1);
-        assert_eq!(huge.tlb_stats().l1_hits, crate::addr::HUGE_PAGE_PAGES - 1);
+        assert_eq!(base.stats().tlb_misses, crate::addr::HUGE_PAGE_PAGES);
+        assert_eq!(huge.stats().tlb_misses, 1);
         let cycles = |s: &MemorySystem| s.stats().level_cycles.iter().sum::<u64>();
         assert!(cycles(&huge) < cycles(&base), "shared translation must be cheaper");
     }
@@ -889,18 +888,17 @@ mod tests {
         let (mut s, a) = huge_region(Tier::Nvm);
         // Warm a 4K translation, then collapse: the old tag must not
         // serve the block.
-        s.access(a + 3 * PAGE_SIZE, AccessKind::Load, 0).unwrap();
-        assert_eq!(s.tlb_stats().misses, 1);
+        assert!(s.access(a + 3 * PAGE_SIZE, AccessKind::Load, 0).unwrap().tlb_miss);
         assert_eq!(s.collapse_huge(a.page()), Some(Tier::Nvm));
         let out = s.access(a + 3 * PAGE_SIZE, AccessKind::Load, 1).unwrap();
         assert!(out.tlb_miss, "collapse must flush stale 4K tags");
         // Split: the PMD tag is flushed, pages translate per-4K again.
         assert_eq!(s.split_huge(a.page()), Some(a.page()));
         assert_eq!(s.huge_mapped_pages(), 0);
-        let m0 = s.tlb_stats().misses;
-        s.access(a, AccessKind::Load, 2).unwrap();
-        s.access(a + PAGE_SIZE, AccessKind::Load, 2).unwrap();
-        assert_eq!(s.tlb_stats().misses, m0 + 2, "split must flush the shared PMD tag");
+        for page in [a, a + PAGE_SIZE] {
+            let out = s.access(page, AccessKind::Load, 2).unwrap();
+            assert!(out.tlb_miss, "split must flush the shared PMD tag");
+        }
     }
 
     #[test]
@@ -924,9 +922,7 @@ mod tests {
         assert_eq!(s.huge_mapped_pages(), 0);
         // The survivors translate per-4K and must re-walk (no stale PMD
         // tag may serve them).
-        let m0 = s.tlb_stats().misses;
-        s.access(a, AccessKind::Load, 1).unwrap();
-        assert_eq!(s.tlb_stats().misses, m0 + 1);
+        assert!(s.access(a, AccessKind::Load, 1).unwrap().tlb_miss);
     }
 
     #[test]

@@ -24,24 +24,6 @@ impl TlbOutcome {
     }
 }
 
-/// Hit/miss counters for the TLB.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// DTLB hits.
-    pub l1_hits: u64,
-    /// STLB hits (DTLB misses).
-    pub l2_hits: u64,
-    /// Full misses (page walks).
-    pub misses: u64,
-}
-
-impl TlbStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.l1_hits + self.l2_hits + self.misses
-    }
-}
-
 /// One TLB level, true LRU per set.
 #[derive(Debug, Clone)]
 struct TlbLevel {
@@ -140,7 +122,6 @@ impl TlbLevel {
 pub struct Tlb {
     l1: TlbLevel,
     l2: TlbLevel,
-    stats: TlbStats,
 }
 
 impl Tlb {
@@ -150,7 +131,7 @@ impl Tlb {
     ///
     /// Panics on inconsistent geometry (non-power-of-two set counts).
     pub fn new(dtlb: TlbGeometry, stlb: TlbGeometry) -> Self {
-        Tlb { l1: TlbLevel::new(dtlb), l2: TlbLevel::new(stlb), stats: TlbStats::default() }
+        Tlb { l1: TlbLevel::new(dtlb), l2: TlbLevel::new(stlb) }
     }
 
     /// Looks up a translation. On an STLB hit the entry is promoted into
@@ -164,13 +145,10 @@ impl Tlb {
     pub fn lookup(&mut self, pn: PageNum) -> TlbOutcome {
         let pn = pn.index();
         if self.l1.touch(pn) {
-            self.stats.l1_hits += 1;
             TlbOutcome::L1Hit
         } else if self.l2.touch(pn) {
-            self.stats.l2_hits += 1;
             TlbOutcome::L2Hit
         } else {
-            self.stats.misses += 1;
             TlbOutcome::Miss
         }
     }
@@ -204,11 +182,6 @@ impl Tlb {
         pages.sort_unstable();
         pages.dedup();
         pages.into_iter().map(PageNum::new).collect()
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> TlbStats {
-        self.stats
     }
 }
 
@@ -257,10 +230,10 @@ mod tests {
             })
         }
 
-        /// Installs a translation in both levels without counting a lookup.
-        /// A level that already holds it only moves it to the front of its
-        /// set. The post-walk fill of [`Tlb::lookup_then_insert`], and a
-        /// way for tests to place entries without touching the stats.
+        /// Installs a translation in both levels. A level that already
+        /// holds it only moves it to the front of its set. The post-walk
+        /// fill of [`Tlb::lookup_then_insert`], and a way for tests to
+        /// place entries.
         fn insert(&mut self, pn: PageNum) {
             let pn = pn.index();
             for level in [&mut self.l1, &mut self.l2] {
@@ -277,14 +250,11 @@ mod tests {
         fn lookup_then_insert(&mut self, pn: PageNum) -> TlbOutcome {
             let key = pn.index();
             let outcome = if self.l1.lookup(key) {
-                self.stats.l1_hits += 1;
                 TlbOutcome::L1Hit
             } else if self.l2.lookup(key) {
-                self.stats.l2_hits += 1;
                 self.l1.insert(key);
                 TlbOutcome::L2Hit
             } else {
-                self.stats.misses += 1;
                 TlbOutcome::Miss
             };
             if outcome.is_miss() {
@@ -394,21 +364,17 @@ mod tests {
     struct AgeTlb {
         l1: AgeLevel,
         l2: AgeLevel,
-        stats: TlbStats,
     }
 
     impl AgeTlb {
         /// A lookup plus, on a miss, the fill after the walk.
         fn lookup(&mut self, pn: u64) -> TlbOutcome {
             if self.l1.lookup(pn) {
-                self.stats.l1_hits += 1;
                 TlbOutcome::L1Hit
             } else if self.l2.lookup(pn) {
-                self.stats.l2_hits += 1;
                 self.l1.insert(pn);
                 TlbOutcome::L2Hit
             } else {
-                self.stats.misses += 1;
                 self.insert(pn);
                 TlbOutcome::Miss
             }
@@ -473,8 +439,7 @@ mod tests {
     proptest! {
         /// Filling on the miss a lookup detects leaves exactly what the
         /// separate lookup and post-walk insert left: same outcomes,
-        /// stats, cached pages and per-set recency in both levels, op by
-        /// op.
+        /// cached pages and per-set recency in both levels, op by op.
         #[test]
         fn fill_on_miss_matches_lookup_then_insert(
             geo in 0usize..3,
@@ -502,15 +467,14 @@ mod tests {
                         old.flush();
                     }
                 }
-                prop_assert_eq!(new.stats(), old.stats(), "{:?}", op);
                 prop_assert_eq!(new.cached_pages(), old.cached_pages(), "{:?}", op);
                 prop_assert_eq!(new.recency(), old.recency(), "{:?}", op);
             }
         }
 
         /// The recency-ordered sets replace exactly what the age-counter
-        /// model replaced: same outcomes, stats, cached pages and per-set
-        /// recency in both levels, op by op.
+        /// model replaced: same outcomes, cached pages and per-set recency
+        /// in both levels, op by op.
         #[test]
         fn recency_sets_match_the_age_counter_model(
             geo in 0usize..3,
@@ -518,11 +482,7 @@ mod tests {
         ) {
             let [dtlb, stlb] = GEOMETRIES[geo];
             let mut new = Tlb::new(dtlb, stlb);
-            let mut old = AgeTlb {
-                l1: AgeLevel::new(dtlb),
-                l2: AgeLevel::new(stlb),
-                stats: TlbStats::default(),
-            };
+            let mut old = AgeTlb { l1: AgeLevel::new(dtlb), l2: AgeLevel::new(stlb) };
             for op in ops {
                 match op {
                     TlbOp::Lookup(pn) => {
@@ -543,7 +503,6 @@ mod tests {
                         old.l2.flush();
                     }
                 }
-                prop_assert_eq!(new.stats(), old.stats, "{:?}", op);
                 prop_assert_eq!(new.cached_pages(), old.cached_pages(), "{:?}", op);
                 prop_assert_eq!(new.recency(), [old.l1.recency(), old.l2.recency()], "{:?}", op);
             }
@@ -613,16 +572,5 @@ mod tests {
         for pn in 0..8 {
             assert!(t.lookup(PageNum::new(pn)).is_miss());
         }
-    }
-
-    #[test]
-    fn stats_track_outcomes() {
-        let mut t = tiny();
-        t.lookup(PageNum::new(1)); // miss
-        t.lookup(PageNum::new(1)); // l1 hit
-        let s = t.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.l1_hits, 1);
-        assert_eq!(s.lookups(), 2);
     }
 }

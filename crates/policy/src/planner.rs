@@ -17,16 +17,6 @@ pub struct StaticPlan {
     pub spilled_label: Option<String>,
 }
 
-impl StaticPlan {
-    /// Unused DRAM budget left by the plan — the whole-object variant's
-    /// weakness the paper calls out ("this increases the chances of
-    /// leaving the DRAM capacity unused especially when you have large
-    /// objects").
-    pub fn dram_unused(&self) -> u64 {
-        self.dram_budget - self.dram_used
-    }
-}
-
 /// Plans object placements greedily: rank labels by access density
 /// (descending), assign whole objects to DRAM until the budget runs out,
 /// and everything else to NVM.
@@ -96,7 +86,7 @@ mod tests {
         assert_eq!(plan.placement.placement_for("b"), Placement::Dram);
         assert_eq!(plan.placement.placement_for("c"), Placement::Nvm);
         assert_eq!(plan.dram_used, 200);
-        assert_eq!(plan.dram_unused(), 0);
+        assert_eq!(plan.dram_budget, 200);
     }
 
     #[test]
@@ -118,7 +108,7 @@ mod tests {
         // After the spill, DRAM is exhausted: c goes to NVM.
         assert_eq!(plan.placement.placement_for("c"), Placement::Nvm);
         assert_eq!(plan.spilled_label.as_deref(), Some("big"));
-        assert_eq!(plan.dram_unused(), 0);
+        assert_eq!(plan.dram_used, plan.dram_budget);
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl AllocTracker {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Total bytes live at `time`.
-    pub fn live_bytes_at(&self, time: u64) -> u64 {
-        self.records.iter().filter(|r| r.live_at(time)).map(|r| r.len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -221,16 +216,5 @@ mod tests {
                 proptest::prop_assert_eq!(t.object_at(VirtAddr::new(b + len)), None);
             }
         }
-    }
-
-    #[test]
-    fn live_bytes_timeline() {
-        let mut t = AllocTracker::new();
-        t.on_mmap(VirtAddr::new(0x1000), 100, "a", 0);
-        t.on_mmap(VirtAddr::new(0x8000), 50, "b", 10);
-        t.on_munmap(VirtAddr::new(0x1000), 20);
-        assert_eq!(t.live_bytes_at(5), 100);
-        assert_eq!(t.live_bytes_at(15), 150);
-        assert_eq!(t.live_bytes_at(25), 50);
     }
 }

@@ -76,19 +76,6 @@ impl TouchHistogram {
             self.accesses_three_plus as f64 / t as f64,
         )
     }
-
-    /// Fractions of *pages* with (1, 2, 3+) touches.
-    pub fn page_fractions(&self) -> (f64, f64, f64) {
-        let t = self.total_pages();
-        if t == 0 {
-            return (0.0, 0.0, 0.0);
-        }
-        (
-            self.pages_one as f64 / t as f64,
-            self.pages_two as f64 / t as f64,
-            self.pages_three_plus as f64 / t as f64,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -129,8 +116,6 @@ mod tests {
         assert!((a1 - 1.0 / 6.0).abs() < 1e-12);
         assert!((a2 - 2.0 / 6.0).abs() < 1e-12);
         assert!((a3 - 3.0 / 6.0).abs() < 1e-12);
-        let (p1, _, _) = h.page_fractions();
-        assert!((p1 - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -155,7 +140,6 @@ mod tests {
         let h = TouchHistogram::of(&samples);
         let (a, b, c) = h.access_fractions();
         assert!((a + b + c - 1.0).abs() < 1e-9);
-        let (x, y, z) = h.page_fractions();
-        assert!((x + y + z - 1.0).abs() < 1e-9);
+        assert_eq!(h.pages_one + h.pages_two + h.pages_three_plus, h.total_pages());
     }
 }

@@ -53,7 +53,6 @@ impl MemSample {
 pub struct Sampler {
     period: u64,
     countdown: u64,
-    enabled: bool,
     samples: Vec<MemSample>,
     observed: u64,
 }
@@ -66,7 +65,7 @@ impl Sampler {
     /// Panics if `period == 0`.
     pub fn new(period: u64) -> Self {
         assert!(period > 0, "sampling period must be positive");
-        Sampler { period, countdown: period, enabled: true, samples: Vec::new(), observed: 0 }
+        Sampler { period, countdown: period, samples: Vec::new(), observed: 0 }
     }
 
     /// The configured sampling period.
@@ -74,20 +73,9 @@ impl Sampler {
         self.period
     }
 
-    /// Total accesses observed (sampled or not) while enabled.
+    /// Total accesses observed (sampled or not).
     pub fn observed(&self) -> u64 {
         self.observed
-    }
-
-    /// Enables or disables sampling (e.g. to profile only the region of
-    /// interest, as the paper's scripts do).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Returns `true` if sampling is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Observes one completed access; records a sample every `period`-th
@@ -101,9 +89,6 @@ impl Sampler {
         thread: ThreadId,
         now: u64,
     ) -> bool {
-        if !self.enabled {
-            return false;
-        }
         self.observed += 1;
         self.countdown -= 1;
         if self.countdown > 0 {
@@ -131,17 +116,14 @@ impl Sampler {
 
     /// Observes `n` accesses in bulk, none of which is due for a sample:
     /// exactly equivalent to `n` [`Sampler::observe`] calls that all
-    /// return `false`. No-op while disabled (as `observe` is). The
-    /// machine's batched run path uses this for the gap between samples.
+    /// return `false`. The machine's batched run path uses this for the
+    /// gap between samples.
     ///
     /// # Panics
     ///
-    /// Panics if `n >= until_due()` while enabled — the bulk skip would
-    /// silently swallow a due sample.
+    /// Panics if `n >= until_due()` — the bulk skip would silently
+    /// swallow a due sample.
     pub fn observe_gap(&mut self, n: u64) {
-        if !self.enabled {
-            return;
-        }
         assert!(n < self.countdown, "bulk observation would skip a due sample");
         self.observed += n;
         self.countdown -= n;
@@ -155,11 +137,6 @@ impl Sampler {
     /// Consumes the sampler, returning its samples.
     pub fn into_samples(self) -> Vec<MemSample> {
         self.samples
-    }
-
-    /// Clears recorded samples (period phase is kept).
-    pub fn clear(&mut self) {
-        self.samples.clear();
     }
 }
 
@@ -196,21 +173,6 @@ mod tests {
         // Every third observation: addresses 2, 5, 8.
         assert_eq!(s.samples()[0].addr, VirtAddr::new(2));
         assert_eq!(s.samples()[1].addr, VirtAddr::new(5));
-    }
-
-    #[test]
-    fn disabled_sampler_records_nothing() {
-        let mut s = Sampler::new(1);
-        s.set_enabled(false);
-        assert!(!s.observe(
-            AccessKind::Load,
-            &outcome(MemLevel::L1),
-            VirtAddr::new(0),
-            ThreadId(0),
-            0
-        ));
-        assert!(s.samples().is_empty());
-        assert_eq!(s.observed(), 0);
     }
 
     #[test]
@@ -259,15 +221,6 @@ mod tests {
         assert_eq!(bulk.until_due(), looped.until_due());
         assert_eq!(bulk.samples(), looped.samples());
         assert_eq!(bulk.samples().len(), (total / 7) as usize);
-    }
-
-    #[test]
-    fn observe_gap_noop_while_disabled() {
-        let mut s = Sampler::new(3);
-        s.set_enabled(false);
-        s.observe_gap(1_000_000);
-        assert_eq!(s.observed(), 0);
-        assert_eq!(s.until_due(), 3);
     }
 
     #[test]

@@ -242,7 +242,8 @@ fn defaults_use_the_calibrated_testbed() {
     assert_eq!(cli.experiment.jobs, 1);
     assert_eq!(cli.tune.experiment, cli.experiment);
     assert_eq!(cli.tune.rung_budget, 2000);
-    assert_eq!(cli.resume.as_deref(), Some(Path::new("tune.journal")));
+    // Like the suite, the tuner journals only under `--resume`.
+    assert!(cli.resume.is_none());
 }
 
 #[test]
@@ -270,6 +271,8 @@ fn parses_search_flags_and_rejects_degenerate_values() {
         "8",
         "--seed",
         "7",
+        "--resume",
+        "t.journal",
         "--kill-at",
         "3",
     ])
@@ -281,18 +284,20 @@ fn parses_search_flags_and_rejects_degenerate_values() {
     assert_eq!(cli.kill_at, Some(3));
     assert!(parse(&["tune", "--rung-budget", "0"]).is_err());
     assert!(parse(&["tune", "--finalists", "0"]).is_err());
-    assert!(parse(&["tune", "--kill-at", "0"]).is_err());
+    assert!(parse(&["tune", "--resume", "t.journal", "--kill-at", "0"]).is_err());
     assert!(parse(&["tune", "--grid", "huge"]).is_err());
     assert!(parse(&["tune", "--bogus"]).is_err());
 }
 
 #[test]
 fn runner_options_arm_exit_kills() {
-    let cli = parse(&["tune", "--kill-at", "5", "--jobs", "4"]).unwrap();
+    let cli = parse(&["tune", "--resume", "t.journal", "--kill-at", "5", "--jobs", "4"]).unwrap();
     let opts = cli.runner_options();
     assert_eq!(opts.jobs, 4);
     assert_eq!(opts.max_attempts, 1);
     assert_eq!(opts.kill, Some(KillSpec { at_append: 5, torn: false, mode: KillMode::Exit }));
+    // A kill point needs a journal to append to, for every command.
+    assert_eq!(exit_code("tune", &["--kill-at".to_string(), "5".to_string()]), 2);
 }
 
 #[test]

@@ -244,8 +244,7 @@ fn chunked_fill_matches_per_element_stores() {
     assert_eq!((chunked.os_ticks(), looped.os_ticks()), ticks, "an OS tick landed in the run");
     assert_eq!(vc.host(), vl.host());
     assert_eq!(chunked.mem().stats(), looped.mem().stats());
-    assert_eq!(chunked.mem().tlb_stats(), looped.mem().tlb_stats());
-    assert_eq!(chunked.mem().cache_stats(), looped.mem().cache_stats());
+    assert_eq!(chunked.mem().tlb_cached_pages(), looped.mem().tlb_cached_pages());
     assert_eq!(chunked.now_cycles(), looped.now_cycles());
     assert_eq!(chunked.busy_cycles(), looped.busy_cycles());
     assert_eq!(chunked.sampler_observed(), looped.sampler_observed());

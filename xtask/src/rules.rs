@@ -76,9 +76,7 @@ impl Scope {
                     && (path.starts_with("crates/") || path.starts_with("src/"))
             }
             Scope::AddrArithmetic => {
-                path == "crates/mem/src/addr.rs"
-                    || path == "crates/mem/src/page_table.rs"
-                    || path == "crates/mem/src/frame.rs"
+                path == "crates/mem/src/addr.rs" || path == "crates/mem/src/page_table.rs"
             }
             Scope::NoUnscopedThreads => {
                 path != "crates/core/src/sweep.rs" && !path.starts_with("xtask/")
