@@ -171,11 +171,15 @@ impl UniformGenerator {
 
     /// The edges [`UniformGenerator::generate`] lists, in the same order,
     /// drawn one at a time; each call restarts from the seed.
+    ///
+    /// Each endpoint is a draw reduced modulo `n`; because `n` is a power
+    /// of two that is a mask, not a 64-bit division.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> {
-        let n = self.num_nodes() as u64;
+        let n = self.num_nodes();
+        let mask = n as u64 - 1;
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        (0..self.degree * n as usize)
-            .map(move |_| (rng.gen_range(0..n) as NodeId, rng.gen_range(0..n) as NodeId))
+        (0..self.degree * n)
+            .map(move |_| ((rng.next_u64() & mask) as NodeId, (rng.next_u64() & mask) as NodeId))
     }
 }
 
@@ -280,6 +284,26 @@ mod tests {
         for k in draws {
             let r = k as f64 * unit;
             assert_eq!(quadrant(k, &t), quadrant_if_chain(r, g.a, g.b, g.c), "k = {k}, r = {r}");
+        }
+    }
+
+    /// [`UniformGenerator::edges`] drawing each endpoint with
+    /// `gen_range(0..n)`, the form the mask replaced, kept as its oracle.
+    fn urand_gen_range(g: &UniformGenerator) -> Vec<(NodeId, NodeId)> {
+        let n = g.num_nodes() as u64;
+        let mut rng = SmallRng::seed_from_u64(g.seed);
+        (0..g.degree * n as usize)
+            .map(|_| (rng.gen_range(0..n) as NodeId, rng.gen_range(0..n) as NodeId))
+            .collect()
+    }
+
+    #[test]
+    fn urand_mask_matches_gen_range() {
+        for scale in 1..=14 {
+            for seed in [0, 1, 7, 27491095, u64::MAX] {
+                let g = UniformGenerator::new(scale, 2).seed(seed);
+                assert!(g.edges().eq(urand_gen_range(&g)), "scale {scale}, seed {seed}");
+            }
         }
     }
 

@@ -76,7 +76,6 @@ pub use fault::{CycleWindow, FaultPlan, FaultState, FaultStats, RATE_ONE};
 pub use memory_mode::{MemoryModeCache, MemoryModeOutcome};
 pub use nvm::NvmModel;
 pub use page::{PageFlags, PageInfo};
-pub use page_table::PageTable;
 pub use simvec::SimVec;
 pub use stats::AccessStats;
 pub use system::{IntervalStats, MemorySystem, UnmapReport};

@@ -20,11 +20,22 @@ impl PageFlags {
     /// The page belongs to the OS page cache (file-backed, clean): reclaim
     /// may drop or demote it cheaply.
     pub const PAGE_CACHE: PageFlags = PageFlags(1 << 1);
-    /// The page is on the OS active LRU list.
-    pub const ACTIVE: PageFlags = PageFlags(1 << 2);
     /// The page has been promoted NVM→DRAM at least once (used for the
     /// `pgpromote_demoted` counter).
-    pub const WAS_PROMOTED: PageFlags = PageFlags(1 << 3);
+    pub const WAS_PROMOTED: PageFlags = PageFlags(1 << 2);
+
+    /// The raw bits (the page table packs them into its per-page state
+    /// byte).
+    #[inline]
+    pub(crate) const fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// Flags from raw bits.
+    #[inline]
+    pub(crate) const fn from_bits(bits: u8) -> PageFlags {
+        PageFlags(bits)
+    }
 
     /// Returns `true` if all bits of `other` are set in `self`.
     #[inline]
@@ -80,9 +91,6 @@ impl fmt::Display for PageFlags {
         if self.contains(PageFlags::PAGE_CACHE) {
             put(f, "PAGE_CACHE")?;
         }
-        if self.contains(PageFlags::ACTIVE) {
-            put(f, "ACTIVE")?;
-        }
         if self.contains(PageFlags::WAS_PROMOTED) {
             put(f, "WAS_PROMOTED")?;
         }
@@ -95,15 +103,26 @@ impl fmt::Display for PageFlags {
 
 /// Metadata snapshot for one resident page.
 ///
-/// Since the struct-of-arrays page table refactor this is a *value* type:
-/// the authoritative storage is the parallel columns inside
-/// [`PageTable`](crate::PageTable), and `PageInfo` is only materialized at
-/// the API boundary (reads return a copy; mutation goes through
-/// `PageTable::update`, which writes the edited copy back). Constructing a
-/// `PageInfo` anywhere outside the page-table module is forbidden by the
-/// `pageinfo-construct` lint rule — go through `PageTable::insert` /
-/// `update` instead so the residency counters and columns stay coherent.
+/// A *value* type: the page table keeps one packed record per page and
+/// hands out copies (`MemorySystem::page`, `MemorySystem::resident_pages`).
+/// A page's state changes only through the `MemorySystem` operations
+/// (map, migrate, unmap, the flag setters, collapse and split), which keep
+/// the per-tier counts and the huge blocks coherent. The type is
+/// `#[non_exhaustive]`, so no other crate can build one:
+///
+/// ```compile_fail,E0639
+/// use tiersim_mem::{PageFlags, PageInfo, Tier};
+///
+/// let forged = PageInfo {
+///     tier: Tier::Dram,
+///     flags: PageFlags::NONE,
+///     scan_time: 0,
+///     last_access: 0,
+///     huge: false,
+/// };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct PageInfo {
     /// The tier whose frame currently backs this page.
     pub tier: Tier,
@@ -116,11 +135,8 @@ pub struct PageInfo {
     /// Cycle timestamp of the most recent access.
     pub last_access: u64,
     /// `true` if this base page is part of a collapsed 2 MiB mapping.
-    ///
-    /// Read-only in the snapshot: `PageTable::update` ignores writes to
-    /// this field. Huge membership changes only through the dedicated
-    /// `PageTable::collapse_block` / `split_block` transitions, which keep
-    /// the whole 512-page block coherent.
+    /// Huge membership changes only through collapse and split, which
+    /// keep the whole 512-page block coherent.
     pub huge: bool,
 }
 
@@ -133,9 +149,9 @@ mod tests {
         let mut f = PageFlags::NONE;
         assert!(f.is_empty());
         f.insert(PageFlags::HINT);
-        f |= PageFlags::ACTIVE;
+        f |= PageFlags::WAS_PROMOTED;
         assert!(f.contains(PageFlags::HINT));
-        assert!(f.contains(PageFlags::ACTIVE));
+        assert!(f.contains(PageFlags::WAS_PROMOTED));
         assert!(!f.contains(PageFlags::PAGE_CACHE));
         f.remove(PageFlags::HINT);
         assert!(!f.contains(PageFlags::HINT));
@@ -143,15 +159,15 @@ mod tests {
 
     #[test]
     fn contains_requires_all_bits() {
-        let f = PageFlags::HINT | PageFlags::ACTIVE;
-        assert!(f.contains(PageFlags::HINT | PageFlags::ACTIVE));
+        let f = PageFlags::HINT | PageFlags::WAS_PROMOTED;
+        assert!(f.contains(PageFlags::HINT | PageFlags::WAS_PROMOTED));
         assert!(!f.contains(PageFlags::HINT | PageFlags::PAGE_CACHE));
     }
 
     #[test]
     fn display_is_never_empty() {
         assert_eq!(PageFlags::NONE.to_string(), "-");
-        assert_eq!((PageFlags::HINT | PageFlags::ACTIVE).to_string(), "HINT|ACTIVE");
+        assert_eq!((PageFlags::HINT | PageFlags::WAS_PROMOTED).to_string(), "HINT|WAS_PROMOTED");
     }
 
     #[test]

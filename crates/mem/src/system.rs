@@ -277,22 +277,17 @@ impl MemorySystem {
         self.pages.get(pn)
     }
 
-    /// Applies `f` to the page's metadata (for OS flag updates), writing
-    /// the edited snapshot back to the struct-of-arrays page table.
-    /// Returns `f`'s result, or `None` if the page is not resident.
-    pub fn page_update<R>(&mut self, pn: PageNum, f: impl FnOnce(&mut PageInfo) -> R) -> Option<R> {
-        self.pages.update(pn, f)
-    }
-
     /// Marks a resident page for NUMA hinting; its next access raises a
     /// hint fault. Returns `false` if the page is not resident.
     pub fn mark_hint(&mut self, pn: PageNum, now: u64) -> bool {
-        self.pages
-            .update(pn, |info| {
-                info.flags.insert(PageFlags::HINT);
-                info.scan_time = now;
-            })
-            .is_some()
+        self.pages.mark_hint(pn, now)
+    }
+
+    /// Sets (`on`) or clears the `flags` bits of a resident page; its
+    /// tier, stamps and huge membership stay as they are. Returns `false`
+    /// if the page is not resident.
+    pub fn set_page_flags(&mut self, pn: PageNum, flags: PageFlags, on: bool) -> bool {
+        self.pages.set_flags(pn, flags, on)
     }
 
     // ----- huge pages (2 MiB) -------------------------------------------
@@ -303,8 +298,10 @@ impl MemorySystem {
     }
 
     /// Collapses the 512-page block headed at `head` into one 2 MiB
-    /// mapping (the khugepaged transition; see
-    /// [`PageTable::collapse_block`] for the eligibility rules). On
+    /// mapping (the khugepaged transition). The block is eligible iff
+    /// `head` is 2 MiB aligned and all 512 base pages are resident on one
+    /// tier, none already huge, with no pending HINT and no page-cache
+    /// membership; per-page metadata is kept for a later split. On
     /// success the base pages' 4K TLB entries are invalidated — the block
     /// translates under `head` from now on — and the block's tier is
     /// returned. `None` means the block was ineligible and nothing
@@ -328,12 +325,6 @@ impl MemorySystem {
         let head = self.pages.split_block(pn)?;
         self.tlb.invalidate(head);
         Some(head)
-    }
-
-    /// Number of resident pages currently covered by collapsed 2 MiB
-    /// mappings (audit introspection; a multiple of 512 by construction).
-    pub fn huge_mapped_pages(&self) -> u64 {
-        self.pages.iter().filter(|(_, info)| info.huge).count() as u64
     }
 
     /// Widest fault-around window for a fault at `pn`: how many
@@ -587,7 +578,7 @@ impl MemorySystem {
     /// Number of leading pages in `[pn, pn + max_pages)` that are *plain*
     /// — resident with no pending hint bit, so a batched run over them
     /// cannot fault or raise a hint fault. Returns 0 if `pn` itself needs
-    /// per-element care (see [`PageTable::plain_window`]).
+    /// per-element care.
     pub fn plain_window(&self, pn: PageNum, max_pages: usize) -> usize {
         self.pages.plain_window(pn, max_pages)
     }
@@ -868,7 +859,10 @@ mod tests {
         let (mut base, a) = huge_region(Tier::Dram);
         let mut huge = base.clone();
         assert_eq!(huge.collapse_huge(a.page()), Some(Tier::Dram));
-        assert_eq!(huge.huge_mapped_pages(), crate::addr::HUGE_PAGE_PAGES);
+        assert_eq!(
+            huge.resident_pages().filter(|(_, i)| i.huge).count() as u64,
+            crate::addr::HUGE_PAGE_PAGES
+        );
         // One load per page across the whole block. 4K pages: every page
         // walks. Huge: one walk for the PMD entry, then every other page
         // hits the shared head tag.
@@ -894,7 +888,7 @@ mod tests {
         assert!(out.tlb_miss, "collapse must flush stale 4K tags");
         // Split: the PMD tag is flushed, pages translate per-4K again.
         assert_eq!(s.split_huge(a.page()), Some(a.page()));
-        assert_eq!(s.huge_mapped_pages(), 0);
+        assert!(s.resident_pages().all(|(_, i)| !i.huge));
         for page in [a, a + PAGE_SIZE] {
             let out = s.access(page, AccessKind::Load, 2).unwrap();
             assert!(out.tlb_miss, "split must flush the shared PMD tag");
@@ -919,7 +913,7 @@ mod tests {
         assert_eq!(s.collapse_huge(a.page()), Some(Tier::Dram));
         s.access(a + 9 * PAGE_SIZE, AccessKind::Load, 0).unwrap(); // head tag in
         s.unmap_page((a + 9 * PAGE_SIZE).page()).unwrap();
-        assert_eq!(s.huge_mapped_pages(), 0);
+        assert!(s.resident_pages().all(|(_, i)| !i.huge));
         // The survivors translate per-4K and must re-walk (no stale PMD
         // tag may serve them).
         assert!(s.access(a, AccessKind::Load, 1).unwrap().tlb_miss);

@@ -159,32 +159,39 @@ fn check_huge(mem: &MemorySystem, report: &mut AuditReport) {
     heads.dedup();
     for head in heads {
         report.checks += 1;
-        let mut tier = None;
-        let mut problem = None;
-        let mut pn = head;
-        for _ in 0..HUGE_PAGE_PAGES {
-            match mem.page(pn) {
-                Some(info) if info.huge => {
-                    if *tier.get_or_insert(info.tier) != info.tier {
-                        problem = Some(format!("page {pn} is on a different tier than its head"));
-                        break;
-                    }
-                }
-                Some(_) => {
-                    problem = Some(format!("page {pn} is resident but not huge inside the block"));
-                    break;
-                }
-                None => {
-                    problem = Some(format!("page {pn} is not resident inside the block"));
-                    break;
-                }
-            }
-            pn = pn.next();
-        }
-        if let Some(detail) = problem {
+        let block = std::iter::successors(Some(head), |pn| Some(pn.next()))
+            .take(HUGE_PAGE_PAGES as usize)
+            .filter_map(|pn| mem.page(pn).map(|info| (pn, info.tier, info.huge)));
+        if let Some(detail) = huge_block_problem(head, block) {
             fail(report, "huge-block-integrity", AuditSubject::Page(head), detail);
         }
     }
+}
+
+/// What breaks the block headed at `head`, given its resident pages as
+/// `(page, tier, huge)` in address order: a hole, a member that is not
+/// huge, or a member on another tier than the head. `None` for an intact
+/// block.
+fn huge_block_problem(
+    head: PageNum,
+    block: impl IntoIterator<Item = (PageNum, Tier, bool)>,
+) -> Option<String> {
+    let mut want = head;
+    let mut head_tier = None;
+    for (pn, tier, huge) in block {
+        if pn != want {
+            return Some(format!("page {want} is not resident inside the block"));
+        }
+        if !huge {
+            return Some(format!("page {pn} is resident but not huge inside the block"));
+        }
+        if *head_tier.get_or_insert(tier) != tier {
+            return Some(format!("page {pn} is on a different tier than its head"));
+        }
+        want = want.next();
+    }
+    (want.index() - head.index() < HUGE_PAGE_PAGES)
+        .then(|| format!("page {want} is not resident inside the block"))
 }
 
 /// Conservation laws over the vmstat counters, each derived from the
@@ -509,18 +516,30 @@ mod tests {
         assert!(m.collapse_huge(a.page()).is_some());
         let clean = run(&m, &VmCounters::default(), &OsConfig::default());
         assert!(clean.is_clean(), "{:?}", clean.violations);
-        // Planted bug: flip one member's tier snapshot so the collapsed
-        // block is no longer uniform — exactly the corruption
-        // huge-block-integrity exists to catch (the page table's per-tier
-        // counts follow the flip, so frame accounting stays clean).
-        m.page_update((a + PAGE_SIZE).page(), |p| p.tier = Tier::Nvm).unwrap();
-        let report = run(&m, &VmCounters::default(), &OsConfig::default());
-        assert!(
-            report.violations.iter().any(|v| v.invariant == "huge-block-integrity"),
-            "{:?}",
-            report.violations
-        );
-        assert!(report.violations.iter().all(|v| v.invariant != "frame-accounting"));
+        // The audit's per-block check over the collapsed block as the
+        // memory system holds it: intact.
+        let head = a.page();
+        let block: Vec<(PageNum, Tier, bool)> =
+            m.resident_pages().map(|(pn, info)| (pn, info.tier, info.huge)).collect();
+        assert_eq!(block.len() as u64, HUGE_PAGE_PAGES);
+        assert_eq!(huge_block_problem(head, block.iter().copied()), None);
+        // Planted bug: one member on the other tier, a block the memory
+        // system's own operations cannot produce (migration refuses huge
+        // pages), exactly the corruption huge-block-integrity exists to
+        // catch.
+        let mut mixed = block.clone();
+        mixed[1].1 = Tier::Nvm;
+        let detail = huge_block_problem(head, mixed).expect("mixed-tier block must fail");
+        assert!(detail.contains("different tier"), "{detail}");
+        // A hole and a member that is not huge fail too.
+        let mut holed = block.clone();
+        holed.remove(7);
+        assert!(huge_block_problem(head, holed).unwrap().contains("not resident"));
+        let short = block[..HUGE_PAGE_PAGES as usize - 1].to_vec();
+        assert!(huge_block_problem(head, short).unwrap().contains("not resident"));
+        let mut split = block;
+        split[3].2 = false;
+        assert!(huge_block_problem(head, split).unwrap().contains("not huge"));
     }
 
     #[test]

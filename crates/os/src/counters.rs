@@ -214,7 +214,7 @@ mod tests {
         mem.map_page((a + PAGE_SIZE).page(), Tier::Nvm, 0).unwrap();
         let f = mem.mmap(PAGE_SIZE, MemPolicy::Default, "[page_cache]").unwrap();
         mem.map_page(f.page(), Tier::Dram, 0).unwrap();
-        mem.page_update(f.page(), |p| p.flags.insert(PageFlags::PAGE_CACHE)).unwrap();
+        assert!(mem.set_page_flags(f.page(), PageFlags::PAGE_CACHE, true));
 
         let stat = NumaStat::collect(&mem);
         assert_eq!(stat.anon_pages, [1, 1]);

@@ -491,7 +491,7 @@ impl AutoNuma {
                     self.counters.pgpromote_success += 1;
                     self.counters.pgmigrate_success += 1;
                     mem.trace_mut().record(TraceEvent::PromoteAccept { page: page.index() });
-                    mem.page_update(page, |p| p.flags.insert(PageFlags::WAS_PROMOTED));
+                    mem.set_page_flags(page, PageFlags::WAS_PROMOTED, true);
                     return;
                 }
                 Err(e) if e.is_transient() => {
@@ -727,7 +727,7 @@ impl AutoNuma {
                 Tier::Dram => self.counters.pgalloc_dram += 1,
                 Tier::Nvm => self.counters.pgalloc_nvm += 1,
             }
-            mem.page_update(pn, |p| p.flags.insert(PageFlags::PAGE_CACHE));
+            mem.set_page_flags(pn, PageFlags::PAGE_CACHE, true);
             self.counters.page_cache_filled += 1;
         }
         Ok((Some(base), wait))
@@ -1137,7 +1137,7 @@ mod tests {
         let c = e.counters();
         assert_eq!(c.thp_collapse_alloc, 1);
         assert!(m.is_huge(a.page()) && m.is_huge((a + 511 * PAGE_SIZE).page()));
-        assert_eq!(m.huge_mapped_pages(), HUGE_PAGE_PAGES);
+        assert_eq!(m.resident_pages().filter(|(_, i)| i.huge).count() as u64, HUGE_PAGE_PAGES);
         assert!(e.audit(&m).is_clean(), "{:?}", e.audit(&m).violations);
     }
 
@@ -1162,7 +1162,7 @@ mod tests {
         assert_eq!(c.pgmigrate_success, HUGE_PAGE_PAGES);
         assert_eq!(m.page(a.page()).unwrap().tier, Tier::Dram);
         assert_eq!(m.page((a + 511 * PAGE_SIZE).page()).unwrap().tier, Tier::Dram);
-        assert_eq!(m.huge_mapped_pages(), 0, "the block was split before migrating");
+        assert!(m.resident_pages().all(|(_, i)| !i.huge), "the block was split before migrating");
         // The collapse was done by hand through the memory API, so credit
         // it before auditing: the OS split must balance against exactly
         // one collapse.

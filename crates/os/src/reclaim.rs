@@ -89,7 +89,7 @@ fn reclaim_one(
             if info.flags.contains(PageFlags::WAS_PROMOTED) {
                 counters.pgpromote_demoted += 1;
                 mem.trace_mut().record(TraceEvent::PromoteDemoted { page: pn.index() });
-                mem.page_update(pn, |p| p.flags.remove(PageFlags::WAS_PROMOTED));
+                mem.set_page_flags(pn, PageFlags::WAS_PROMOTED, false);
             }
             Some(copy_cycles + cfg.migration_overhead_cycles + retry_cost)
         }
@@ -200,7 +200,7 @@ pub fn drop_page_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiersim_mem::{MemConfig, MemPolicy, PAGE_SIZE};
+    use tiersim_mem::{AccessKind, MemConfig, MemPolicy, PAGE_SIZE};
 
     fn setup(dram_pages: u64, nvm_pages: u64) -> MemorySystem {
         MemorySystem::new(MemConfig {
@@ -235,7 +235,7 @@ mod tests {
         let mut m = setup(10, 10);
         let a = fill_dram(&mut m, 5);
         // Touch page 0 late so it becomes hottest.
-        m.page_update(a.page(), |p| p.last_access = 100).unwrap();
+        m.access(a, AccessKind::Load, 100).unwrap();
         let cold = coldest_dram_pages(&m, 2, 1);
         assert_eq!(cold, vec![(a + PAGE_SIZE).page(), (a + 2 * PAGE_SIZE).page()]);
     }
@@ -267,7 +267,7 @@ mod tests {
     fn demoting_promoted_page_counts_thrash() {
         let mut m = setup(4, 10);
         let a = fill_dram(&mut m, 4);
-        m.page_update(a.page(), |p| p.flags.insert(PageFlags::WAS_PROMOTED)).unwrap();
+        assert!(m.set_page_flags(a.page(), PageFlags::WAS_PROMOTED, true));
         let mut c = VmCounters::default();
         kswapd_reclaim(&mut m, &mut c, &cfg());
         assert_eq!(c.pgpromote_demoted, 1);
@@ -281,8 +281,7 @@ mod tests {
         m.map_page(n.page(), Tier::Nvm, 0).unwrap();
         let a = fill_dram(&mut m, 4);
         for i in 0..4 {
-            m.page_update((a + i * PAGE_SIZE).page(), |p| p.flags.insert(PageFlags::PAGE_CACHE))
-                .unwrap();
+            assert!(m.set_page_flags((a + i * PAGE_SIZE).page(), PageFlags::PAGE_CACHE, true));
         }
         let mut c = VmCounters::default();
         let out = kswapd_reclaim(&mut m, &mut c, &cfg());
@@ -378,8 +377,8 @@ mod tests {
     fn drop_page_cache_only_touches_file_pages() {
         let mut m = setup(6, 6);
         let a = fill_dram(&mut m, 4);
-        m.page_update(a.page(), |p| p.flags.insert(PageFlags::PAGE_CACHE)).unwrap();
-        m.page_update((a + PAGE_SIZE).page(), |p| p.flags.insert(PageFlags::PAGE_CACHE)).unwrap();
+        assert!(m.set_page_flags(a.page(), PageFlags::PAGE_CACHE, true));
+        assert!(m.set_page_flags((a + PAGE_SIZE).page(), PageFlags::PAGE_CACHE, true));
         let mut c = VmCounters::default();
         let out = drop_page_cache(&mut m, &mut c, 10);
         assert_eq!(out.dropped, 2);

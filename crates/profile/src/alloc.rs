@@ -47,11 +47,6 @@ impl AllocRecord {
         addr >= self.addr && addr < self.end()
     }
 
-    /// Returns `true` if the object was live at `time`.
-    pub fn live_at(&self, time: u64) -> bool {
-        time >= self.alloc_time && self.free_time.is_none_or(|f| time < f)
-    }
-
     /// Number of pages spanned.
     pub fn pages(&self) -> u64 {
         tiersim_mem::pages_for(self.len)
@@ -182,10 +177,8 @@ mod tests {
         let id = t.on_mmap(VirtAddr::new(0x1000), 0x1000, "a", 10);
         t.on_munmap(VirtAddr::new(0x1000), 50);
         let r = t.record(id).unwrap();
-        assert!(r.live_at(10));
-        assert!(r.live_at(49));
-        assert!(!r.live_at(50));
-        assert!(!r.live_at(5));
+        // Live over [alloc_time, free_time).
+        assert_eq!((r.alloc_time, r.free_time), (10, Some(50)));
     }
 
     #[test]

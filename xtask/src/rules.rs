@@ -45,11 +45,6 @@ enum Scope {
     /// the promotion rate limiter, where a bare float→int `as` cast once
     /// hid the stuck-threshold and stalled-bucket bugs (PR 5).
     FloatControlMath,
-    /// Everywhere except the SoA page-metadata module itself
-    /// (`crates/mem/src/page.rs` + `page_table.rs`): `PageInfo` is a
-    /// materialized *view* of the struct-of-arrays state, so outside code
-    /// must never build one by hand (DESIGN.md §12).
-    PageMetadataOwners,
     /// Everywhere except the journal module (`crates/core/src/journal/`),
     /// which owns the tmp + fsync + rename helper, and `xtask/` itself:
     /// a bare `fs::write` can leave a half-written artifact after a crash
@@ -84,12 +79,6 @@ impl Scope {
             Scope::FloatControlMath => {
                 path == "crates/os/src/threshold.rs" || path == "crates/os/src/rate_limit.rs"
             }
-            Scope::PageMetadataOwners => {
-                !path.starts_with("vendor/")
-                    && !path.starts_with("xtask/")
-                    && path != "crates/mem/src/page.rs"
-                    && path != "crates/mem/src/page_table.rs"
-            }
             Scope::DurableWriters => {
                 !path.starts_with("vendor/")
                     && !path.starts_with("xtask/")
@@ -114,13 +103,6 @@ enum Matcher {
     /// (`floor`/`round`/`ceil`): in float-heavy control math a bare cast
     /// truncates toward zero silently.
     UnroundedIntCast,
-    /// Direct construction of `PageInfo` — the literal `PageInfo {` or a
-    /// `PageInfo::new` call — or a write to the view's `huge` field
-    /// (`.huge = ...`). Plain type mentions (returns, parameters, field
-    /// reads, `==`/`=>` comparisons) stay legal. `huge` is block-level
-    /// SoA state: `PageTable::update` deliberately does not persist it,
-    /// so an outside write is silently dropped at best.
-    PageInfoConstruct,
     /// A direct `fs::write` call (the `fs`/`write` token pair): not
     /// crash-safe — a crash mid-call leaves a truncated file.
     FsWrite,
@@ -181,13 +163,6 @@ const RULES: &[Rule] = &[
         hint: "float→int `as` truncates toward zero: call .floor()/.round()/.ceil() on the same line so the rounding direction is explicit (the stuck-threshold bug hid behind a bare cast)",
     },
     Rule {
-        id: "pageinfo-construct",
-        scope: Scope::PageMetadataOwners,
-        matcher: Matcher::PageInfoConstruct,
-        exempt_tests: true,
-        hint: "PageInfo is a view over the SoA page metadata: go through PageTable (map/migrate/info accessors, collapse/split for `huge`) instead of building or mutating one by hand",
-    },
-    Rule {
         id: "atomic-write",
         scope: Scope::DurableWriters,
         matcher: Matcher::FsWrite,
@@ -235,7 +210,6 @@ pub fn lint_file(path: &str, lines: &[CodeLine]) -> Vec<Violation> {
                 Matcher::LossyCast => match_lossy_cast(&line.code),
                 Matcher::HashContainer => match_tokens(&line.code, &["HashMap", "HashSet"]),
                 Matcher::UnroundedIntCast => match_unrounded_int_cast(&line.code),
-                Matcher::PageInfoConstruct => match_pageinfo_construct(&line.code),
                 Matcher::FsWrite => match_fs_write(&line.code),
             };
             let Some(token) = matched else { continue };
@@ -307,63 +281,6 @@ fn match_unrounded_int_cast(code: &str) -> Option<String> {
     for pair in words.windows(2) {
         if pair[0] == "as" && INT_TYPES.contains(&pair[1]) {
             return Some(format!("as {}", pair[1]));
-        }
-    }
-    None
-}
-
-/// Detects direct `PageInfo` construction: the struct literal
-/// `PageInfo {` (any whitespace before the brace) or `PageInfo::new`.
-/// A bare `PageInfo` token (type position, field access) does not match.
-/// Also detects writes to the view's huge-page SoA field (`.huge = ...`):
-/// `huge` mirrors block-level state the view cannot own, so only the SoA
-/// module may flip it. Reads and `==`/`=>` comparisons stay legal.
-fn match_pageinfo_construct(code: &str) -> Option<String> {
-    let chars: Vec<char> = code.chars().collect();
-    let needle: Vec<char> = "PageInfo".chars().collect();
-    if chars.len() >= needle.len() {
-        for start in 0..=(chars.len() - needle.len()) {
-            if chars[start..start + needle.len()] != needle[..] {
-                continue;
-            }
-            if start > 0 && is_ident_char(chars[start - 1]) {
-                continue;
-            }
-            let rest: String = chars[start + needle.len()..].iter().collect();
-            let trimmed = rest.trim_start();
-            if trimmed.starts_with('{') {
-                return Some("PageInfo {".to_string());
-            }
-            if trimmed.starts_with("::new") {
-                return Some("PageInfo::new".to_string());
-            }
-        }
-    }
-    match_huge_field_write(&chars)
-}
-
-/// Detects `.huge = <expr>` — an assignment to the `huge` view field.
-/// Requires the leading `.` (so `let huge = ...` locals stay legal) and a
-/// single `=` (so `.huge ==` and the match-guard `.huge =>` do not fire).
-fn match_huge_field_write(chars: &[char]) -> Option<String> {
-    let needle: Vec<char> = ".huge".chars().collect();
-    if chars.len() < needle.len() {
-        return None;
-    }
-    for start in 0..=(chars.len() - needle.len()) {
-        if chars[start..start + needle.len()] != needle[..] {
-            continue;
-        }
-        // The field name must end here (`.hugepage` is some other field),
-        // and what follows must be a lone `=`.
-        let after = chars.get(start + needle.len()).copied();
-        if after.map(is_ident_char).unwrap_or(false) {
-            continue;
-        }
-        let rest: String = chars[start + needle.len()..].iter().collect();
-        let trimmed = rest.trim_start();
-        if trimmed.starts_with('=') && !trimmed.starts_with("==") && !trimmed.starts_with("=>") {
-            return Some(".huge =".to_string());
         }
     }
     None
@@ -495,51 +412,6 @@ mod tests {
         // The allowlist comment works like for every other rule.
         let allowed = lex("// tiersim-lint: allow(thread-spawn)\nlet h = s.spawn(f);");
         assert!(lint_file("crates/core/src/runner.rs", &allowed).is_empty());
-    }
-
-    #[test]
-    fn pageinfo_construction_confined_to_soa_module() {
-        let literal = lex("let p = PageInfo { tier, flags, scan_time: 0, last_access: 0 };");
-        assert!(lint_file("crates/os/src/engine.rs", &literal)
-            .iter()
-            .any(|v| v.rule == "pageinfo-construct"));
-        let ctor = lex("let p = PageInfo::new(Tier::Dram);");
-        assert!(lint_file("crates/mem/src/system.rs", &ctor)
-            .iter()
-            .any(|v| v.rule == "pageinfo-construct"));
-        // The owning SoA module may construct views.
-        assert!(lint_file("crates/mem/src/page.rs", &literal).is_empty());
-        assert!(lint_file("crates/mem/src/page_table.rs", &ctor).is_empty());
-        // Type positions and field reads stay legal everywhere.
-        let uses = lex("fn page(&self) -> Option<PageInfo> { let t = info.tier; }");
-        assert!(lint_file("crates/os/src/engine.rs", &uses).is_empty());
-        // Tests are exempt (they build fixtures by hand).
-        let test_code = lex("#[cfg(test)]\nmod tests {\n let p = PageInfo { tier };\n}");
-        assert!(lint_file("crates/os/src/engine.rs", &test_code).is_empty());
-    }
-
-    #[test]
-    fn huge_field_write_confined_to_soa_module() {
-        // Flipping the huge view field outside the SoA module is lost on
-        // write-back (PageTable::update does not persist it) — flagged.
-        let write = lex("info.huge = true;");
-        assert!(lint_file("crates/os/src/engine.rs", &write)
-            .iter()
-            .any(|v| v.rule == "pageinfo-construct" && v.token == ".huge ="));
-        assert!(lint_file("crates/mem/src/system.rs", &write)
-            .iter()
-            .any(|v| v.rule == "pageinfo-construct"));
-        // The owning SoA module manages the column directly.
-        assert!(lint_file("crates/mem/src/page_table.rs", &write).is_empty());
-        // Reads, comparisons, and match guards stay legal everywhere.
-        let legal = lex(
-            "let h = info.huge;\nif info.huge == other {}\nmatch p { Some(i) if i.huge => {} _ => {} }",
-        );
-        assert!(lint_file("crates/os/src/engine.rs", &legal).is_empty());
-        // Other fields that merely start with the same letters are fine,
-        // as are plain locals named `huge`.
-        let near = lex("self.hugepage = 1;\nlet huge = mem.is_huge(pn);");
-        assert!(lint_file("crates/os/src/engine.rs", &near).is_empty());
     }
 
     #[test]
