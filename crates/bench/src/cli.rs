@@ -81,7 +81,7 @@ const FLAGS: &[Flag] = &[
     Flag("--out", "PATH", &[Suite, Ablate], "also write the printed sections to PATH", |c, v| {
         parsed(v).map(|path| c.out = Some(path))
     }),
-    Flag("--trace", "PATH", JOURNALED, "JSONL trace, CSV for *.csv (tune: lifecycle)", |c, v| {
+    Flag("--trace", "PATH", JOURNALED, "JSONL trace (tune: lifecycle)", |c, v| {
         parsed(v).map(|path| c.trace_out = Some(path))
     }),
     Flag("--inject-failure", "", &[Suite], "add a deliberately failing cell", |c, _| {

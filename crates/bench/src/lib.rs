@@ -42,7 +42,9 @@ use tiersim_core::journal::{
     JournalError, JournalStats, RunnerOptions,
 };
 use tiersim_core::tune::{run_tune, run_tune_in};
-use tiersim_core::{CoreError, ExperimentConfig, RunError, RunReport, TraceLog, WorkloadConfig};
+use tiersim_core::{
+    trace_to_jsonl, CoreError, ExperimentConfig, RunError, RunReport, TraceLog, WorkloadConfig,
+};
 use tiersim_mem::Tier;
 use tiersim_profile::export;
 
@@ -114,12 +116,6 @@ fn out_file(cli: &Cli, suite: &ExperimentSuite) -> Vec<(PathBuf, String)> {
     cli.out.iter().map(|path| (path.clone(), suite.output().to_string())).collect()
 }
 
-/// The `--trace` file: JSONL, or CSV when the path ends in `.csv`.
-fn trace_file(path: &Path, exports: &TraceExports) -> (PathBuf, String) {
-    let csv = path.extension().is_some_and(|e| e == "csv");
-    (path.to_path_buf(), if csv { exports.csv.clone() } else { exports.jsonl.clone() })
-}
-
 /// The reproduction suite, journaled under `--resume`.
 fn suite(cli: &Cli) -> Finished {
     banner("full paper reproduction", cli);
@@ -138,8 +134,8 @@ fn suite(cli: &Cli) -> Finished {
     let mut code = suite.exit_code();
     let mut files = out_file(cli, &suite);
     if let Some(path) = &cli.trace_out {
-        match suite.trace_exports() {
-            Some(exports) => files.push(trace_file(path, exports)),
+        match suite.trace_jsonl() {
+            Some(jsonl) => files.push((path.clone(), jsonl.to_string())),
             None => {
                 eprintln!("--trace given but no trace was recorded (traced experiment failed?)");
                 code = 1;
@@ -183,30 +179,8 @@ fn tune(cli: &Cli) -> Finished {
     let report = &outcome.report;
     let json = cli.out_json.iter().map(|path| (path.clone(), report.to_json() + "\n"));
     let csv = cli.out_csv.iter().map(|path| (path.clone(), report.to_csv()));
-    let trace =
-        cli.trace_out.iter().map(|p| trace_file(p, &TraceExports::from_log(&outcome.trace)));
+    let trace = cli.trace_out.iter().map(|p| (p.clone(), trace_to_jsonl(&outcome.trace)));
     Ok((0, json.chain(csv).chain(trace).collect()))
-}
-
-/// The traced run's rendered exports, precomputed so a resumed suite can
-/// reproduce `--trace` output from the journal without re-running the
-/// traced experiment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceExports {
-    /// JSONL export (DESIGN.md §11).
-    pub jsonl: String,
-    /// CSV export.
-    pub csv: String,
-}
-
-impl TraceExports {
-    /// Renders both export formats from a recorded log.
-    pub fn from_log(log: &TraceLog) -> TraceExports {
-        TraceExports {
-            jsonl: tiersim_core::trace_to_jsonl(log),
-            csv: tiersim_core::trace_to_csv(log),
-        }
-    }
 }
 
 /// The assembled result of `repro_all`'s experiments, each of which may
@@ -223,7 +197,7 @@ pub struct ExperimentSuite {
     output: String,
     attempted: usize,
     failures: Vec<(String, String)>,
-    trace: Option<TraceExports>,
+    trace_jsonl: Option<String>,
     cell_stats: Option<JournalStats>,
 }
 
@@ -265,15 +239,17 @@ impl ExperimentSuite {
         &self.output
     }
 
-    /// Records the trace exports of the suite's traced run.
-    pub fn set_trace_exports(&mut self, exports: TraceExports) {
-        self.trace = Some(exports);
+    /// Records the JSONL trace (DESIGN.md §11) of the suite's traced run,
+    /// rendered once so a resumed suite can reproduce `--trace` output
+    /// from the journal without re-running the traced experiment.
+    pub fn set_trace_jsonl(&mut self, jsonl: String) {
+        self.trace_jsonl = Some(jsonl);
     }
 
-    /// The trace exports recorded by the suite's traced run, if any
-    /// (what `--trace` writes).
-    pub fn trace_exports(&self) -> Option<&TraceExports> {
-        self.trace.as_ref()
+    /// The JSONL trace of the suite's traced run, if any (what `--trace`
+    /// writes).
+    pub fn trace_jsonl(&self) -> Option<&str> {
+        self.trace_jsonl.as_deref()
     }
 
     /// Attaches degraded-mode cell accounting from a journaled sweep;
@@ -402,11 +378,11 @@ const PAYLOAD_RS: char = '\u{1e}';
 /// Title/body separator inside one payload section (ASCII unit
 /// separator).
 const PAYLOAD_US: char = '\u{1f}';
-/// Reserved payload section carrying the traced run's JSONL export. The
-/// NUL prefix keeps it disjoint from every printable section title.
+/// Prefix of a reserved payload section, which carries data instead of
+/// a printed section; it keeps them disjoint from every printable title.
+const RESERVED_SECTION: char = '\u{0}';
+/// Reserved payload section carrying the traced run's JSONL export.
 const TRACE_JSONL_SECTION: &str = "\u{0}trace_jsonl";
-/// Reserved payload section carrying the traced run's CSV export.
-const TRACE_CSV_SECTION: &str = "\u{0}trace_csv";
 
 /// Serializes rendered sections into one journal payload string.
 fn encode_payload(sections: &[(String, String)]) -> String {
@@ -447,9 +423,7 @@ fn suite_cells(experiment: &ExperimentConfig, inject_failure: bool) -> Vec<Journ
         ("autonuma trace", |runs| {
             let (mut sections, log) = autonuma_trace_sections(runs)?;
             if let Some(log) = log {
-                let exports = TraceExports::from_log(&log);
-                sections.push((TRACE_JSONL_SECTION.to_string(), exports.jsonl));
-                sections.push((TRACE_CSV_SECTION.to_string(), exports.csv));
+                sections.push((TRACE_JSONL_SECTION.to_string(), trace_to_jsonl(&log)));
             }
             Ok(sections)
         }),
@@ -479,18 +453,16 @@ fn suite_cells(experiment: &ExperimentConfig, inject_failure: bool) -> Vec<Journ
 /// printing each section to stdout.
 fn assemble(outcomes: &[(String, CellOutcome)]) -> ExperimentSuite {
     let mut suite = ExperimentSuite::new();
-    let mut jsonl = None;
-    let mut csv = None;
     for (name, cell) in outcomes {
         match cell {
             CellOutcome::Completed { payload, .. } => {
                 suite.note_completed();
                 for (title, body) in decode_payload(payload) {
                     if title == TRACE_JSONL_SECTION {
-                        jsonl = Some(body.to_string());
-                    } else if title == TRACE_CSV_SECTION {
-                        csv = Some(body.to_string());
-                    } else {
+                        suite.set_trace_jsonl(body.to_string());
+                    } else if !title.starts_with(RESERVED_SECTION) {
+                        // Other reserved sections (a journal written by
+                        // an older build) carry nothing this build reads.
                         println!("{}", suite.section(title, body));
                     }
                 }
@@ -502,9 +474,6 @@ fn assemble(outcomes: &[(String, CellOutcome)]) -> ExperimentSuite {
                 suite.note_quarantined(name, format!("quarantined: {error}"));
             }
         }
-    }
-    if let (Some(jsonl), Some(csv)) = (jsonl, csv) {
-        suite.set_trace_exports(TraceExports { jsonl, csv });
     }
     suite
 }
@@ -717,6 +686,22 @@ mod tests {
             assert_eq!((t.as_str(), b.as_str()), (*dt, *db));
         }
         assert!(decode_payload("").is_empty());
+    }
+
+    #[test]
+    fn unread_reserved_sections_stay_out_of_the_output() {
+        let table = ("Table 1".to_string(), "a,b\n".to_string());
+        let trace = (TRACE_JSONL_SECTION.to_string(), "{\"t\":1}\n".to_string());
+        let old_csv = ("\u{0}trace_csv".to_string(), "t,seq\n".to_string());
+        let assembled = |sections: &[(String, String)]| {
+            let payload = encode_payload(sections);
+            let suite = assemble(&run_plain(vec![cell("traced", move || Ok(payload.clone()))]));
+            (suite.output().to_string(), suite.summary(), suite.trace_jsonl().map(str::to_string))
+        };
+        let with_csv = assembled(&[table.clone(), trace.clone(), old_csv]);
+        assert_eq!(with_csv, assembled(&[table, trace]));
+        assert_eq!(with_csv.0, "--- Table 1 ---\na,b\n\n");
+        assert_eq!(with_csv.2.as_deref(), Some("{\"t\":1}\n"));
     }
 
     #[test]

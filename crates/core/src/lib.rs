@@ -52,8 +52,7 @@ pub use report::RunReport;
 pub use runner::{generate, plan_from_report, run_workload, runs_started};
 pub use tiersim_mem::{CycleWindow, FaultPlan, FaultStats, RATE_ONE};
 pub use tiersim_trace::{
-    to_csv as trace_to_csv, to_jsonl as trace_to_jsonl, TraceConfig, TraceEvent, TraceLog,
-    TraceRecord, CSV_HEADER as TRACE_CSV_HEADER,
+    to_jsonl as trace_to_jsonl, TraceConfig, TraceEvent, TraceLog, TraceRecord,
 };
 pub use timeline::{TimelineOps, TimelineSnapshot};
 pub use workload::{Dataset, Kernel, WorkloadConfig};

@@ -76,9 +76,7 @@ pub struct Machine {
     dynamic: Option<DynamicObjectConfig>,
     next_replan: u64,
     replan_sample_idx: usize,
-    dynamic_migrated_pages: u64,
     // Totals.
-    io_wait_cycles: u64,
     busy_cycles: u64,
 }
 
@@ -125,10 +123,8 @@ impl Machine {
             next_replan: dynamic.map_or(u64::MAX, |d| d.replan_interval_cycles),
             dynamic,
             replan_sample_idx: 0,
-            dynamic_migrated_pages: 0,
             window_busy_cycles: 0,
             window_start_cycles: 0,
-            io_wait_cycles: 0,
             busy_cycles: 0,
             cfg,
         };
@@ -198,11 +194,6 @@ impl Machine {
     /// stalls), across all threads.
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
-    }
-
-    /// Total wall cycles spent waiting on simulated disk I/O.
-    pub fn io_wait_cycles(&self) -> u64 {
-        self.io_wait_cycles
     }
 
     /// Advances the wall clock by `cost` thread-cycles of parallel work.
@@ -334,16 +325,10 @@ impl Machine {
                 }
             }
         }
-        self.dynamic_migrated_pages += migrated;
         // move_pages runs on the calling thread: charge it as parallel
         // work so the replan pass costs simulated time. It stays out of the
         // timeline window's utilization, and housekeeping is not re-entered.
         self.charge_parallel(bg_cycles);
-    }
-
-    /// Pages migrated by the dynamic object-level tierer so far.
-    pub fn dynamic_migrated_pages(&self) -> u64 {
-        self.dynamic_migrated_pages
     }
 
     fn snapshot(&mut self) {
@@ -395,7 +380,6 @@ impl Machine {
             self.advance_wall(wait);
             remaining -= chunk;
         }
-        self.io_wait_cycles += self.cfg.os.disk_read_cycles_per_page * bytes.div_ceil(PAGE_SIZE);
         Ok(())
     }
 
@@ -680,8 +664,7 @@ mod tests {
         let mut m = machine(TieringMode::AutoNuma);
         let t0 = m.now_cycles();
         m.file_read(64 * PAGE_SIZE).unwrap();
-        assert!(m.now_cycles() > t0);
-        assert!(m.io_wait_cycles() > 0);
+        assert!(m.now_cycles() >= t0 + 64 * m.config().os.disk_read_cycles_per_page);
         assert_eq!(m.os().counters().page_cache_filled, 64);
     }
 
@@ -770,8 +753,7 @@ mod tests {
             let i = (round * 97) % hot.len();
             hot.get(&mut m, i);
         }
-        assert!(m.dynamic_migrated_pages() > 0, "replanner should have migrated pages");
-        // The hot object's touched pages should now be DRAM-resident.
+        // The replanner migrated the hot object's touched pages to DRAM.
         let dram_pages = (0..16)
             .filter(|&i| {
                 m.mem()

@@ -832,7 +832,7 @@ mod tests {
             s.stats(),
             s.fault_stats(),
             s.nvm_write_amplification(),
-            s.trace().records(),
+            s.trace().log().records,
             s.resident_pages().collect::<Vec<_>>(),
         )
     }

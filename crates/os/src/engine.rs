@@ -72,9 +72,6 @@ pub struct AutoNuma {
     /// Hint faults observed at the previous scan tick.
     hint_faults_at_last_scan: u64,
     kswapd_pending: bool,
-    /// Background (kernel-thread) cycles spent so far; not charged to app
-    /// threads but visible in CPU-utilization accounting.
-    background_cycles: u64,
     /// Calls to [`AutoNuma::tick`] so far (drives audit checkpoints).
     tick_count: u64,
 }
@@ -106,7 +103,6 @@ impl AutoNuma {
             cur_scan_period: cfg.scan_period_cycles,
             hint_faults_at_last_scan: 0,
             kswapd_pending: false,
-            background_cycles: 0,
             tick_count: 0,
             cfg,
         })
@@ -131,11 +127,6 @@ impl AutoNuma {
     /// adaptive scanning has backed off).
     pub fn scan_period_cycles(&self) -> u64 {
         self.cur_scan_period
-    }
-
-    /// Total background (kernel-thread) cycles spent so far.
-    pub fn background_cycles(&self) -> u64 {
-        self.background_cycles
     }
 
     /// Whole bytes currently available in the promotion token bucket at
@@ -226,10 +217,7 @@ impl AutoNuma {
         let mut cost = self.cfg.minor_fault_cost_cycles;
         let tier = self.place(mem, fault, now, &mut cost)?;
         self.counters.pgfault += 1;
-        match tier {
-            Tier::Dram => self.counters.pgalloc_dram += 1,
-            Tier::Nvm => self.counters.pgalloc_nvm += 1,
-        }
+        self.count_alloc(tier);
         if self.cfg.fault_around_pages > 1 {
             self.fault_around(mem, fault, now, &mut cost);
         }
@@ -252,10 +240,7 @@ impl AutoNuma {
                 PageFault { page: pn, addr: pn.base(), policy: fault.policy, vma: fault.vma };
             match self.place(mem, extra, now, cost) {
                 Ok(tier) => {
-                    match tier {
-                        Tier::Dram => self.counters.pgalloc_dram += 1,
-                        Tier::Nvm => self.counters.pgalloc_nvm += 1,
-                    }
+                    self.count_alloc(tier);
                     self.counters.pgfault_around += 1;
                     *cost += self.cfg.minor_fault_cost_cycles / 8;
                     mapped += 1;
@@ -270,6 +255,14 @@ impl AutoNuma {
             mem.trace_mut().set_now(now);
             mem.trace_mut()
                 .record(TraceEvent::FaultAround { page: fault.page.index(), pages: mapped });
+        }
+    }
+
+    /// Counts one page allocation on `tier` (the kernel's `pgalloc_*`).
+    fn count_alloc(&mut self, tier: Tier) {
+        match tier {
+            Tier::Dram => self.counters.pgalloc_dram += 1,
+            Tier::Nvm => self.counters.pgalloc_nvm += 1,
         }
     }
 
@@ -302,10 +295,15 @@ impl AutoNuma {
                     self.place_nvm_fallback(mem, pn, now, cost)
                 }
             }
-            MemPolicy::Interleave => {
-                // Alternate by page number, falling back when a tier is
-                // full — the kernel's round-robin with node fallback.
-                let t = if pn.index().is_multiple_of(2) { Tier::Dram } else { Tier::Nvm };
+            MemPolicy::Interleave | MemPolicy::Preferred(_) => {
+                // Interleave alternates by page number (the kernel's
+                // round-robin); either way a full tier falls back to the
+                // other node.
+                let t = match fault.policy {
+                    MemPolicy::Preferred(t) => t,
+                    _ if pn.index().is_multiple_of(2) => Tier::Dram,
+                    _ => Tier::Nvm,
+                };
                 match self.map_page_retrying(mem, pn, t, now, cost) {
                     Ok(()) => Ok(t),
                     Err(e) if matches!(e, MemError::TierFull { .. }) || e.is_transient() => {
@@ -316,15 +314,6 @@ impl AutoNuma {
                     Err(e) => Err(e.into()),
                 }
             }
-            MemPolicy::Preferred(t) => match self.map_page_retrying(mem, pn, t, now, cost) {
-                Ok(()) => Ok(t),
-                Err(e) if matches!(e, MemError::TierFull { .. }) || e.is_transient() => {
-                    self.map_page_retrying(mem, pn, t.other(), now, cost)
-                        .map_err(|_| OsError::OutOfMemory)?;
-                    Ok(t.other())
-                }
-                Err(e) => Err(e.into()),
-            },
             MemPolicy::Bind(t) => {
                 loop {
                     match self.map_page_retrying(mem, pn, t, now, cost) {
@@ -598,7 +587,6 @@ impl AutoNuma {
             self.next_khugepaged = now + self.cfg.khugepaged_period_cycles;
             bg += self.khugepaged(mem, now);
         }
-        self.background_cycles += bg;
         self.tick_count += 1;
         if cfg!(debug_assertions)
             && self.cfg.audit_every_ticks != 0
@@ -723,10 +711,7 @@ impl AutoNuma {
             // Page-cache pages are allocations like any other (the kernel
             // counts them in pgalloc_*); the `alloc-covers-page-cache`
             // audit law depends on this.
-            match tier {
-                Tier::Dram => self.counters.pgalloc_dram += 1,
-                Tier::Nvm => self.counters.pgalloc_nvm += 1,
-            }
+            self.count_alloc(tier);
             mem.set_page_flags(pn, PageFlags::PAGE_CACHE, true);
             self.counters.page_cache_filled += 1;
         }

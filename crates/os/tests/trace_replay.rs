@@ -65,7 +65,8 @@ fn every_rate_limiter_deny_is_traced() {
     let c = os.counters();
     assert!(c.promo_rate_limited > 0, "scenario must exercise the limiter: {c:?}");
 
-    let records = m.trace().records();
+    let log = m.trace().log();
+    let records = log.records;
     let denies: Vec<_> = records
         .iter()
         .filter_map(|r| match r.event {
@@ -78,7 +79,7 @@ fn every_rate_limiter_deny_is_traced() {
         assert_eq!(bytes, PAGE_SIZE);
         assert!(available < PAGE_SIZE, "denied only when short of a page: {available}");
     }
-    assert_eq!(m.trace().dropped(), 0);
+    assert_eq!(log.dropped, 0);
     assert!(
         replay_matches(&records, &c),
         "replay {:?} != observed {c:?}",
@@ -118,8 +119,9 @@ fn mixed_workload_trace_replays_to_counters() {
     }
     let c = os.counters();
     assert!(c.numa_hint_faults > 0, "workload must exercise hint faults: {c:?}");
-    assert_eq!(m.trace().dropped(), 0, "ring must hold the whole run");
-    let records = m.trace().records();
+    let log = m.trace().log();
+    assert_eq!(log.dropped, 0, "ring must hold the whole run");
+    let records = log.records;
     assert!(
         replay_matches(&records, &c),
         "replay {:?} != observed {c:?}",
@@ -154,8 +156,9 @@ proptest! {
             }
         }
         let c = os.counters();
-        prop_assert!(m.trace().dropped() == 0);
-        let records = m.trace().records();
+        let log = m.trace().log();
+        prop_assert!(log.dropped == 0);
+        let records = log.records;
         prop_assert!(
             replay_matches(&records, &c),
             "replay {:?} != observed {:?}", replay_counters(&records), c

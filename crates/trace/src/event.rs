@@ -189,72 +189,117 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Stable snake_case event name used by the exporters and the
-    /// metrics registry's per-event counters.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceEvent::HintFault { .. } => "hint_fault",
-            TraceEvent::PromoteCandidate { .. } => "promote_candidate",
-            TraceEvent::PromoteAccept { .. } => "promote_accept",
-            TraceEvent::PromoteReject { .. } => "promote_reject",
-            TraceEvent::DemoteKswapd { .. } => "demote_kswapd",
-            TraceEvent::DemoteDirect { .. } => "demote_direct",
-            TraceEvent::PromoteDemoted { .. } => "promote_demoted",
-            TraceEvent::MigrateRetry { .. } => "migrate_retry",
-            TraceEvent::MigrateFail { .. } => "migrate_fail",
-            TraceEvent::ThresholdAdjust { .. } => "threshold_adjust",
-            TraceEvent::RateLimitConsume { .. } => "rate_limit_consume",
-            TraceEvent::RateLimitDeny { .. } => "rate_limit_deny",
-            TraceEvent::FaultInjected { .. } => "fault_injected",
-            TraceEvent::ReclaimStall { .. } => "reclaim_stall",
-            TraceEvent::PageCacheDrop { .. } => "page_cache_drop",
-            TraceEvent::ThpCollapse { .. } => "thp_collapse",
-            TraceEvent::ThpSplit { .. } => "thp_split",
-            TraceEvent::FaultAround { .. } => "fault_around",
-            TraceEvent::RungStart { .. } => "rung_start",
-            TraceEvent::CellScored { .. } => "cell_scored",
-            TraceEvent::ParetoUpdate { .. } => "pareto_update",
-        }
-    }
+/// One exported field value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field {
+    /// An unsigned integer, written bare.
+    Num(u64),
+    /// The stable name of a [`RejectReason`] or [`FaultSite`], written
+    /// as a string.
+    Name(&'static str),
 }
 
-/// The JSONL exporter's per-interval metrics line.
-pub(crate) const METRICS_SNAPSHOT: &str = "metrics_snapshot";
-/// The JSONL exporter's final line, carrying `recorded`/`dropped`.
-pub(crate) const TRACE_SUMMARY: &str = "trace_summary";
+impl TraceEvent {
+    /// The event's stable snake_case name and its `(key, value)` fields
+    /// in export order: the one schema of the event vocabulary.
+    /// [`crate::to_jsonl`] writes it, [`crate::check_jsonl`] reads its
+    /// keys and value types off one exemplar per variant, and the
+    /// trace state counts events under the name.
+    pub fn fields(self) -> (&'static str, Vec<(&'static str, Field)>) {
+        use Field::{Name, Num};
+        match self {
+            TraceEvent::HintFault { page } => ("hint_fault", vec![("page", Num(page))]),
+            TraceEvent::PromoteCandidate { page, latency } => {
+                ("promote_candidate", vec![("page", Num(page)), ("latency", Num(latency))])
+            }
+            TraceEvent::PromoteAccept { page } => ("promote_accept", vec![("page", Num(page))]),
+            TraceEvent::PromoteReject { page, reason } => {
+                ("promote_reject", vec![("page", Num(page)), ("reason", Name(reason.name()))])
+            }
+            TraceEvent::DemoteKswapd { page } => ("demote_kswapd", vec![("page", Num(page))]),
+            TraceEvent::DemoteDirect { page } => ("demote_direct", vec![("page", Num(page))]),
+            TraceEvent::PromoteDemoted { page } => ("promote_demoted", vec![("page", Num(page))]),
+            TraceEvent::MigrateRetry { page } => ("migrate_retry", vec![("page", Num(page))]),
+            TraceEvent::MigrateFail { page } => ("migrate_fail", vec![("page", Num(page))]),
+            TraceEvent::ThresholdAdjust { before, after, candidate_bytes, limit_bytes } => (
+                "threshold_adjust",
+                vec![
+                    ("before", Num(before)),
+                    ("after", Num(after)),
+                    ("candidate_bytes", Num(candidate_bytes)),
+                    ("limit_bytes", Num(limit_bytes)),
+                ],
+            ),
+            TraceEvent::RateLimitConsume { bytes } => {
+                ("rate_limit_consume", vec![("bytes", Num(bytes))])
+            }
+            TraceEvent::RateLimitDeny { bytes, available } => {
+                ("rate_limit_deny", vec![("bytes", Num(bytes)), ("available", Num(available))])
+            }
+            TraceEvent::FaultInjected { site } => {
+                ("fault_injected", vec![("site", Name(site.name()))])
+            }
+            TraceEvent::ReclaimStall { cycles } => ("reclaim_stall", vec![("cycles", Num(cycles))]),
+            TraceEvent::PageCacheDrop { page } => ("page_cache_drop", vec![("page", Num(page))]),
+            TraceEvent::ThpCollapse { page } => ("thp_collapse", vec![("page", Num(page))]),
+            TraceEvent::ThpSplit { page } => ("thp_split", vec![("page", Num(page))]),
+            TraceEvent::FaultAround { page, pages } => {
+                ("fault_around", vec![("page", Num(page)), ("pages", Num(pages))])
+            }
+            TraceEvent::RungStart { rung, cells, budget_ticks } => (
+                "rung_start",
+                vec![
+                    ("rung", Num(rung)),
+                    ("cells", Num(cells)),
+                    ("budget_ticks", Num(budget_ticks)),
+                ],
+            ),
+            TraceEvent::CellScored { cell, ticks, promo_bytes } => (
+                "cell_scored",
+                vec![("cell", Num(cell)), ("ticks", Num(ticks)), ("promo_bytes", Num(promo_bytes))],
+            ),
+            TraceEvent::ParetoUpdate { cell, front } => {
+                ("pareto_update", vec![("cell", Num(cell)), ("front", Num(front))])
+            }
+        }
+    }
 
-/// Every `event` name a JSONL trace may carry (each [`TraceEvent::name`]
-/// plus the exporter's two synthetic lines), with the keys its line holds
-/// after `t`, `seq` and `event`, in the order the exporter writes them.
-/// [`crate::check_jsonl`] requires exactly these keys; `cargo xtask
-/// analyze`'s trace-coverage pass flags a variant whose name is missing
-/// here.
-pub(crate) const EVENT_NAMES: &[(&str, &[&str])] = &[
-    ("hint_fault", &["page"]),
-    ("promote_candidate", &["page", "latency"]),
-    ("promote_accept", &["page"]),
-    ("promote_reject", &["page", "reason"]),
-    ("demote_kswapd", &["page"]),
-    ("demote_direct", &["page"]),
-    ("promote_demoted", &["page"]),
-    ("migrate_retry", &["page"]),
-    ("migrate_fail", &["page"]),
-    ("threshold_adjust", &["before", "after", "candidate_bytes", "limit_bytes"]),
-    ("rate_limit_consume", &["bytes"]),
-    ("rate_limit_deny", &["bytes", "available"]),
-    ("fault_injected", &["site"]),
-    ("reclaim_stall", &["cycles"]),
-    ("page_cache_drop", &["page"]),
-    ("thp_collapse", &["page"]),
-    ("thp_split", &["page"]),
-    ("fault_around", &["page", "pages"]),
-    ("rung_start", &["rung", "cells", "budget_ticks"]),
-    ("cell_scored", &["cell", "ticks", "promo_bytes"]),
-    ("pareto_update", &["cell", "front"]),
-    (METRICS_SNAPSHOT, &["metrics"]),
-    (TRACE_SUMMARY, &["recorded", "dropped"]),
-];
+    /// Stable snake_case event name: the `event` value of its JSONL line
+    /// and the key of its metrics counter.
+    pub fn name(self) -> &'static str {
+        self.fields().0
+    }
+
+    /// One instance of every variant, so [`crate::check_jsonl`] can read
+    /// each event's keys and value types off [`TraceEvent::fields`].
+    /// `cargo xtask analyze`'s trace-coverage pass flags a variant
+    /// missing here.
+    pub(crate) fn exemplars() -> &'static [TraceEvent] {
+        &[
+            TraceEvent::HintFault { page: 0 },
+            TraceEvent::PromoteCandidate { page: 0, latency: 0 },
+            TraceEvent::PromoteAccept { page: 0 },
+            TraceEvent::PromoteReject { page: 0, reason: RejectReason::Threshold },
+            TraceEvent::DemoteKswapd { page: 0 },
+            TraceEvent::DemoteDirect { page: 0 },
+            TraceEvent::PromoteDemoted { page: 0 },
+            TraceEvent::MigrateRetry { page: 0 },
+            TraceEvent::MigrateFail { page: 0 },
+            TraceEvent::ThresholdAdjust { before: 0, after: 0, candidate_bytes: 0, limit_bytes: 0 },
+            TraceEvent::RateLimitConsume { bytes: 0 },
+            TraceEvent::RateLimitDeny { bytes: 0, available: 0 },
+            TraceEvent::FaultInjected { site: FaultSite::DramAlloc },
+            TraceEvent::ReclaimStall { cycles: 0 },
+            TraceEvent::PageCacheDrop { page: 0 },
+            TraceEvent::ThpCollapse { page: 0 },
+            TraceEvent::ThpSplit { page: 0 },
+            TraceEvent::FaultAround { page: 0, pages: 0 },
+            TraceEvent::RungStart { rung: 0, cells: 0, budget_ticks: 0 },
+            TraceEvent::CellScored { cell: 0, ticks: 0, promo_bytes: 0 },
+            TraceEvent::ParetoUpdate { cell: 0, front: 0 },
+        ]
+    }
+}
 
 /// One recorded event with its simulated timestamp and global sequence
 /// number. `seq` counts *every* recorded event, including those later
@@ -285,5 +330,13 @@ mod tests {
         assert_eq!(TraceEvent::FaultAround { page: 1, pages: 15 }.name(), "fault_around");
         assert_eq!(RejectReason::NoSpace.name(), "no_space");
         assert_eq!(FaultSite::MigrateBusy.name(), "migrate_busy");
+    }
+
+    #[test]
+    fn exemplar_names_are_distinct() {
+        let mut names: Vec<&str> = TraceEvent::exemplars().iter().map(|e| e.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), TraceEvent::exemplars().len());
     }
 }

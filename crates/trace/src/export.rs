@@ -1,38 +1,52 @@
-//! Trace exporters, JSONL (one object per line) and CSV, and
-//! [`check_jsonl`], the one reader of the JSONL layout.
+//! The JSONL trace exporter, [`to_jsonl`], and [`check_jsonl`], the one
+//! reader of its layout.
 //!
-//! Both formats are emitted by hand — the schema is small, flat, and
-//! fixed, and hand emission keeps the crate dependency-free. The reader
-//! sits beside the writer, parses each line with [`crate::json`] and
-//! takes each event's keys from the table in `event.rs`; `cargo xtask
-//! trace-check` is a thin call into it.
+//! The writer is hand-rolled — the schema is small, flat, and fixed, and
+//! hand emission keeps the crate dependency-free. Both sides take each
+//! event's keys from [`TraceEvent::fields`]: the writer from the record,
+//! the reader from the event's exemplar. The reader parses each line
+//! with [`crate::json`]; `cargo xtask trace-check` is a thin call into
+//! it.
 //!
 //! JSONL layout (see DESIGN.md §11):
-//! - one line per surviving [`TraceRecord`], keys `t`, `seq`, `event`,
+//! - one line per surviving [`crate::TraceRecord`], keys `t`, `seq`, `event`,
 //!   plus the event's own fields;
 //! - one `"event":"metrics_snapshot"` line per interval snapshot;
 //! - a final `"event":"trace_summary"` line carrying `recorded` and
 //!   `dropped`, so truncation by the ring is never silent.
 
-use crate::event::{TraceEvent, TraceRecord, EVENT_NAMES, METRICS_SNAPSHOT, TRACE_SUMMARY};
+use crate::event::{Field, TraceEvent};
 use crate::json::{parse_object, Value};
 use crate::state::TraceLog;
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// The per-interval metrics line's event name.
+const METRICS_SNAPSHOT: &str = "metrics_snapshot";
+/// The metrics line's one key, a nested object of unsigned integers.
+const METRICS: &str = "metrics";
+/// The final line's event name.
+const TRACE_SUMMARY: &str = "trace_summary";
+
+/// The summary line's fields.
+fn summary_fields(recorded: u64, dropped: u64) -> [(&'static str, Field); 2] {
+    [("recorded", Field::Num(recorded)), ("dropped", Field::Num(dropped))]
+}
 
 /// Serializes `log` as JSON Lines.
 pub fn to_jsonl(log: &TraceLog) -> String {
     let mut out = String::new();
     let mut last_now = 0;
     for rec in &log.records {
-        push_record_json(&mut out, rec);
+        let (event, fields) = rec.event.fields();
+        push_line(&mut out, rec.now, rec.seq, event, &fields);
         last_now = rec.now;
     }
     let mut seq = log.recorded;
     for snap in &log.snapshots {
         out.push_str(&format!(
-            "{{\"t\":{},\"seq\":{},\"event\":\"{METRICS_SNAPSHOT}\",\"metrics\":{{",
-            snap.now, seq
+            "{{\"t\":{},\"seq\":{seq},\"event\":\"{METRICS_SNAPSHOT}\",\"{METRICS}\":{{",
+            snap.now
         ));
         for (i, (name, value)) in snap.values.iter().enumerate() {
             if i > 0 {
@@ -44,11 +58,21 @@ pub fn to_jsonl(log: &TraceLog) -> String {
         last_now = last_now.max(snap.now);
         seq += 1;
     }
-    out.push_str(&format!(
-        "{{\"t\":{},\"seq\":{},\"event\":\"{TRACE_SUMMARY}\",\"recorded\":{},\"dropped\":{}}}\n",
-        last_now, seq, log.recorded, log.dropped
-    ));
+    let summary = summary_fields(log.recorded, log.dropped);
+    push_line(&mut out, last_now, seq, TRACE_SUMMARY, &summary);
     out
+}
+
+/// Writes one flat line: `t`, `seq`, `event`, then `fields` in order.
+fn push_line(out: &mut String, t: u64, seq: u64, event: &str, fields: &[(&str, Field)]) {
+    out.push_str(&format!("{{\"t\":{t},\"seq\":{seq},\"event\":\"{event}\""));
+    for (key, value) in fields {
+        match value {
+            Field::Num(n) => out.push_str(&format!(",\"{key}\":{n}")),
+            Field::Name(name) => out.push_str(&format!(",\"{key}\":\"{name}\"")),
+        }
+    }
+    out.push_str("}\n");
 }
 
 /// Why [`check_jsonl`] refused a trace.
@@ -73,11 +97,12 @@ impl std::error::Error for JsonlError {}
 ///
 /// Every line is one JSON object holding exactly `t`, `seq`, `event` and
 /// the keys [`to_jsonl`] writes for that event, with the writer's value
-/// types: unsigned integers, except the strings `event`, `reason` and
-/// `site` and the `metrics` object of unsigned integers. `seq` strictly
-/// increases; the last line, and only it, is a `trace_summary`. Record
-/// lines number `0..recorded` and snapshots and the summary continue the
-/// count, so the summary's `seq` is at least `recorded`.
+/// types: the string `event`, unsigned integers for `t`, `seq` and each
+/// [`Field::Num`], strings for each [`Field::Name`], and the `metrics`
+/// object of unsigned integers. `seq` strictly increases; the last line,
+/// and only it, is a `trace_summary`. Record lines number `0..recorded`
+/// and snapshots and the summary continue the count, so the summary's
+/// `seq` is at least `recorded`.
 ///
 /// # Errors
 ///
@@ -93,25 +118,36 @@ pub fn check_jsonl(text: &str) -> Result<usize, JsonlError> {
         let obj = parse_object(line).ok_or_else(|| err("line is not one JSON object".into()))?;
         let event = obj.get("event").and_then(Value::as_str);
         let event = event.ok_or_else(|| err("missing string `event`".into()))?;
-        let (_, own) = EVENT_NAMES
-            .iter()
-            .find(|(name, _)| *name == event)
-            .ok_or_else(|| err(format!("unknown event `{event}`")))?;
+        let own = if event == METRICS_SNAPSHOT {
+            Vec::new()
+        } else if event == TRACE_SUMMARY {
+            summary_fields(0, 0).to_vec()
+        } else {
+            let mut schemas = TraceEvent::exemplars().iter().map(|e| e.fields());
+            let schema = schemas.find(|(name, _)| *name == event);
+            schema.ok_or_else(|| err(format!("unknown event `{event}`")))?.1
+        };
         let is_last = idx + 1 == lines.len();
         if (event == TRACE_SUMMARY) != is_last {
             return Err(err(format!("{TRACE_SUMMARY} must be exactly the final line")));
         }
-        let keys: BTreeSet<&str> = ["t", "seq", "event"].iter().chain(*own).copied().collect();
+        let mut keys: BTreeSet<&str> = own.iter().map(|(key, _)| *key).collect();
+        keys.extend(["t", "seq", "event"]);
+        if event == METRICS_SNAPSHOT {
+            keys.insert(METRICS);
+        }
         if !obj.keys().map(String::as_str).eq(keys.iter().copied()) {
             return Err(err(format!("`{event}` line must hold exactly the keys {keys:?}")));
         }
         for (key, value) in &obj {
-            let typed = match key.as_str() {
-                "event" | "reason" | "site" => value.as_str().is_some(),
-                "metrics" => {
+            let typed = match own.iter().find(|(own_key, _)| own_key == key) {
+                Some((_, Field::Num(_))) => value.as_u64().is_some(),
+                Some((_, Field::Name(_))) => value.as_str().is_some(),
+                None if key == "event" => value.as_str().is_some(),
+                None if key == METRICS => {
                     value.as_object().is_some_and(|m| m.values().all(|v| v.as_u64().is_some()))
                 }
-                _ => value.as_u64().is_some(),
+                None => value.as_u64().is_some(),
             };
             if !typed {
                 return Err(err(format!("`{key}` has the wrong type")));
@@ -129,160 +165,6 @@ pub fn check_jsonl(text: &str) -> Result<usize, JsonlError> {
         }
     }
     Ok(lines.len())
-}
-
-fn push_record_json(out: &mut String, rec: &TraceRecord) {
-    out.push_str(&format!(
-        "{{\"t\":{},\"seq\":{},\"event\":\"{}\"",
-        rec.now,
-        rec.seq,
-        rec.event.name()
-    ));
-    match rec.event {
-        TraceEvent::HintFault { page }
-        | TraceEvent::PromoteAccept { page }
-        | TraceEvent::DemoteKswapd { page }
-        | TraceEvent::DemoteDirect { page }
-        | TraceEvent::PromoteDemoted { page }
-        | TraceEvent::MigrateRetry { page }
-        | TraceEvent::MigrateFail { page }
-        | TraceEvent::PageCacheDrop { page }
-        | TraceEvent::ThpCollapse { page }
-        | TraceEvent::ThpSplit { page } => {
-            out.push_str(&format!(",\"page\":{page}"));
-        }
-        TraceEvent::FaultAround { page, pages } => {
-            out.push_str(&format!(",\"page\":{page},\"pages\":{pages}"));
-        }
-        TraceEvent::PromoteCandidate { page, latency } => {
-            out.push_str(&format!(",\"page\":{page},\"latency\":{latency}"));
-        }
-        TraceEvent::PromoteReject { page, reason } => {
-            out.push_str(&format!(",\"page\":{page},\"reason\":\"{}\"", reason.name()));
-        }
-        TraceEvent::ThresholdAdjust { before, after, candidate_bytes, limit_bytes } => {
-            out.push_str(&format!(
-                ",\"before\":{before},\"after\":{after},\"candidate_bytes\":{candidate_bytes},\"limit_bytes\":{limit_bytes}"
-            ));
-        }
-        TraceEvent::RateLimitConsume { bytes } => {
-            out.push_str(&format!(",\"bytes\":{bytes}"));
-        }
-        TraceEvent::RateLimitDeny { bytes, available } => {
-            out.push_str(&format!(",\"bytes\":{bytes},\"available\":{available}"));
-        }
-        TraceEvent::FaultInjected { site } => {
-            out.push_str(&format!(",\"site\":\"{}\"", site.name()));
-        }
-        TraceEvent::ReclaimStall { cycles } => {
-            out.push_str(&format!(",\"cycles\":{cycles}"));
-        }
-        TraceEvent::RungStart { rung, cells, budget_ticks } => {
-            out.push_str(&format!(
-                ",\"rung\":{rung},\"cells\":{cells},\"budget_ticks\":{budget_ticks}"
-            ));
-        }
-        TraceEvent::CellScored { cell, ticks, promo_bytes } => {
-            out.push_str(&format!(
-                ",\"cell\":{cell},\"ticks\":{ticks},\"promo_bytes\":{promo_bytes}"
-            ));
-        }
-        TraceEvent::ParetoUpdate { cell, front } => {
-            out.push_str(&format!(",\"cell\":{cell},\"front\":{front}"));
-        }
-    }
-    out.push_str("}\n");
-}
-
-/// CSV column header, shared by the exporter and its consumers. The
-/// trailing `recorded`/`dropped` columns are only populated by the final
-/// `trace_summary` row.
-pub const CSV_HEADER: &str =
-    "t,seq,event,page,latency,reason,before,after,candidate_bytes,limit_bytes,bytes,available,site,cycles,cell,pages,rung,cells,budget_ticks,ticks,promo_bytes,front,recorded,dropped";
-
-/// Serializes `log` as CSV with [`CSV_HEADER`] columns. Cells that do
-/// not apply to an event are left empty.
-pub fn to_csv(log: &TraceLog) -> String {
-    let mut out = String::new();
-    out.push_str(CSV_HEADER);
-    out.push('\n');
-    let mut last_now = 0;
-    for rec in &log.records {
-        push_record_csv(&mut out, rec);
-        last_now = rec.now;
-    }
-    out.push_str(&format!(
-        "{},{},{TRACE_SUMMARY},,,,,,,,,,,,,,,,,,,,{},{}\n",
-        last_now, log.recorded, log.recorded, log.dropped
-    ));
-    out
-}
-
-fn push_record_csv(out: &mut String, rec: &TraceRecord) {
-    // Columns: page, latency, reason, before, after, candidate_bytes,
-    // limit_bytes, bytes, available, site, cycles, cell, pages, rung,
-    // cells, budget_ticks, ticks, promo_bytes, front, recorded, dropped.
-    let mut cells: [String; 21] = Default::default();
-    match rec.event {
-        TraceEvent::HintFault { page }
-        | TraceEvent::PromoteAccept { page }
-        | TraceEvent::DemoteKswapd { page }
-        | TraceEvent::DemoteDirect { page }
-        | TraceEvent::PromoteDemoted { page }
-        | TraceEvent::MigrateRetry { page }
-        | TraceEvent::MigrateFail { page }
-        | TraceEvent::PageCacheDrop { page }
-        | TraceEvent::ThpCollapse { page }
-        | TraceEvent::ThpSplit { page } => {
-            cells[0] = page.to_string();
-        }
-        TraceEvent::FaultAround { page, pages } => {
-            cells[0] = page.to_string();
-            cells[12] = pages.to_string();
-        }
-        TraceEvent::PromoteCandidate { page, latency } => {
-            cells[0] = page.to_string();
-            cells[1] = latency.to_string();
-        }
-        TraceEvent::PromoteReject { page, reason } => {
-            cells[0] = page.to_string();
-            cells[2] = reason.name().to_string();
-        }
-        TraceEvent::ThresholdAdjust { before, after, candidate_bytes, limit_bytes } => {
-            cells[3] = before.to_string();
-            cells[4] = after.to_string();
-            cells[5] = candidate_bytes.to_string();
-            cells[6] = limit_bytes.to_string();
-        }
-        TraceEvent::RateLimitConsume { bytes } => {
-            cells[7] = bytes.to_string();
-        }
-        TraceEvent::RateLimitDeny { bytes, available } => {
-            cells[7] = bytes.to_string();
-            cells[8] = available.to_string();
-        }
-        TraceEvent::FaultInjected { site } => {
-            cells[9] = site.name().to_string();
-        }
-        TraceEvent::ReclaimStall { cycles } => {
-            cells[10] = cycles.to_string();
-        }
-        TraceEvent::RungStart { rung, cells: in_rung, budget_ticks } => {
-            cells[13] = rung.to_string();
-            cells[14] = in_rung.to_string();
-            cells[15] = budget_ticks.to_string();
-        }
-        TraceEvent::CellScored { cell, ticks, promo_bytes } => {
-            cells[11] = cell.to_string();
-            cells[16] = ticks.to_string();
-            cells[17] = promo_bytes.to_string();
-        }
-        TraceEvent::ParetoUpdate { cell, front } => {
-            cells[11] = cell.to_string();
-            cells[18] = front.to_string();
-        }
-    }
-    out.push_str(&format!("{},{},{},{}\n", rec.now, rec.seq, rec.event.name(), cells.join(",")));
 }
 
 #[cfg(test)]
@@ -373,21 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_fixed_width_rows_and_summary() {
-        let text = to_csv(&sample_log());
-        let lines: Vec<&str> = text.lines().collect();
-        let width = CSV_HEADER.split(',').count();
-        assert_eq!(lines[0], CSV_HEADER);
-        for line in &lines {
-            assert_eq!(line.split(',').count(), width, "{line}");
-        }
-        assert!(lines[1].starts_with("10,0,hint_fault,7,"), "{}", lines[1]);
-        let summary = lines.last().unwrap();
-        assert!(summary.contains("trace_summary"), "{summary}");
-        assert!(summary.ends_with(",7,0"), "{summary}");
-    }
-
-    #[test]
     fn thp_and_fault_around_events_export_their_fields() {
         let mut t = TraceState::new(TraceConfig::on().with_capacity(16));
         t.record(TraceEvent::ThpCollapse { page: 512 });
@@ -398,17 +265,6 @@ mod tests {
         assert!(jsonl.contains("\"event\":\"thp_collapse\",\"page\":512"), "{jsonl}");
         assert!(jsonl.contains("\"event\":\"thp_split\",\"page\":512"), "{jsonl}");
         assert!(jsonl.contains("\"event\":\"fault_around\",\"page\":9,\"pages\":15"), "{jsonl}");
-        let csv = to_csv(&log);
-        let width = CSV_HEADER.split(',').count();
-        for line in csv.lines() {
-            assert_eq!(line.split(',').count(), width, "{line}");
-        }
-        let pages_col = CSV_HEADER.split(',').position(|c| c == "pages").unwrap();
-        assert!(
-            csv.lines()
-                .any(|l| l.contains("fault_around") && l.split(',').nth(pages_col) == Some("15")),
-            "{csv}"
-        );
     }
 
     #[test]
@@ -432,17 +288,6 @@ mod tests {
             "{jsonl}"
         );
         assert!(jsonl.contains("\"event\":\"pareto_update\",\"cell\":42,\"front\":3"), "{jsonl}");
-        let csv = to_csv(&log);
-        let width = CSV_HEADER.split(',').count();
-        for line in csv.lines() {
-            assert_eq!(line.split(',').count(), width, "{line}");
-        }
-        let ticks_col = CSV_HEADER.split(',').position(|c| c == "ticks").unwrap();
-        assert!(
-            csv.lines()
-                .any(|l| l.contains("cell_scored") && l.split(',').nth(ticks_col) == Some("1234")),
-            "{csv}"
-        );
     }
 
     #[test]
@@ -451,6 +296,5 @@ mod tests {
         let jsonl = to_jsonl(&log);
         assert_eq!(jsonl.lines().count(), 1);
         assert!(jsonl.contains("\"recorded\":0,\"dropped\":0"));
-        assert_eq!(to_csv(&log).lines().count(), 2);
     }
 }

@@ -13,14 +13,16 @@
 //!   hook is one branch and zero allocations when tracing is disabled,
 //!   the same pattern as `tiersim-mem`'s fault injector.
 //! - **Bounded, never silent.** The ring drops oldest on overflow and
-//!   counts every eviction; exporters always emit a `trace_summary`
+//!   counts every eviction; the exporter always emits a `trace_summary`
 //!   carrying `recorded`/`dropped`.
 //! - **Deterministic.** Events are stamped with simulated cycles fed by
 //!   the callers, never wall time; per-run recording is single-threaded
 //!   inside one `Machine`, so traces are byte-identical across `--jobs`.
-//! - **One reader.** [`check_jsonl`] validates the layout [`to_jsonl`]
-//!   writes, against the same event vocabulary; it is the only JSONL
-//!   reader (`cargo xtask trace-check` calls it).
+//! - **One schema.** [`TraceEvent::fields`] is each event's name and
+//!   `(key, value)` fields in one exhaustive match: [`to_jsonl`] writes
+//!   it, and [`check_jsonl`], the only JSONL reader (`cargo xtask
+//!   trace-check` calls it), reads each event's keys and value types off
+//!   one exemplar per variant.
 //!
 //! ```
 //! use tiersim_trace::{to_jsonl, TraceConfig, TraceEvent, TraceState};
@@ -35,15 +37,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod buffer;
 mod event;
 mod export;
 pub mod json;
-mod metrics;
 mod state;
 
-pub use buffer::TraceBuffer;
-pub use event::{FaultSite, RejectReason, TraceEvent, TraceRecord};
-pub use export::{check_jsonl, to_csv, to_jsonl, JsonlError, CSV_HEADER};
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use state::{TraceConfig, TraceLog, TraceState, DEFAULT_TRACE_CAPACITY};
+pub use event::{FaultSite, Field, RejectReason, TraceEvent, TraceRecord};
+pub use export::{check_jsonl, to_jsonl, JsonlError};
+pub use state::{MetricsSnapshot, TraceConfig, TraceLog, TraceState, DEFAULT_TRACE_CAPACITY};

@@ -3,12 +3,17 @@
 //!
 //! Mirrors the fault-injection pattern (`tiersim-mem::fault`): the state
 //! caches an `enabled` flag at construction so every hook is a single
-//! predictable branch when tracing is off, and nothing is allocated
-//! beyond the one up-front ring reservation when it is on.
+//! predictable branch when tracing is off. When it is on, the ring is a
+//! drop-oldest [`VecDeque`] reserved once, up front; recording into a
+//! full ring evicts the oldest record and counts the eviction, so
+//! truncation is always visible in the exported trace. The metrics are
+//! plain vectors keyed by `&'static str` and sorted at each snapshot, so
+//! registration order never reaches the output and no hashing is
+//! involved.
 
-use crate::buffer::TraceBuffer;
 use crate::event::{TraceEvent, TraceRecord};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use std::collections::VecDeque;
+use std::mem::{discriminant, Discriminant};
 
 /// Default ring capacity: enough for the smoke configs' full event
 /// streams without eviction, small enough to stay cache-friendly.
@@ -50,6 +55,15 @@ impl Default for TraceConfig {
     }
 }
 
+/// One interval snapshot of every metric.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetricsSnapshot {
+    /// Simulated time in cycles when the snapshot was taken.
+    pub now: u64,
+    /// `(name, value)` pairs, sorted by name.
+    pub values: Vec<(&'static str, u64)>,
+}
+
 /// The extracted, immutable result of a traced run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceLog {
@@ -74,14 +88,23 @@ impl TraceLog {
 /// Live recorder owned by the memory system (next to `FaultState`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceState {
-    cfg: TraceConfig,
-    /// Cached so the disabled path is a single branch with no loads
-    /// through `cfg`.
+    /// Cached so the disabled path is a single branch.
     enabled: bool,
     /// Simulated clock, fed monotonically by the callers.
     now: u64,
-    buf: TraceBuffer,
-    metrics: MetricsRegistry,
+    /// Surviving records, oldest first; never holds more than `capacity`.
+    ring: VecDeque<TraceRecord>,
+    capacity: usize,
+    /// Events ever offered to the ring (also the next sequence number).
+    recorded: u64,
+    /// Events evicted (or refused, for a zero-capacity ring).
+    dropped: u64,
+    /// Per-event counters, registered on first use under the event's
+    /// name and found by variant, so counting formats nothing.
+    counters: Vec<(Discriminant<TraceEvent>, &'static str, u64)>,
+    /// Last-value gauges, registered on first use.
+    gauges: Vec<(&'static str, u64)>,
+    snapshots: Vec<MetricsSnapshot>,
 }
 
 impl TraceState {
@@ -90,22 +113,16 @@ impl TraceState {
     pub fn new(cfg: TraceConfig) -> TraceState {
         let capacity = if cfg.enabled { cfg.capacity } else { 0 };
         TraceState {
-            cfg,
             enabled: cfg.enabled,
             now: 0,
-            buf: TraceBuffer::new(capacity),
-            metrics: MetricsRegistry::new(),
+            ring: VecDeque::with_capacity(capacity),
+            capacity,
+            recorded: 0,
+            dropped: 0,
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            snapshots: Vec::new(),
         }
-    }
-
-    /// The settings this recorder was built with.
-    pub fn config(&self) -> TraceConfig {
-        self.cfg
-    }
-
-    /// Whether events are being recorded.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Advances the recorder's simulated clock; time never goes
@@ -116,55 +133,59 @@ impl TraceState {
         }
     }
 
-    /// Records `event` at the current simulated time. A no-op costing
-    /// one branch when tracing is disabled.
+    /// Records `event` at the current simulated time, evicting the
+    /// oldest record when the ring is full, and counts it under its
+    /// name. A no-op costing one branch when tracing is disabled.
     pub fn record(&mut self, event: TraceEvent) {
         if !self.enabled {
             return;
         }
-        self.buf.record(self.now, event);
-        self.metrics.inc(event.name(), 1);
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+        if self.capacity > 0 {
+            self.ring.push_back(TraceRecord { now: self.now, seq: self.recorded, event });
+        }
+        self.recorded += 1;
+        let variant = discriminant(&event);
+        match self.counters.iter_mut().find(|(v, _, _)| *v == variant) {
+            Some((_, _, count)) => *count += 1,
+            None => self.counters.push((variant, event.name(), 1)),
+        }
     }
 
-    /// Sets a gauge in the metrics registry (no-op when disabled).
+    /// Sets a gauge (no-op when disabled).
     pub fn set_gauge(&mut self, name: &'static str, value: u64) {
         if !self.enabled {
             return;
         }
-        self.metrics.set_gauge(name, value);
+        match self.gauges.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, v)) => *v = value,
+            None => self.gauges.push((name, value)),
+        }
     }
 
-    /// Takes a metrics snapshot at the current simulated time (no-op
-    /// when disabled).
+    /// Snapshots every counter and gauge, sorted by name, at the current
+    /// simulated time (no-op when disabled).
     pub fn snapshot_metrics(&mut self) {
         if !self.enabled {
             return;
         }
-        self.metrics.snapshot(self.now);
-    }
-
-    /// Read access to the metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Surviving records, oldest first.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.buf.records()
-    }
-
-    /// Events evicted from the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.buf.dropped()
+        let counters = self.counters.iter().map(|&(_, name, count)| (name, count));
+        let mut values: Vec<(&'static str, u64)> =
+            counters.chain(self.gauges.iter().copied()).collect();
+        values.sort_unstable();
+        self.snapshots.push(MetricsSnapshot { now: self.now, values });
     }
 
     /// Extracts the immutable log of everything recorded so far.
     pub fn log(&self) -> TraceLog {
         TraceLog {
-            records: self.buf.records(),
-            recorded: self.buf.recorded(),
-            dropped: self.buf.dropped(),
-            snapshots: self.metrics.snapshots().to_vec(),
+            records: self.ring.iter().copied().collect(),
+            recorded: self.recorded,
+            dropped: self.dropped,
+            snapshots: self.snapshots.clone(),
         }
     }
 }
@@ -176,7 +197,6 @@ mod tests {
     #[test]
     fn disabled_state_records_nothing() {
         let mut t = TraceState::new(TraceConfig::off());
-        assert!(!t.enabled());
         t.set_now(100);
         t.record(TraceEvent::HintFault { page: 1 });
         t.set_gauge("g", 5);
@@ -200,8 +220,52 @@ mod tests {
         assert_eq!(log.records[0].now, 50);
         assert_eq!(log.records[1].now, 50);
         assert_eq!(log.records[1].seq, 1);
-        assert_eq!(t.metrics().counter("hint_fault"), 1);
-        assert_eq!(t.metrics().counter("promote_accept"), 1);
+    }
+
+    #[test]
+    fn full_ring_drops_oldest() {
+        let mut t = TraceState::new(TraceConfig::on().with_capacity(3));
+        for i in 0..5 {
+            t.set_now(i * 10);
+            t.record(TraceEvent::HintFault { page: i });
+        }
+        let log = t.log();
+        assert_eq!((log.recorded, log.dropped), (5, 2));
+        // Oldest two (seq 0, 1) were evicted; order is oldest-first.
+        assert_eq!(log.records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(log.records[0].now, 20);
+    }
+
+    #[test]
+    fn zero_capacity_counts_everything_as_dropped() {
+        let mut t = TraceState::new(TraceConfig::on().with_capacity(0));
+        t.record(TraceEvent::HintFault { page: 1 });
+        t.record(TraceEvent::HintFault { page: 2 });
+        let log = t.log();
+        assert!(log.records.is_empty());
+        assert_eq!((log.recorded, log.dropped), (2, 2));
+    }
+
+    #[test]
+    fn counters_accumulate_and_gauges_overwrite_in_name_order() {
+        let mut t = TraceState::new(TraceConfig::on());
+        t.set_gauge("threshold_cycles", 100);
+        t.record(TraceEvent::PromoteAccept { page: 1 });
+        t.record(TraceEvent::HintFault { page: 1 });
+        t.record(TraceEvent::PromoteAccept { page: 2 });
+        t.set_gauge("threshold_cycles", 80);
+        t.snapshot_metrics();
+        t.set_now(84);
+        t.record(TraceEvent::HintFault { page: 2 });
+        t.snapshot_metrics();
+        let snaps = t.log().snapshots;
+        assert_eq!(snaps.len(), 2);
+        assert_eq!(
+            snaps[0].values,
+            vec![("hint_fault", 1), ("promote_accept", 2), ("threshold_cycles", 80)]
+        );
+        assert_eq!(snaps[1].now, 84);
+        assert_eq!(snaps[1].values[0], ("hint_fault", 2));
     }
 
     #[test]

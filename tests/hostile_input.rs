@@ -122,6 +122,38 @@ fn trace() -> String {
     to_jsonl(&t.log())
 }
 
+/// The exact `to_jsonl` text of [`trace`]: every byte the writer emits
+/// for each variant, the metrics snapshot and the summary.
+const TRACE: &str = r#"{"t":100,"seq":0,"event":"hint_fault","page":7}
+{"t":100,"seq":1,"event":"promote_candidate","page":7,"latency":900}
+{"t":100,"seq":2,"event":"promote_accept","page":7}
+{"t":100,"seq":3,"event":"promote_reject","page":8,"reason":"rate_limited"}
+{"t":100,"seq":4,"event":"demote_kswapd","page":9}
+{"t":100,"seq":5,"event":"demote_direct","page":10}
+{"t":100,"seq":6,"event":"promote_demoted","page":7}
+{"t":100,"seq":7,"event":"migrate_retry","page":11}
+{"t":100,"seq":8,"event":"migrate_fail","page":11}
+{"t":100,"seq":9,"event":"threshold_adjust","before":1000,"after":800,"candidate_bytes":8192,"limit_bytes":4096}
+{"t":100,"seq":10,"event":"rate_limit_consume","bytes":4096}
+{"t":100,"seq":11,"event":"rate_limit_deny","bytes":4096,"available":100}
+{"t":100,"seq":12,"event":"fault_injected","site":"migrate_busy"}
+{"t":100,"seq":13,"event":"reclaim_stall","cycles":555}
+{"t":100,"seq":14,"event":"page_cache_drop","page":12}
+{"t":100,"seq":15,"event":"thp_collapse","page":512}
+{"t":100,"seq":16,"event":"thp_split","page":512}
+{"t":100,"seq":17,"event":"fault_around","page":13,"pages":15}
+{"t":100,"seq":18,"event":"rung_start","rung":0,"cells":216,"budget_ticks":50000}
+{"t":100,"seq":19,"event":"cell_scored","cell":42,"ticks":1234,"promo_bytes":8192}
+{"t":100,"seq":20,"event":"pareto_update","cell":42,"front":3}
+{"t":100,"seq":21,"event":"metrics_snapshot","metrics":{"cell_scored":1,"demote_direct":1,"demote_kswapd":1,"fault_around":1,"fault_injected":1,"hint_fault":1,"migrate_fail":1,"migrate_retry":1,"page_cache_drop":1,"pareto_update":1,"promote_accept":1,"promote_candidate":1,"promote_demoted":1,"promote_reject":1,"rate_limit_consume":1,"rate_limit_deny":1,"reclaim_stall":1,"rung_start":1,"thp_collapse":1,"thp_split":1,"threshold_adjust":1,"threshold_cycles":800}}
+{"t":100,"seq":22,"event":"trace_summary","recorded":21,"dropped":0}
+"#;
+
+#[test]
+fn every_variant_trace_is_pinned_to_the_byte() {
+    assert_eq!(trace(), TRACE);
+}
+
 #[test]
 fn trace_prefixes_and_substitutions_never_panic() {
     let text = trace();

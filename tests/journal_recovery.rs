@@ -190,7 +190,7 @@ fn killed_and_resumed_repro_suite_is_byte_identical() {
         replay(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
     };
     strictly_replays(&clean_path);
-    let jsonl = &clean.trace_exports().expect("suite traced").jsonl;
+    let jsonl = clean.trace_jsonl().expect("suite traced");
     check_jsonl(jsonl).expect("trace export passes the JSONL reader");
 
     // Kill before any cell completes (append 2 = the first cell's start),
@@ -216,9 +216,9 @@ fn killed_and_resumed_repro_suite_is_byte_identical() {
         assert_eq!(resumed.output(), clean.output(), "output diverged (kill at {kill_at})");
         assert_eq!(resumed.summary(), clean.summary(), "summary diverged (kill at {kill_at})");
         assert_eq!(
-            resumed.trace_exports(),
-            clean.trace_exports(),
-            "trace exports diverged (kill at {kill_at})"
+            resumed.trace_jsonl(),
+            clean.trace_jsonl(),
+            "trace diverged (kill at {kill_at})"
         );
         let stats = resumed.cell_stats().expect("cell stats");
         assert_eq!(stats.replayed, expect_replayed, "kill at {kill_at}");

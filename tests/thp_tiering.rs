@@ -153,11 +153,7 @@ fn thp_suite_is_journal_resumable() {
         .expect("resumed THP suite");
     assert_eq!(resumed.output(), clean.output(), "THP suite output diverged after resume");
     assert_eq!(resumed.summary(), clean.summary(), "THP suite summary diverged after resume");
-    assert_eq!(
-        resumed.trace_exports(),
-        clean.trace_exports(),
-        "THP trace exports diverged after resume"
-    );
+    assert_eq!(resumed.trace_jsonl(), clean.trace_jsonl(), "THP trace diverged after resume");
 
     let _ = std::fs::remove_file(&clean_path);
     let _ = std::fs::remove_file(&path);

@@ -7,7 +7,8 @@
 //! - [`counter_conservation`] — every mutated `VmCounters` field has an
 //!   audit law, and every law term has a mutation site;
 //! - [`trace_coverage`] — every `TraceEvent` variant is emitted,
-//!   replayed, and named in the JSONL event vocabulary (`EVENT_NAMES`);
+//!   replayed, and has an exemplar in `TraceEvent::exemplars`, the JSONL
+//!   reader's schema;
 //! - [`panic_reachability`] — no panic or slice-index in library code
 //!   reachable from `Machine::run` / `run_cells`.
 //!
@@ -39,7 +40,7 @@ pub const PASSES: &[(&str, &str)] = &[
     ),
     (
         trace_coverage::NAME,
-        "every TraceEvent variant is emitted, handled in replay.rs, and in EVENT_NAMES",
+        "every TraceEvent variant is emitted, handled in replay.rs, and has an exemplar",
     ),
     (
         panic_reachability::NAME,

@@ -4,27 +4,27 @@
 //! *total* — every `TraceEvent` variant must actually be emitted by the
 //! engine/reclaim/fault/sweep code, must have a handling arm in
 //! `replay.rs` (so replaying a trace reconstructs the vmstat deltas), and
-//! its `name()` string must be in the `EVENT_NAMES` vocabulary beside it
-//! in the enum's file (so `check_jsonl` accepts exported JSONL). A variant
-//! missing any leg is a finding:
+//! must have an exemplar in `TraceEvent::exemplars` (so `check_jsonl`,
+//! which reads each event's keys and value types off its exemplar,
+//! accepts exported JSONL). The exhaustive match of `TraceEvent::fields`
+//! already makes the compiler prove every variant has a name and keys.
+//! A variant missing any leg is a finding:
 //!
 //! - **no emission site** — the variant is dead vocabulary, or worse,
 //!   the decision it should record is untraced;
 //! - **no replay arm** — replay silently drops it and the trace↔vmstat
 //!   conservation property can no longer hold by construction;
-//! - **not in the vocabulary** — `check_jsonl` (and so
-//!   `cargo xtask trace-check`) would reject real traces containing it.
+//! - **no exemplar** — `check_jsonl` (and so `cargo xtask trace-check`)
+//!   would reject real traces containing it.
 //!
 //! Emission sites are `TraceEvent::Variant` constructions in non-test
 //! functions under `crates/os`, `crates/mem`, `crates/core` — except
 //! `replay.rs`, whose constructions are *handling*, counted separately.
-//! The `name()` strings and the vocabulary are read from the raw text of
-//! the enum's file (the lexer blanks string literals).
+//! Exemplars are the constructions inside `TraceEvent::exemplars`.
 
 use crate::diag::Diagnostic;
 use crate::item_model::{Item, ItemKind, Project};
-use crate::lexer::is_ident_char;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Pass id (used in `allow(...)` annotations and baseline keys).
 pub const NAME: &str = "trace-coverage";
@@ -32,9 +32,8 @@ pub const NAME: &str = "trace-coverage";
 /// The traced-event enum.
 const EVENT_ENUM: &str = "TraceEvent";
 
-/// The const array, in the enum's file, of every name a JSONL trace may
-/// carry.
-const VOCABULARY: &str = "EVENT_NAMES";
+/// The function holding one instance of every variant.
+const EXEMPLARS: &str = "TraceEvent::exemplars";
 
 /// Crates whose non-test code counts as emission sites.
 fn emission_scope(path: &str) -> bool {
@@ -63,32 +62,28 @@ pub fn run(project: &Project) -> Vec<Diagnostic> {
         return Vec::new(); // nothing to check (fixtures without the enum)
     };
     let variants: Vec<&str> = enum_item.fields.iter().map(String::as_str).collect();
-    // Restrict name() extraction to the method's own span when it is
-    // modeled, so test/doc code in the same file can't contribute fake
-    // mappings.
-    let name_span = enum_file
-        .items
-        .iter()
-        .find(|i| i.kind == ItemKind::Fn && i.qual == format!("{EVENT_ENUM}::name"))
-        .map(|i| (i.start_line, i.end_line));
-    let names = name_strings(&enum_file.raw, name_span);
-    let vocabulary = vocabulary(&enum_file.raw);
 
     // Where is each variant constructed (`TraceEvent :: Variant`)?
     let mut emitted: BTreeSet<&str> = BTreeSet::new();
     let mut replayed: BTreeSet<&str> = BTreeSet::new();
+    let mut exemplified: BTreeSet<&str> = BTreeSet::new();
     for (file, item) in project.items() {
         if item.kind != ItemKind::Fn || item.in_test {
             continue;
         }
-        let is_replay = file.path.ends_with("/replay.rs");
-        if !is_replay && !emission_scope(&file.path) {
+        let found = if file.path.ends_with("/replay.rs") {
+            &mut replayed
+        } else if item.qual == EXEMPLARS {
+            &mut exemplified
+        } else if emission_scope(&file.path) {
+            &mut emitted
+        } else {
             continue;
-        }
+        };
         for w in item.tokens.windows(3) {
             if w[0].text == EVENT_ENUM && w[1].text == "::" {
                 if let Some(v) = variants.iter().find(|v| **v == w[2].text) {
-                    if is_replay { &mut replayed } else { &mut emitted }.insert(v);
+                    found.insert(v);
                 }
             }
         }
@@ -119,66 +114,19 @@ pub fn run(project: &Project) -> Vec<Diagnostic> {
                 ),
             ));
         }
-        match (names.get(*v), &vocabulary) {
-            (None, _) => out.push(diag(
+        if !exemplified.contains(v) {
+            out.push(diag(
                 &enum_file.path,
                 line,
                 v,
-                format!("variant `{v}` has no `name()` mapping — exporters cannot serialize it"),
-            )),
-            (Some(name), Some(known)) if !known.contains(name.as_str()) => {
-                out.push(diag(
-                    &enum_file.path,
-                    line,
-                    v,
-                    format!(
-                        "variant `{v}`'s name `{name}` is missing from the JSONL event \
-                         vocabulary ({VOCABULARY}) — exported traces containing it would fail \
-                         validation"
-                    ),
-                ));
-            }
-            _ => {}
+                format!(
+                    "variant `{v}` has no exemplar in `{EXEMPLARS}` — exported traces \
+                     containing it would fail validation"
+                ),
+            ));
         }
     }
     out
-}
-
-/// Extracts the `TraceEvent::Variant { .. } => "snake_name"` mappings
-/// from the enum file's raw text (string literals are blanked in the
-/// lexed view, so this works on the original source). When `span` is
-/// given, only lines inside it (the `name()` method body) are scanned.
-fn name_strings(raw: &str, span: Option<(usize, usize)>) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for (idx, line) in raw.lines().enumerate() {
-        if let Some((start, end)) = span {
-            if idx + 1 < start || idx + 1 > end {
-                continue;
-            }
-        }
-        let Some(pos) = line.find(&format!("{EVENT_ENUM}::")) else { continue };
-        let after = &line[pos + EVENT_ENUM.len() + 2..];
-        let variant: String = after.chars().take_while(|c| is_ident_char(*c)).collect();
-        let Some(arrow) = line.find("=>") else { continue };
-        let rest = &line[arrow + 2..];
-        let Some(q1) = rest.find('"') else { continue };
-        let Some(q2) = rest[q1 + 1..].find('"') else { continue };
-        if !variant.is_empty() {
-            out.entry(variant).or_insert_with(|| rest[q1 + 1..q1 + 1 + q2].to_string());
-        }
-    }
-    out
-}
-
-/// The event names of the `EVENT_NAMES` table in the enum file's raw
-/// text (the quoted string opening each `("name", &[keys])` entry), or
-/// `None` when the file declares no such table.
-fn vocabulary(raw: &str) -> Option<BTreeSet<&str>> {
-    let start = raw.find(&format!("const {VOCABULARY}"))?;
-    let body = &raw[start..];
-    let body = &body[..body.find("];").unwrap_or(body.len())];
-    let names = body.split('(').filter_map(|entry| entry.trim_start().strip_prefix('"'));
-    Some(names.filter_map(|entry| entry.split_once('"')).map(|(name, _)| name).collect())
 }
 
 /// Declaration line of a variant inside the enum item.
@@ -196,13 +144,15 @@ mod tests {
     use super::*;
     use crate::item_model::Project;
 
-    /// A miniature trace stack: enum + name() + the `vocabulary` array in
-    /// one file, an engine emitter, and a replay handler.
-    fn fixture(engine: &str, replay: &str, vocabulary: &str) -> Vec<Diagnostic> {
-        let event = "pub enum TraceEvent {\n    HintFault { page: u64 },\n    PromoteAccept { page: u64 },\n}\n\
-                     impl TraceEvent {\n    pub fn name(self) -> &'static str {\n        match self {\n            TraceEvent::HintFault { .. } => \"hint_fault\",\n            TraceEvent::PromoteAccept { .. } => \"promote_accept\",\n        }\n    }\n}\n";
+    /// A miniature trace stack: the enum and its `impl` (holding
+    /// `methods`) in one file, an engine emitter, and a replay handler.
+    fn fixture(engine: &str, replay: &str, methods: &str) -> Vec<Diagnostic> {
+        let event = "pub enum TraceEvent {\n    HintFault { page: u64 },\n    PromoteAccept { page: u64 },\n}\n";
         let project = Project::from_sources(vec![
-            ("crates/trace/src/event.rs".to_string(), format!("{event}{vocabulary}")),
+            (
+                "crates/trace/src/event.rs".to_string(),
+                format!("{event}impl TraceEvent {{\n{methods}}}\n"),
+            ),
             ("crates/os/src/engine.rs".to_string(), engine.to_string()),
             ("crates/os/src/replay.rs".to_string(), replay.to_string()),
         ]);
@@ -211,17 +161,17 @@ mod tests {
 
     const FULL_ENGINE: &str = "pub fn step() {\n    record(TraceEvent::HintFault { page: 1 });\n    record(TraceEvent::PromoteAccept { page: 1 });\n}\n";
     const FULL_REPLAY: &str = "pub fn replay_counters(e: TraceEvent) {\n    match e {\n        TraceEvent::HintFault { .. } => {}\n        TraceEvent::PromoteAccept { .. } => {}\n    }\n}\n";
-    const FULL_VOCABULARY: &str = "pub(crate) const EVENT_NAMES: &[(&str, &[&str])] = &[(\"hint_fault\", &[\"page\"]), (\"promote_accept\", &[\"page\"]), (TRACE_SUMMARY, &[\"recorded\"])];\n";
+    const FULL_EXEMPLARS: &str = "    pub(crate) fn exemplars() -> &'static [TraceEvent] {\n        &[TraceEvent::HintFault { page: 0 }, TraceEvent::PromoteAccept { page: 0 }]\n    }\n";
 
     #[test]
     fn total_coverage_is_clean() {
-        assert_eq!(fixture(FULL_ENGINE, FULL_REPLAY, FULL_VOCABULARY), Vec::new());
+        assert_eq!(fixture(FULL_ENGINE, FULL_REPLAY, FULL_EXEMPLARS), Vec::new());
     }
 
     #[test]
     fn planted_unemitted_variant_is_flagged() {
         let engine = "pub fn step() {\n    record(TraceEvent::HintFault { page: 1 });\n}\n";
-        let diags = fixture(engine, FULL_REPLAY, FULL_VOCABULARY);
+        let diags = fixture(engine, FULL_REPLAY, FULL_EXEMPLARS);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].token, "PromoteAccept");
         assert!(diags[0].message.contains("never emitted"));
@@ -233,28 +183,38 @@ mod tests {
     #[test]
     fn planted_unreplayed_variant_is_flagged() {
         let replay = "pub fn replay_counters(e: TraceEvent) {\n    match e {\n        TraceEvent::HintFault { .. } => {}\n        _ => {}\n    }\n}\n";
-        let diags = fixture(FULL_ENGINE, replay, FULL_VOCABULARY);
+        let diags = fixture(FULL_ENGINE, replay, FULL_EXEMPLARS);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].token, "PromoteAccept");
         assert!(diags[0].message.contains("no handling arm in replay.rs"));
     }
 
     #[test]
-    fn planted_schema_gap_is_flagged() {
-        // `promote_accept` appears only as a key, which does not count.
-        let vocabulary = "pub(crate) const EVENT_NAMES: &[(&str, &[&str])] = &[(\"hint_fault\", &[\"promote_accept\"])];\n";
-        let diags = fixture(FULL_ENGINE, FULL_REPLAY, vocabulary);
+    fn planted_missing_exemplar_is_flagged() {
+        // `PromoteAccept` is constructed in the enum's file, but outside
+        // `exemplars`, which does not count.
+        let methods = "    pub(crate) fn exemplars() -> &'static [TraceEvent] {\n        &[TraceEvent::HintFault { page: 0 }]\n    }\n\
+                       pub fn other() -> TraceEvent {\n        TraceEvent::PromoteAccept { page: 0 }\n    }\n";
+        let diags = fixture(FULL_ENGINE, FULL_REPLAY, methods);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].token, "PromoteAccept");
         assert_eq!(diags[0].path, "crates/trace/src/event.rs");
-        assert!(diags[0].message.contains("missing from the JSONL event vocabulary"));
+        assert!(diags[0].message.contains("no exemplar"));
+    }
+
+    #[test]
+    fn missing_exemplars_function_flags_every_variant() {
+        let diags = fixture(FULL_ENGINE, FULL_REPLAY, "");
+        let tokens: Vec<&str> = diags.iter().map(|d| d.token.as_str()).collect();
+        assert_eq!(tokens, ["HintFault", "PromoteAccept"]);
+        assert!(diags.iter().all(|d| d.message.contains("no exemplar")));
     }
 
     #[test]
     fn replay_construction_does_not_count_as_emission() {
         // Only replay.rs constructs PromoteAccept: still unemitted.
         let engine = "pub fn step() {\n    record(TraceEvent::HintFault { page: 1 });\n}\n";
-        let diags = fixture(engine, FULL_REPLAY, FULL_VOCABULARY);
+        let diags = fixture(engine, FULL_REPLAY, FULL_EXEMPLARS);
         assert!(diags.iter().any(|d| d.message.contains("never emitted")));
     }
 
@@ -262,24 +222,8 @@ mod tests {
     fn test_code_emission_does_not_count() {
         let engine = "pub fn step() {\n    record(TraceEvent::HintFault { page: 1 });\n}\n\
                       #[cfg(test)]\nmod tests {\n    fn t() { record(TraceEvent::PromoteAccept { page: 1 }); }\n}\n";
-        let diags = fixture(engine, FULL_REPLAY, FULL_VOCABULARY);
+        let diags = fixture(engine, FULL_REPLAY, FULL_EXEMPLARS);
         assert_eq!(diags.len(), 1, "test-only emission must not satisfy the contract");
         assert!(diags[0].message.contains("never emitted"));
-    }
-
-    #[test]
-    fn missing_name_mapping_is_flagged() {
-        let event = "pub enum TraceEvent {\n    HintFault { page: u64 },\n}\n\
-                     impl TraceEvent {\n    pub fn name(self) -> &'static str {\n        \"x\"\n    }\n}\n";
-        let engine = "pub fn step() { record(TraceEvent::HintFault { page: 1 }); }\n";
-        let replay = "pub fn replay_counters(e: TraceEvent) {\n    match e { TraceEvent::HintFault { .. } => {} }\n}\n";
-        let project = Project::from_sources(vec![
-            ("crates/trace/src/event.rs".to_string(), event.to_string()),
-            ("crates/os/src/engine.rs".to_string(), engine.to_string()),
-            ("crates/os/src/replay.rs".to_string(), replay.to_string()),
-        ]);
-        let diags = run(&project);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("no `name()` mapping"));
     }
 }

@@ -52,8 +52,6 @@ pub struct Item {
     pub qual: String,
     /// 1-based line of the introducing keyword.
     pub start_line: usize,
-    /// 1-based line of the item's final token.
-    pub end_line: usize,
     /// True when the item lives in `#[cfg(test)]`/`#[test]` code.
     pub in_test: bool,
     /// True for a function inside an `impl` or a `trait` block: the
@@ -70,9 +68,6 @@ pub struct Item {
 pub struct FileModel {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// Raw file text (for checks that need string-literal contents, which
-    /// the lexer blanks — e.g. the trace schema comparison).
-    pub raw: String,
     /// The lexer's per-line view (for allow-annotation lookups).
     pub lines: Vec<CodeLine>,
     /// Items extracted from this file, in source order.
@@ -94,7 +89,7 @@ impl Project {
             .map(|(path, raw)| {
                 let lines = lexer::lex(&raw);
                 let items = extract_items(&lines);
-                FileModel { path, raw, lines, items }
+                FileModel { path, lines, items }
             })
             .collect();
         Project { files }
@@ -455,7 +450,6 @@ fn mk_item(
     lines: &[CodeLine],
 ) -> Item {
     let start_line = tokens[start].line;
-    let end_line = tokens[end_idx.min(tokens.len() - 1)].line;
     let qual = match impl_ty {
         Some(ty) => format!("{ty}::{name}"),
         None => name.to_string(),
@@ -466,7 +460,6 @@ fn mk_item(
         name: name.to_string(),
         qual,
         start_line,
-        end_line,
         in_test,
         method: false,
         tokens: tokens[start..=end_idx.min(tokens.len() - 1)].to_vec(),
